@@ -15,7 +15,7 @@ from .grid import (FaceField, Field, Grid, average_to_faces, divergence,
                    face_inner_product, gradient, inner_product, laplacian,
                    read_field_csv, weighted_divgrad, write_field_csv)
 from .harness import (ConvergenceRow, ExperimentConfig, cubic_autocatalysis_system,
-                      exact_ode_solution, parse_config, resample_spectral, restrict_bilinear,
+                      exact_ode_solution, parse_config, resample_spectral,
                       run_cauchy_convergence, run_energy_trace, run_ode_convergence,
                       run_single, weighted_order, write_resolved_config)
 from .reaction import (PointState, ReactionSolveConfig, ReactionSpec,

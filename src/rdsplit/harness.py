@@ -25,7 +25,7 @@ from .splitting import RunReport, Species, SystemSpec, run, steps_for
 
 __all__ = [
     "ExperimentConfig", "ConvergenceRow", "parse_config", "write_resolved_config",
-    "exact_ode_solution", "weighted_order", "restrict_bilinear", "resample_spectral",
+    "exact_ode_solution", "weighted_order", "resample_spectral",
     "cubic_autocatalysis_system", "ring_profiles", "write_convergence_csv",
     "run_ode_convergence", "run_cauchy_convergence", "run_energy_trace", "run_single",
 ]
@@ -341,30 +341,6 @@ def weighted_order(e_coarse: float, e_fine: float,
         raise InvalidInput("differences must be positive")
     a_star = (1.0 - h ** 2 / h_prev ** 2) / (1.0 - h_next ** 2 / h ** 2)
     return math.log((e_coarse / e_fine) / a_star) / math.log(h_prev / h)
-
-
-def restrict_bilinear(fine: Field, coarse: Grid) -> Field:
-    """Sample a fine-grid field at coarse cell centers by periodic bilinear interpolation."""
-    gf = fine.grid
-    if gf.dim != coarse.dim:
-        raise InvalidInput("grids must share the dimension")
-
-    def axis_weights(ax):
-        s = (coarse.axis_centers(ax) - gf.lower[ax]) / gf.h - 0.5
-        j0 = np.floor(s).astype(int)
-        w = s - j0
-        return j0 % gf.n0, (j0 + 1) % gf.n0, w
-
-    if gf.dim == 1:
-        j0, j1, w = axis_weights(0)
-        v = fine.values
-        return Field(coarse, (1 - w) * v[j0] + w * v[j1])
-    i0, i1, wx = axis_weights(0)
-    j0, j1, wy = axis_weights(1)
-    v = fine.values
-    row0 = (1 - wy)[None, :] * v[np.ix_(i0, j0)] + wy[None, :] * v[np.ix_(i0, j1)]
-    row1 = (1 - wy)[None, :] * v[np.ix_(i1, j0)] + wy[None, :] * v[np.ix_(i1, j1)]
-    return Field(coarse, (1 - wx)[:, None] * row0 + wx[:, None] * row1)
 
 
 def _trig_eval_matrix(n_src: int, n_dst: int, lower: float, span: float) -> np.ndarray:

@@ -62,11 +62,13 @@ def test_missing_config_file_exits_2(tmp_path):
 
 
 def test_solver_failure_exits_3(tmp_path, capsys):
-    # dt far beyond the nonlinear stepper's Newton basin at this resolution
+    # dt far beyond the nonlinear stepper's Newton basin at this resolution;
+    # nonuniform u, because uniform data at equilibrium is an exact fixed point
     text = SINGLE_CFG.replace("species.u.diffusion = constant\nspecies.u.D = 0.2\n",
                               "species.u.diffusion = power\n"
                               "species.u.D0 = 1e6\n"
-                              "species.u.alpha_exp = 4\n")
+                              "species.u.alpha_exp = 4\n"
+                              "species.u.ic = disk_in\n")
     text = text.replace("run.dt = 0.05", "run.dt = 1e8").replace(
         "run.t_end = 0.1", "run.t_end = 2e8")
     cfg = _write(tmp_path, text)

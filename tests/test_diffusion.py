@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,28 +14,34 @@ from rdsplit import (
     InvalidInput,
     NonlinearDiffusionConfig,
     PositivityViolation,
+    average_to_faces,
     diffusion_energy,
     etd_step,
     laplacian,
     nonlinear_cn_step,
     semi_implicit_predictor,
+    weighted_divgrad,
 )
-from rdsplit.diffusion import divgrad_matrix
 
 
 def _positive_field(rng, grid, low=0.1, high=2.0):
     return Field(grid, rng.uniform(low, high, grid.shape))
 
 
-def _dense_laplacian(grid):
+def _dense(grid, op):
+    """Dense matrix of a linear cell operator, built column by column."""
     n = grid.n_cells
     A = np.zeros((n, n))
     e = np.zeros(n)
     for k in range(n):
         e[:] = 0.0
         e[k] = 1.0
-        A[:, k] = laplacian(Field(grid, e.reshape(grid.shape))).values.ravel()
+        A[:, k] = op(Field(grid, e.reshape(grid.shape))).values.ravel()
     return A
+
+
+def _dense_laplacian(grid):
+    return _dense(grid, laplacian)
 
 
 # ---------------------------------------------------------------- laws
@@ -140,33 +150,6 @@ def test_etd_semigroup_property():
     np.testing.assert_allclose(twice.values, once.values, rtol=1e-13)
 
 
-# ---------------------------------------------------------------- sparse operator
-
-
-def test_divgrad_matrix_matches_mimetic_operator():
-    rng = np.random.default_rng(14)
-    from rdsplit import FaceField, average_to_faces, weighted_divgrad
-
-    for dim in (1, 2):
-        g = Grid(dim=dim, n0=6)
-        w = [rng.uniform(0.1, 1.0, g.shape) for _ in range(dim)]
-        f = rng.standard_normal(g.shape)
-        L = divgrad_matrix(g, w)
-        via_matrix = (L @ f.ravel()).reshape(g.shape)
-        via_fields = weighted_divgrad(
-            [FaceField(g, ax, w[ax]) for ax in range(dim)], Field(g, f)).values
-        np.testing.assert_allclose(via_matrix, via_fields, rtol=1e-13, atol=1e-13)
-
-
-def test_divgrad_matrix_symmetric_zero_row_sums():
-    rng = np.random.default_rng(15)
-    g = Grid(dim=2, n0=5)
-    L = divgrad_matrix(g, [rng.uniform(0.5, 2.0, g.shape) for _ in range(2)])
-    dense = L.toarray()
-    np.testing.assert_allclose(dense, dense.T, atol=1e-14)
-    np.testing.assert_allclose(dense.sum(axis=1), 0.0, atol=1e-12)
-
-
 # ---------------------------------------------------------------- predictor
 
 
@@ -181,6 +164,19 @@ def test_predictor_matches_dense_backward_euler():
     expected = np.linalg.solve(A, rho.values / dt)
     got = semi_implicit_predictor(rho, law, dt)
     np.testing.assert_allclose(got.values, expected, rtol=1e-12)
+
+    # variable coefficient in 2D: the FFT preconditioner is no longer exact,
+    # so the conjugate gradient iteration does the work
+    g = Grid(dim=2, n0=8, lower=-1.0, upper=1.0)
+    rho = _positive_field(rng, g, low=0.05, high=3.0)
+    law = DiffusionLaw.power(0.3, 3)
+    dt = 0.1
+    coeff = Field(g, law.coefficient(rho.values))
+    faces = [average_to_faces(coeff, ax) for ax in range(2)]
+    A = np.eye(g.n_cells) / dt - _dense(g, lambda f: weighted_divgrad(faces, f))
+    expected = np.linalg.solve(A, rho.values.ravel() / dt)
+    got = semi_implicit_predictor(rho, law, dt)
+    np.testing.assert_allclose(got.values.ravel(), expected, rtol=1e-10)
 
 
 def test_predictor_positive_and_conservative():
@@ -201,12 +197,19 @@ def test_predictor_positive_and_conservative():
 def test_cn_structure_random_sweep():
     """Positivity, relative mass conservation, energy dissipation."""
     rng = np.random.default_rng(19)
+    cases = []
     for _ in range(25):
         dim = int(rng.integers(1, 3))
         g = Grid(dim=dim, n0=12 if dim == 2 else 40, lower=-1.0, upper=1.0)
         rho = _positive_field(rng, g, low=0.05, high=3.0)
         law = DiffusionLaw.power(float(rng.uniform(0.05, 0.4)), int(rng.integers(1, 4)))
-        dt = float(rng.uniform(5e-4, 0.1))
+        cases.append((rho, law, float(rng.uniform(5e-4, 0.1))))
+    # a bump on a near-vacuum: face mobilities span ~15 decades
+    for dim, n0 in ((1, 64), (2, 32)):
+        g = Grid(dim=dim, n0=n0, lower=-1.0, upper=1.0)
+        rho = Field(g, 1e-6 + 3.0 * np.exp(-10.0 * sum(c ** 2 for c in g.centers())))
+        cases += [(rho, DiffusionLaw.power(0.2, 3), dt) for dt in (1e-3, 0.1, 10.0)]
+    for rho, law, dt in cases:
         out = nonlinear_cn_step(rho, law, dt)
         assert out.min() > 0
         rel = abs(np.sum(out.values) - np.sum(rho.values)) / np.sum(rho.values)
@@ -228,10 +231,14 @@ def test_cn_linear_case_close_to_etd():
 
 
 def test_cn_constant_field_is_fixed_point():
-    g = Grid(dim=2, n0=6)
-    rho = Field.constant(g, 1.7)
-    out = nonlinear_cn_step(rho, DiffusionLaw.power(0.1, 2), 0.05)
-    np.testing.assert_allclose(out.values, 1.7, rtol=1e-12)
+    cases = [
+        (Grid(dim=2, n0=6), 1.7, DiffusionLaw.power(0.1, 2), 0.05),
+        # stiff: dt * mobility / h^2 ~ 6e15 amplifies any roundoff in the solves
+        (Grid(dim=2, n0=8, lower=-1.0, upper=1.0), 1.0, DiffusionLaw.power(1e6, 4), 1e8),
+    ]
+    for grid, value, law, dt in cases:
+        out = nonlinear_cn_step(Field.constant(grid, value), law, dt)
+        np.testing.assert_allclose(out.values, value, rtol=1e-12)
 
 
 def test_cn_energy_constant_does_not_change_dynamics():
@@ -273,3 +280,15 @@ def test_diffusion_energy_value():
     # 0.5 * (1*0 + e*1) + C * 0.5 * (1 + e)
     assert diffusion_energy(rho) == pytest.approx(0.5 * np.e, rel=1e-15)
     assert diffusion_energy(rho, C=2.0) == pytest.approx(0.5 * np.e + (1 + np.e), rel=1e-15)
+
+
+def test_import_leaves_scipy_out():
+    import rdsplit
+
+    src = os.path.dirname(os.path.dirname(rdsplit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, rdsplit; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -131,6 +131,20 @@ def test_weighted_divgrad_quadratic_form_nonpositive():
         assert form <= 1e-12
 
 
+def test_weighted_divgrad_symmetric_with_zero_cell_sum():
+    """<L f, g> = <f, L g> and sum(L f) = 0: what CG and mass conservation rest on."""
+    rng = np.random.default_rng(15)
+    for dim in (1, 2):
+        g = Grid(dim=dim, n0=7, lower=-1.0, upper=1.0)
+        ws = [FaceField(g, ax, rng.uniform(0.1, 2.0, g.shape)) for ax in range(dim)]
+        f = Field(g, rng.standard_normal(g.shape))
+        u = Field(g, rng.standard_normal(g.shape))
+        Lf, Lu = weighted_divgrad(ws, f), weighted_divgrad(ws, u)
+        scale = g.cell_volume * np.sum(np.abs(f.values)) * np.sum(np.abs(u.values)) / g.h ** 2
+        assert abs(inner_product(Lf, u) - inner_product(f, Lu)) <= 1e-14 * scale
+        assert abs(np.sum(Lf.values)) <= 1e-14 * np.sum(np.abs(f.values)) / g.h ** 2
+
+
 def test_weighted_divgrad_unit_weights_is_laplacian():
     rng = np.random.default_rng(6)
     g = Grid(dim=2, n0=6)

@@ -12,7 +12,6 @@ from rdsplit import (
     exact_ode_solution,
     parse_config,
     resample_spectral,
-    restrict_bilinear,
     run_energy_trace,
     run_ode_convergence,
     run_single,
@@ -172,15 +171,6 @@ def test_weighted_order_validation():
         weighted_order(1e-3, 1e-4, 1 / 30, 1 / 20, 1 / 40)
     with pytest.raises(InvalidInput):
         weighted_order(0.0, 1e-4, 1 / 20, 1 / 30, 1 / 40)
-
-
-def test_restrict_bilinear_exact_on_linear_1d():
-    # periodic sawtooth is only locally linear; use a linear-in-x patch away from the wrap
-    fine = Grid(dim=1, n0=64)
-    coarse = Grid(dim=1, n0=16)
-    f = Field(fine, 2.0 + 0.0 * fine.axis_centers(0))
-    r = restrict_bilinear(f, coarse)
-    np.testing.assert_allclose(r.values, 2.0, rtol=1e-15)
 
 
 def test_resample_spectral_exact_on_resolved_modes():
