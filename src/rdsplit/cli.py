@@ -37,9 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=f"run a {kind} experiment")
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", required=True, help="output directory (created if absent)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="independent resolutions solved concurrently (cauchy only)")
         p.add_argument("--verbose", action="store_true", help="log progress to stderr")
+        if command == "cauchy":
+            p.add_argument("--threads", type=int, default=1,
+                           help="independent resolutions solved concurrently")
     return parser
 
 

@@ -42,8 +42,7 @@ from .errors import InvalidInput, NonConvergence, PositivityViolation
 from .grid import Field, FaceField, Grid, average_to_faces, weighted_divgrad
 
 __all__ = [
-    "DiffusionLaw", "EtdOperator", "NonlinearDiffusionConfig",
-    "etd_step", "semi_implicit_predictor", "nonlinear_cn_step",
+    "DiffusionLaw", "EtdOperator", "etd_step", "semi_implicit_predictor", "nonlinear_cn_step",
     "nonlinear_cn_step_counted", "diffusion_energy",
 ]
 
@@ -156,25 +155,20 @@ def etd_step(rho: Field, law: DiffusionLaw, dt: float) -> Field:
     return Field(rho.grid, out)
 
 
-@dataclass(frozen=True)
-class NonlinearDiffusionConfig:
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
-    linear_tol: float = 1e-12  # relative 2-norm residual ending each CG solve
-    max_halvings: int = 60
-
-    def __post_init__(self):
-        if not (self.newton_tol > 0 and self.newton_max_iter > 0
-                and self.linear_tol > 0 and self.max_halvings > 0):
-            raise InvalidInput("solver tolerances and caps must be positive")
-
-
-_DEFAULT_CFG = NonlinearDiffusionConfig()
+_NEWTON_TOL = 1e-10  # max-norm residual, relative to max(1, max rho_n)
+_NEWTON_MAX_ITER = 50
+_MAX_HALVINGS = 60  # line-search halvings allowed to keep the iterate positive
+_CG_TOL = 1e-12  # relative 2-norm residual ending each CG solve
 _CG_MAX_ITER = 1000
+_EPS = float(np.finfo(float).eps)
 
 
-def _spd_solve(diag, faces: list[FaceField], scale: float, b: np.ndarray,
-               tol: float) -> np.ndarray:
+def _face_sum(faces: list[FaceField]) -> np.ndarray:
+    """Per cell, the sum over axes of its two face weights, ``w + roll(w, 1)``."""
+    return sum(w.values + np.roll(w.values, 1, axis=w.axis) for w in faces)
+
+
+def _spd_solve(diag, faces: list[FaceField], scale: float, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = (diag - scale div(faces grad)) x = b`` by preconditioned CG.
 
     ``diag`` is positive (scalar or per cell). ``K``, the operator with mean
@@ -190,11 +184,11 @@ def _spd_solve(diag, faces: list[FaceField], scale: float, b: np.ndarray,
     mean_diag, mean_face = np.mean(diag), np.mean([w.values.mean() for w in faces])
     symbol = 1.0 / (mean_diag - scale * mean_face * _laplacian_symbol(grid))
     c = scale / grid.h ** 2
-    a_diag = diag + c * sum(w.values + np.roll(w.values, 1, axis=w.axis) for w in faces)
+    a_diag = diag + c * _face_sum(faces)
     sigma = np.sqrt((mean_diag + c * 2 * grid.dim * mean_face) / a_diag)
     x = _fft_multiply(grid, b, symbol)
     r = b - apply(x)
-    stop = tol * np.linalg.norm(b)
+    stop = _CG_TOL * np.linalg.norm(b)
     p, rz_old = np.zeros_like(b), 1.0
     for _ in range(_CG_MAX_ITER):
         if np.linalg.norm(r) <= stop:
@@ -211,13 +205,12 @@ def _spd_solve(diag, faces: list[FaceField], scale: float, b: np.ndarray,
                          residual=float(np.linalg.norm(r)), iterations=_CG_MAX_ITER)
 
 
-def semi_implicit_predictor(rho_n: Field, law: DiffusionLaw, dt: float,
-                            cfg: NonlinearDiffusionConfig | None = None) -> Field:
+def semi_implicit_predictor(rho_n: Field, law: DiffusionLaw, dt: float) -> Field:
     """Backward-Euler-type predictor with the coefficient frozen at rho_n.
 
     Solves ``(I/dt - div(avg(D(rho_n)) grad)) rho_hat = rho_n/dt``. The matrix
     is an M-matrix, so the solution is unique, cellwise positive, and
-    conserves mass up to the CG residual ``cfg.linear_tol``.
+    conserves mass up to the CG residual (relative 2-norm 1e-12).
     """
     if law.kind == "none":
         raise InvalidInput("predictor needs a diffusing species")
@@ -225,11 +218,10 @@ def semi_implicit_predictor(rho_n: Field, law: DiffusionLaw, dt: float,
         raise InvalidInput("dt must be positive")
     if np.any(rho_n.values <= 0):
         raise PositivityViolation("predictor needs a strictly positive field")
-    cfg = cfg or _DEFAULT_CFG
     grid = rho_n.grid
     coeff = Field(grid, law.coefficient(rho_n.values))
     faces = [average_to_faces(coeff, ax) for ax in range(grid.dim)]
-    rho_hat = _spd_solve(1.0 / dt, faces, 1.0, rho_n.values / dt, cfg.linear_tol)
+    rho_hat = _spd_solve(1.0 / dt, faces, 1.0, rho_n.values / dt)
     if rho_hat.min() <= 0:
         raise PositivityViolation("semi-implicit predictor lost positivity")
     return Field(grid, rho_hat)
@@ -253,30 +245,33 @@ def _xlnx_slope_and_deriv(a: np.ndarray, x: np.ndarray):
 
 
 def nonlinear_cn_step(rho_n: Field, law: DiffusionLaw, dt: float,
-                      cfg: NonlinearDiffusionConfig | None = None,
                       energy_constant: float = 0.0) -> Field:
     """One mobility-form Crank-Nicolson step for density-dependent diffusion."""
-    out, _ = nonlinear_cn_step_counted(rho_n, law, dt, cfg, energy_constant)
+    out, _ = nonlinear_cn_step_counted(rho_n, law, dt, energy_constant)
     return out
 
 
 def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float,
-                              cfg: NonlinearDiffusionConfig | None = None,
-                              energy_constant: float = 0.0
-                              ) -> tuple[Field, int]:
+                              energy_constant: float = 0.0) -> tuple[Field, int]:
     """Like :func:`nonlinear_cn_step`, also returning the Newton iteration count.
 
     ``energy_constant`` is the C in the dissipated energy
     ``<rho ln rho + (C-1) rho, 1>``; it shifts mu by a constant and therefore
     never changes the dynamics, only how mu is reported.
+
+    Newton stops at ``max|r| <= max(tol, min(floor, cap))``: ``tol`` is 1e-10
+    relative to ``max(1, max rho_n)``; ``floor`` is the roundoff that
+    ``dt div(M grad mu)`` carries, twice eps times the largest product of a
+    cell's stencil weight ``dt/h^2 sum(M)`` and the size of the terms summed
+    into its mu; ``cap`` (sqrt(eps) relative) keeps that floor from excusing
+    a genuinely stalled solve.
     """
-    cfg = cfg or _DEFAULT_CFG
     if not dt > 0:
         raise InvalidInput("dt must be positive")
     if np.any(rho_n.values <= 0):
         raise PositivityViolation("nonlinear step needs a strictly positive field")
     grid = rho_n.grid
-    rho_hat = semi_implicit_predictor(rho_n, law, dt, cfg)
+    rho_hat = semi_implicit_predictor(rho_n, law, dt)
     rho_mid = 0.5 * (rho_n.values + rho_hat.values)
     mob = Field(grid, law.mobility(rho_mid))
     faces = [average_to_faces(mob, ax) for ax in range(grid.dim)]
@@ -285,26 +280,32 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float,
     log_rn = np.log(rn)
     c_shift = energy_constant - 1.0
     x = rho_hat.values
-    tol = cfg.newton_tol * max(1.0, float(np.abs(rn).max()))
+    rho_ref = max(1.0, float(np.abs(rn).max()))
+    tol, cap = _NEWTON_TOL * rho_ref, np.sqrt(_EPS) * rho_ref
+    reach = dt / grid.h ** 2 * _face_sum(faces)
 
     def residual(x):
         g1, g2 = _xlnx_slope_and_deriv(rn, x)
-        mu = g1 + c_shift + dt * (np.log(x) - log_rn)
+        log_x = np.log(x)
+        mu = g1 + c_shift + dt * (log_x - log_rn)
         mu_prime = g2 + dt / x
-        return x - rn - dt * weighted_divgrad(faces, Field(grid, mu)).values, mu_prime
+        size = np.abs(g1) + abs(c_shift) + dt * (np.abs(log_x) + np.abs(log_rn))
+        floor = 2.0 * _EPS * float(np.max(reach * size))
+        r = x - rn - dt * weighted_divgrad(faces, Field(grid, mu)).values
+        return r, mu_prime, max(tol, min(floor, cap))
 
     n_iter = 0
-    r, mu_prime = residual(x)
-    while float(np.abs(r).max()) > tol:
+    r, mu_prime, stop = residual(x)
+    while float(np.abs(r).max()) > stop:
         n_iter += 1
-        if n_iter > cfg.newton_max_iter:
+        if n_iter > _NEWTON_MAX_ITER:
             raise NonConvergence(
                 f"nonlinear diffusion Newton stalled at residual {float(np.abs(r).max()):.3e}",
-                residual=float(np.abs(r).max()), iterations=cfg.newton_max_iter)
+                residual=float(np.abs(r).max()), iterations=_NEWTON_MAX_ITER)
         # J = (diag(1/mu') - dt L) diag(mu'): solve the SPD factor for mu' delta
-        delta = _spd_solve(1.0 / mu_prime, faces, dt, -r, cfg.linear_tol) / mu_prime
+        delta = _spd_solve(1.0 / mu_prime, faces, dt, -r) / mu_prime
         s = 1.0
-        for _ in range(cfg.max_halvings):
+        for _ in range(_MAX_HALVINGS):
             if (x + s * delta).min() > 0:
                 break
             s *= 0.5
@@ -312,7 +313,7 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float,
             raise PositivityViolation(
                 "nonlinear diffusion line search could not restore positivity")
         x = x + s * delta
-        r, mu_prime = residual(x)
+        r, mu_prime, stop = residual(x)
     if x.min() <= 0:
         raise PositivityViolation("nonlinear diffusion step lost positivity")
     return Field(grid, x), n_iter

@@ -12,6 +12,7 @@ like ``1/20``; list values are comma separated.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 from .diffusion import DiffusionLaw
 from .errors import InvalidConfig, InvalidInput
 from .grid import Field, Grid, write_field_csv
-from .reaction import PointState, ReactionSolveConfig, ReactionSpec, reaction_step
+from .reaction import PointState, ReactionSpec, reaction_step
 from .splitting import RunReport, Species, SystemSpec, run, steps_for
 
 __all__ = [
@@ -447,7 +448,6 @@ def run_ode_convergence(cfg: ExperimentConfig, out_dir=None) -> list[Convergence
     c_init = np.array(cfg["ode.c0"], dtype=float)
     t_end = cfg["ode.t_end"]
     spec = _exchange_spec(alpha)
-    solver_cfg = ReactionSolveConfig()
     exact = exact_ode_solution(t_end, alpha, c_init)
 
     errors = []
@@ -456,7 +456,7 @@ def run_ode_convergence(cfg: ExperimentConfig, out_dir=None) -> list[Convergence
         c = c_init.copy()
         for _ in range(n_steps):
             for _ in range(2):
-                R = reaction_step(PointState(c), spec, dt / 2, solver_cfg)
+                R = reaction_step(PointState(c), spec, dt / 2)
                 c = c + spec.sigma * R
         errors.append(float(np.max(np.abs(c - exact))))
 
@@ -505,13 +505,8 @@ def run_cauchy_convergence(cfg: ExperimentConfig, out_dir=None, threads: int = 1
         raise InvalidInput(f"expected a cauchy_convergence config, got {cfg.kind!r}")
     out_dir = _prepare_out_dir(out_dir)
     hs = cfg["cauchy.h"]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solutions = list(pool.map(lambda h: _cauchy_fields(h, cfg), hs))
-    else:
-        solutions = [_cauchy_fields(h, cfg) for h in hs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        solutions = list(pool.map(lambda h: _cauchy_fields(h, cfg), hs))
 
     names = ["u", "v"]
     diffs = {name: [] for name in names}

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,31 +136,22 @@ class ReactionSpec:
 
 @dataclass
 class PointState:
-    """Concentrations at one point plus the trajectory value of the stage."""
+    """Concentrations ``c0`` at one point, where a stage starts (R = 0)."""
 
     c0: np.ndarray
-    R: float = 0.0
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c0, dtype=float))
         if c.ndim != 1 or not np.all(np.isfinite(c)) or np.any(c <= 0):
             raise PositivityViolation("concentrations must be finite and strictly positive")
         self.c0 = c
-        self.R = float(self.R)
 
 
-@dataclass(frozen=True)
-class ReactionSolveConfig:
-    tol_residual: float = 1e-12
-    max_iter: int = 100
-    phi_switch: float = 1e-8
-
-    def __post_init__(self):
-        if not (self.tol_residual > 0 and self.max_iter > 0 and self.phi_switch > 0):
-            raise InvalidInput("solver tolerances and iteration cap must be positive")
-
-
-_DEFAULT_CFG = ReactionSolveConfig()
+# Every Newton solve stops at |residual| <= _TOL or raises NonConvergence after
+# _MAX_ITER iterations; phi switches to its limiting form F' below _PHI_SWITCH.
+_TOL = 1e-12
+_MAX_ITER = 100
+_PHI_SWITCH = 1e-8
 
 
 def reaction_mobility(c, spec: ReactionSpec) -> float:
@@ -195,79 +186,70 @@ def admissible_interval(st: PointState, spec: ReactionSpec, eta_dt: float
     ``hi = min_{sigma_i<0} c0_i/(-sigma_i)`` (+inf when nothing is consumed);
     always ``lo < 0 < hi``.
     """
-    if st.R != 0.0:
-        raise InvalidInput("stage must start from R = 0")
     if not eta_dt > 0:
         raise InvalidInput("eta_dt must be positive")
     lo, hi = _interval_arrays(st.c0[:, None], spec.sigma, np.array([eta_dt]))
     return float(lo[0]), float(hi[0])
 
 
-def energy_difference_quotient(p: float, q: float, st: PointState, spec: ReactionSpec,
-                               switch: float = 1e-8) -> float:
+def energy_difference_quotient(p: float, q: float, st: PointState, spec: ReactionSpec
+                               ) -> float:
     """Difference quotient ``phi(p, q) = (F(p) - F(q))/(p - q)`` along the trajectory.
 
     Evaluated species-wise through the slope of x ln x, which keeps full
-    precision for nearby arguments; at ``|p - q| <= switch * max(1, |p|, |q|)``
-    it returns the limiting value ``F'((p + q)/2)``. Symmetric in (p, q).
+    precision for nearby arguments; at ``|p - q| <= 1e-8 max(1, |p|, |q|)``
+    it returns the limiting value ``F'((p + q)/2)``, as the solvers do.
+    Symmetric in (p, q).
     """
     for r, name in ((p, "p"), (q, "q")):
         c = st.c0 + spec.sigma * r
         if np.any(c <= 0):
             raise DomainError(f"c({name}) leaves the positive orthant")
     val = _phi(st.c0[:, None], spec.sigma, spec.U,
-               np.array([float(p)]), np.array([float(q)]), switch)
+               np.array([float(p)]), np.array([float(q)]))
     return float(val[0])
 
 
-def predictor_first_order(st: PointState, spec: ReactionSpec, dt: float,
-                          cfg: ReactionSolveConfig | None = None) -> float:
+def predictor_first_order(st: PointState, spec: ReactionSpec, dt: float) -> float:
     """First-order trajectory update used to freeze the midpoint mobility."""
-    cfg = cfg or _DEFAULT_CFG
-    _check_step_args(st, dt)
+    _check_dt(dt)
     if not spec.sigma.any():
         return 0.0
-    Rhat, _ = _scalar_predictor(st.c0.tolist(), spec, dt, cfg)
+    Rhat, _ = _scalar_predictor(st.c0.tolist(), spec, dt)
     return Rhat
 
 
-def reaction_step(st: PointState, spec: ReactionSpec, dt: float,
-                  cfg: ReactionSolveConfig | None = None) -> float:
+def reaction_step(st: PointState, spec: ReactionSpec, dt: float) -> float:
     """Second-order reaction update at one point; returns the new R.
 
     The result lies strictly inside the admissible interval, so
     ``c(R) = c0 + sigma R`` is strictly positive, and F(R) <= F(0).
     """
-    cfg = cfg or _DEFAULT_CFG
-    _check_step_args(st, dt)
+    _check_dt(dt)
     if not spec.sigma.any():
         return 0.0
-    R, _, _ = _scalar_stage(st.c0.tolist(), spec, dt, cfg)
+    R, _, _ = _scalar_stage(st.c0.tolist(), spec, dt)
     if np.any(st.c0 + spec.sigma * R <= 0):
         raise PositivityViolation("reaction step left the positive orthant")
     return R
 
 
-def reaction_stage(fields: list[Field], spec: ReactionSpec, dt: float,
-                   cfg: ReactionSolveConfig | None = None) -> list[Field]:
+def reaction_stage(fields: list[Field], spec: ReactionSpec, dt: float) -> list[Field]:
     """Apply one reaction sub-step of size dt to every cell of the fields."""
-    new_fields, _ = reaction_stage_counted(fields, spec, dt, cfg)
+    new_fields, _ = reaction_stage_counted(fields, spec, dt)
     return new_fields
 
 
-def reaction_stage_counted(fields: list[Field], spec: ReactionSpec, dt: float,
-                           cfg: ReactionSolveConfig | None = None
+def reaction_stage_counted(fields: list[Field], spec: ReactionSpec, dt: float
                            ) -> tuple[list[Field], float]:
     """Like :func:`reaction_stage` but also returns mean Newton iterations per cell."""
-    cfg = cfg or _DEFAULT_CFG
     if len(fields) != spec.n_species:
         raise InvalidInput(f"expected {spec.n_species} fields, got {len(fields)}")
     grid = fields[0].grid
     for f in fields[1:]:
         if f.grid != grid:
             raise InvalidInput("species fields live on different grids")
-    if not dt > 0:
-        raise InvalidInput("dt must be positive")
+    _check_dt(dt)
     c0 = np.stack([f.values.ravel() for f in fields])
     if np.any(c0 <= 0):
         i = int(np.argwhere(np.any(c0 <= 0, axis=0)).ravel()[0])
@@ -275,7 +257,7 @@ def reaction_stage_counted(fields: list[Field], spec: ReactionSpec, dt: float,
             f"nonpositive concentration entering reaction stage at cell {_cell_label(grid, i)}")
     if not spec.sigma.any():
         return [f.copy() for f in fields], 0.0
-    R, it_pred, it_corr = _solve_stage(c0, spec, dt, cfg)
+    R, it_pred, it_corr = _solve_stage(c0, spec, dt)
     c_new = c0 + spec.sigma[:, None] * R[None, :]
     if np.any(c_new <= 0):
         i = int(np.argwhere(np.any(c_new <= 0, axis=0)).ravel()[0])
@@ -285,9 +267,7 @@ def reaction_stage_counted(fields: list[Field], spec: ReactionSpec, dt: float,
     return out, float(np.mean(it_pred + it_corr))
 
 
-def _check_step_args(st: PointState, dt: float) -> None:
-    if st.R != 0.0:
-        raise InvalidInput("stage must start from R = 0")
+def _check_dt(dt: float) -> None:
     if not dt > 0:
         raise InvalidInput("dt must be positive")
 
@@ -326,14 +306,14 @@ def _xlnx_slope(a, d):
                     loga + ((a + d) / dsafe) * np.log1p(d / a))
 
 
-def _phi(c0, sigma, U, p, q, switch):
+def _phi(c0, sigma, U, p, q):
     """Vectorized phi(p, q) for trajectories anchored at c0 (shape (nsp, m))."""
     dR = p - q
     a = c0 + sigma[:, None] * q[None, :]
     d = sigma[:, None] * dR[None, :]
     g1 = _xlnx_slope(a, d)
     main = np.einsum("i,im->m", sigma, g1) + float(sigma @ (U - 1.0))
-    near = np.abs(dR) <= switch * np.maximum(1.0, np.maximum(np.abs(p), np.abs(q)))
+    near = np.abs(dR) <= _PHI_SWITCH * np.maximum(1.0, np.maximum(np.abs(p), np.abs(q)))
     if not near.any():
         return main
     c_mid = c0 + sigma[:, None] * ((p + q) / 2.0)[None, :]
@@ -341,7 +321,7 @@ def _phi(c0, sigma, U, p, q, switch):
     return np.where(near, aff_mid, main)
 
 
-def _solve_predictor(c0, spec, dt, cfg):
+def _solve_predictor(c0, spec, dt):
     sigma, U = spec.sigma, spec.U
     eta0_dt = _eta_of(c0, spec) * dt
     lo, hi = _interval_arrays(c0, sigma, eta0_dt)
@@ -353,14 +333,13 @@ def _solve_predictor(c0, spec, dt, cfg):
         return g, gp
 
     return _bracketed_newton(g_pred, lo, hi, np.zeros(c0.shape[1]),
-                             cfg.tol_residual, cfg.max_iter,
                              "first-order reaction predictor")
 
 
-def _solve_stage(c0, spec, dt, cfg):
+def _solve_stage(c0, spec, dt):
     """Predictor + second-order corrector for c0 of shape (nsp, m)."""
     sigma, U = spec.sigma, spec.U
-    Rhat, it_pred = _solve_predictor(c0, spec, dt, cfg)
+    Rhat, it_pred = _solve_predictor(c0, spec, dt)
     eta_star_dt = _eta_of(c0 + sigma[:, None] * (Rhat / 2.0)[None, :], spec) * dt
     lo, hi = _interval_arrays(c0, sigma, eta_star_dt)
     zeros = np.zeros(c0.shape[1])
@@ -368,11 +347,11 @@ def _solve_stage(c0, spec, dt, cfg):
     def g_corr(R):
         c = c0 + sigma[:, None] * R[None, :]
         dmu = np.einsum("i,im->m", sigma, np.log1p(sigma[:, None] * R[None, :] / c0))
-        ph = _phi(c0, sigma, U, R, zeros, cfg.phi_switch)
+        ph = _phi(c0, sigma, U, R, zeros)
         g = np.log1p(R / eta_star_dt) + ph + dt * dmu
         aff = np.einsum("i,im->m", sigma, np.log(c) + U[:, None])
         affp = np.einsum("i,im->m", sigma ** 2, 1.0 / c)
-        near = np.abs(R) <= cfg.phi_switch * np.maximum(1.0, np.abs(R))
+        near = np.abs(R) <= _PHI_SWITCH * np.maximum(1.0, np.abs(R))
         c_mid = c0 + sigma[:, None] * (R / 2.0)[None, :]
         affp_mid = np.einsum("i,im->m", sigma ** 2, 1.0 / c_mid)
         php = np.where(near, 0.5 * affp_mid, (aff - ph) / np.where(near, 1.0, R))
@@ -380,20 +359,21 @@ def _solve_stage(c0, spec, dt, cfg):
         return g, gp
 
     x0 = np.where((Rhat > lo) & (Rhat < hi), Rhat, 0.0)
-    R, it_corr = _bracketed_newton(g_corr, lo, hi, x0, cfg.tol_residual, cfg.max_iter,
-                                   "second-order reaction step")
+    R, it_corr = _bracketed_newton(g_corr, lo, hi, x0, "second-order reaction step")
     return R, it_pred, it_corr
 
 
-def _bracketed_newton(eval_fn, lo, hi, x0, tol, max_iter, label):
+def _bracketed_newton(eval_fn, lo, hi, x0, label):
     """Vector root solve of strictly increasing residuals on open intervals.
 
     ``eval_fn(x) -> (g, g')`` per component. The residual tends to -inf at
     lo+ and +inf at hi- (hi may be +inf; a finite upper bracket is then found
     by doubling). Newton steps are accepted only strictly inside the current
     sign-change bracket; anything else falls back to bisection, so progress
-    is guaranteed. Converges when ``|g| <= tol``; raises NonConvergence with
-    the worst remaining residual after ``max_iter`` iterations.
+    is guaranteed. Converges when ``|g| <= _TOL``. Raises NonConvergence with
+    the worst remaining residual after ``_MAX_ITER`` iterations, or as soon as
+    a cell's bracket shrinks to adjacent floats (no representable root meets
+    the tolerance there); ``iterations`` is then ``_MAX_ITER`` as well.
     """
     a = np.asarray(lo, dtype=float).copy()
     b = np.asarray(hi, dtype=float).copy()
@@ -414,9 +394,9 @@ def _bracketed_newton(eval_fn, lo, hi, x0, tol, max_iter, label):
         x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
 
     g, gp = eval_fn(x)
-    done = np.abs(g) <= tol
+    done = np.abs(g) <= _TOL
     iters = np.zeros(x.shape, dtype=int)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if done.all():
             break
         gpos = g > 0
@@ -426,21 +406,26 @@ def _bracketed_newton(eval_fn, lo, hi, x0, tol, max_iter, label):
             cand = x - g / gp
         bad = ~np.isfinite(cand) | (cand <= a) | (cand >= b)
         cand = np.where(bad, 0.5 * (a + b), cand)
+        collapsed = ~done & ((cand <= a) | (cand >= b))
+        if collapsed.any():
+            _raise_unconverged(label, "bracket collapsed to adjacent floats", collapsed, g)
         x = np.where(done, x, cand)
         g_new, gp_new = eval_fn(x)
         g = np.where(done, g, g_new)
         gp = np.where(done, gp, gp_new)
-        newly = ~done & (np.abs(g) <= tol)
+        newly = ~done & (np.abs(g) <= _TOL)
         iters[newly] = it
         done |= newly
     if not done.all():
-        bad_idx = np.flatnonzero(~done)
-        worst = float(np.max(np.abs(g[~done])))
-        raise NonConvergence(
-            f"{label}: {bad_idx.size} cell(s) not converged after {max_iter} iterations, "
-            f"first at flat index {int(bad_idx[0])}",
-            residual=worst, iterations=max_iter)
+        _raise_unconverged(label, f"not converged after {_MAX_ITER} iterations", ~done, g)
     return x, iters
+
+
+def _raise_unconverged(label, why, failed, g):
+    idx = np.flatnonzero(failed)
+    raise NonConvergence(
+        f"{label}: {idx.size} cell(s) {why}, first at flat index {int(idx[0])}",
+        residual=float(np.max(np.abs(g[failed]))), iterations=_MAX_ITER)
 
 
 # Scalar twins of the solvers above.  Single-point callers (ODE studies,
@@ -463,9 +448,9 @@ def _scalar_interval(c0, sigma, eta_dt):
     return lo, hi
 
 
-def _scalar_phi(c0, sigma, U, p, q, switch):
+def _scalar_phi(c0, sigma, U, p, q):
     dR = p - q
-    if abs(dR) <= switch * max(1.0, abs(p), abs(q)):
+    if abs(dR) <= _PHI_SWITCH * max(1.0, abs(p), abs(q)):
         mid = (p + q) / 2.0
         return sum(s * (math.log(c + s * mid) + u)
                    for c, s, u in zip(c0, sigma, U) if s)
@@ -476,7 +461,7 @@ def _scalar_phi(c0, sigma, U, p, q, switch):
     return tot
 
 
-def _scalar_solve(eval_fn, lo, hi, x0, tol, max_iter, label):
+def _scalar_solve(eval_fn, lo, hi, x0, label):
     """Scalar counterpart of _bracketed_newton; same bracketing rules."""
     a, b = lo, hi
     if a < x0 < b:
@@ -500,9 +485,9 @@ def _scalar_solve(eval_fn, lo, hi, x0, tol, max_iter, label):
             x = 0.5 * (a + b)
 
     g, gp = eval_fn(x)
-    if abs(g) <= tol:
+    if abs(g) <= _TOL:
         return x, 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if g > 0:
             b = x
         else:
@@ -511,16 +496,17 @@ def _scalar_solve(eval_fn, lo, hi, x0, tol, max_iter, label):
         if not (a < cand < b):
             cand = 0.5 * (a + b)
         if not (a < cand < b):
-            break  # bracket shrunk to adjacent floats
+            raise NonConvergence(f"{label}: bracket collapsed to adjacent floats",
+                                 residual=abs(g), iterations=_MAX_ITER)
         x = cand
         g, gp = eval_fn(x)
-        if abs(g) <= tol:
+        if abs(g) <= _TOL:
             return x, it
-    raise NonConvergence(f"{label}: not converged after {max_iter} iterations",
-                         residual=abs(g), iterations=max_iter)
+    raise NonConvergence(f"{label}: not converged after {_MAX_ITER} iterations",
+                         residual=abs(g), iterations=_MAX_ITER)
 
 
-def _scalar_predictor(c0, spec, dt, cfg):
+def _scalar_predictor(c0, spec, dt):
     sigma = spec.sigma.tolist()
     U = spec.U.tolist()
     eta0_dt = spec.k_minus * dt
@@ -539,21 +525,19 @@ def _scalar_predictor(c0, spec, dt, cfg):
             gp += s * s / ci
         return g, gp
 
-    return _scalar_solve(g_pred, lo, hi, 0.0, cfg.tol_residual, cfg.max_iter,
-                         "first-order reaction predictor")
+    return _scalar_solve(g_pred, lo, hi, 0.0, "first-order reaction predictor")
 
 
-def _scalar_stage(c0, spec, dt, cfg):
+def _scalar_stage(c0, spec, dt):
     sigma = spec.sigma.tolist()
     U = spec.U.tolist()
-    Rhat, it_pred = _scalar_predictor(c0, spec, dt, cfg)
+    Rhat, it_pred = _scalar_predictor(c0, spec, dt)
     eta_star_dt = spec.k_minus * dt
     for c, s, bexp in zip(c0, sigma, spec.beta.tolist()):
         if bexp:
             eta_star_dt *= (c + s * Rhat / 2.0) ** bexp
     lo, hi = _scalar_interval(c0, sigma, eta_star_dt)
     active = [(c, s, u) for c, s, u in zip(c0, sigma, U) if s]
-    switch = cfg.phi_switch
 
     def g_corr(R):
         g = math.log1p(R / eta_star_dt)
@@ -564,14 +548,13 @@ def _scalar_stage(c0, spec, dt, cfg):
             aff += s * (math.log(ci) + u)
             affp += s * s / ci
             dmu += s * math.log1p(s * R / c)
-        ph = _scalar_phi(c0, sigma, U, R, 0.0, switch)
-        if abs(R) <= switch * max(1.0, abs(R)):
+        ph = _scalar_phi(c0, sigma, U, R, 0.0)
+        if abs(R) <= _PHI_SWITCH * max(1.0, abs(R)):
             php = 0.5 * sum(s * s / (c + s * R / 2.0) for c, s, _ in active)
         else:
             php = (aff - ph) / R
         return g + ph + dt * dmu, gp + php + dt * affp
 
     x0 = Rhat if lo < Rhat < hi else 0.0
-    R, it_corr = _scalar_solve(g_corr, lo, hi, x0, cfg.tol_residual, cfg.max_iter,
-                               "second-order reaction step")
+    R, it_corr = _scalar_solve(g_corr, lo, hi, x0, "second-order reaction step")
     return R, it_pred, it_corr

@@ -13,18 +13,17 @@ accuracy in time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (DiffusionLaw, NonlinearDiffusionConfig, etd_step,
-                        nonlinear_cn_step_counted)
+from .diffusion import DiffusionLaw, etd_step, nonlinear_cn_step_counted
 from .errors import InvalidInput, PositivityViolation, RdsplitError
 from .grid import Field, Grid, inner_product
-from .reaction import ReactionSolveConfig, ReactionSpec, reaction_stage_counted
+from .reaction import ReactionSpec, reaction_stage_counted
 
 __all__ = [
-    "Species", "SystemSpec", "SimState", "RunReport", "StepperConfig",
+    "Species", "SystemSpec", "SimState", "RunReport",
     "conserved_basis", "system_energy", "strang_step", "steps_for", "run",
 ]
 
@@ -68,13 +67,6 @@ class SimState:
     t: float
     step_index: int
     c: list[Field]
-
-
-@dataclass(frozen=True)
-class StepperConfig:
-    reaction: ReactionSolveConfig = dataclass_field(default_factory=ReactionSolveConfig)
-    diffusion: NonlinearDiffusionConfig = dataclass_field(
-        default_factory=NonlinearDiffusionConfig)
 
 
 def conserved_basis(spec: ReactionSpec) -> list[np.ndarray]:
@@ -173,22 +165,19 @@ def _tag_stage(exc: RdsplitError, stage: str):
     return exc
 
 
-def strang_step(state: SimState, spec: SystemSpec, dt: float,
-                cfg: StepperConfig | None = None) -> SimState:
+def strang_step(state: SimState, spec: SystemSpec, dt: float) -> SimState:
     """One Strang-split step: reaction dt/2, diffusion dt, reaction dt/2."""
-    new_state, _, _ = strang_step_counted(state, spec, dt, cfg)
+    new_state, _, _ = strang_step_counted(state, spec, dt)
     return new_state
 
 
-def strang_step_counted(state: SimState, spec: SystemSpec, dt: float,
-                        cfg: StepperConfig | None = None
+def strang_step_counted(state: SimState, spec: SystemSpec, dt: float
                         ) -> tuple[SimState, float, int]:
     """One step plus solver effort: (state, mean reaction iters, diffusion iters)."""
-    cfg = cfg or StepperConfig()
     if not dt > 0:
         raise InvalidInput("dt must be positive")
     try:
-        fields, it_r1 = reaction_stage_counted(state.c, spec.reaction, dt / 2, cfg.reaction)
+        fields, it_r1 = reaction_stage_counted(state.c, spec.reaction, dt / 2)
     except RdsplitError as e:
         raise _tag_stage(e, "reaction stage 1")
     diff_iters = 0
@@ -202,14 +191,13 @@ def strang_step_counted(state: SimState, spec: SystemSpec, dt: float,
                 updated.append(etd_step(f, s.law, dt))
             else:
                 out, n = nonlinear_cn_step_counted(
-                    f, s.law, dt, cfg.diffusion,
-                    energy_constant=float(spec.reaction.U[i]))
+                    f, s.law, dt, energy_constant=float(spec.reaction.U[i]))
                 updated.append(out)
                 diff_iters += n
         except RdsplitError as e:
             raise _tag_stage(e, f"diffusion stage, species {s.name!r}")
     try:
-        fields, it_r2 = reaction_stage_counted(updated, spec.reaction, dt / 2, cfg.reaction)
+        fields, it_r2 = reaction_stage_counted(updated, spec.reaction, dt / 2)
     except RdsplitError as e:
         raise _tag_stage(e, "reaction stage 2")
     new_state = SimState(t=state.t + dt, step_index=state.step_index + 1, c=fields)
@@ -230,7 +218,6 @@ def steps_for(t_end: float, dt: float) -> int:
 
 
 def run(spec: SystemSpec, dt: float, t_end: float,
-        cfg: StepperConfig | None = None,
         observers: dict[int, callable] | None = None) -> RunReport:
     """March the system from its initial data to t_end with fixed dt.
 
@@ -238,7 +225,6 @@ def run(spec: SystemSpec, dt: float, t_end: float,
     that step (index 0 fires on the initial state). Records energy, conserved
     integrals, species minima and solver effort at every accepted state.
     """
-    cfg = cfg or StepperConfig()
     observers = observers or {}
     n_steps = steps_for(t_end, dt)
     basis = conserved_basis(spec.reaction)
@@ -267,7 +253,7 @@ def run(spec: SystemSpec, dt: float, t_end: float,
     if 0 in observers:
         observers[0](state)
     for k in range(1, n_steps + 1):
-        state, itr, itd = strang_step_counted(state, spec, dt, cfg)
+        state, itr, itd = strang_step_counted(state, spec, dt)
         record(k, state, itr, itd)
         if k in observers:
             observers[k](state)

@@ -61,6 +61,23 @@ def test_missing_config_file_exits_2(tmp_path):
     assert code == 2
 
 
+# the quench-limit chemistry: its first half step has no representable root
+QUENCH_CFG = """kind = single_run
+species = a, b, c, d
+grid.n0 = 2
+reaction.alpha = 0, 0, 1, 0
+reaction.beta = 1, 1, 2, 2
+reaction.k_plus = 0.7252
+reaction.k_minus = 2.4492
+run.dt = 0.04
+run.t_end = 0.04
+species.a.value = 3.114
+species.b.value = 2.4267
+species.c.value = 2.7336
+species.d.value = 2.384
+"""
+
+
 def test_solver_failure_exits_3(tmp_path, capsys):
     # dt far beyond the nonlinear stepper's Newton basin at this resolution;
     # nonuniform u, because uniform data at equilibrium is an exact fixed point
@@ -71,10 +88,21 @@ def test_solver_failure_exits_3(tmp_path, capsys):
                               "species.u.ic = disk_in\n")
     text = text.replace("run.dt = 0.05", "run.dt = 1e8").replace(
         "run.t_end = 0.1", "run.t_end = 2e8")
-    cfg = _write(tmp_path, text)
-    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert code == 3
-    assert "solve failed" in capsys.readouterr().err
+    for name, text, stage in (("diffusion", text, "[diffusion stage, species 'u']"),
+                              ("quench", QUENCH_CFG, "[reaction stage 1]")):
+        cfg = _write(tmp_path, text, name=f"{name}.cfg")
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / name)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "solve failed" in err
+        assert stage in err
+
+
+def test_threads_only_on_cauchy(tmp_path):
+    cfg = _write(tmp_path, SINGLE_CFG)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "--threads", "2", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert exc_info.value.code == 2
 
 
 def test_resolved_config_matches_cli_kind(tmp_path):

@@ -11,7 +11,6 @@ from rdsplit import (
     NonConvergence,
     PointState,
     PositivityViolation,
-    ReactionSolveConfig,
     ReactionSpec,
     admissible_interval,
     chemical_affinity,
@@ -221,8 +220,7 @@ def test_equilibrium_is_a_fixed_point():
 def test_step_respects_tight_tolerance():
     spec = ReactionSpec.law_of_mass_action((1.0, 2.0), (0.0, 3.0), 1.0, 0.1)
     st = PointState(c0=np.array([1.0, 1.0]))
-    cfg = ReactionSolveConfig(tol_residual=1e-12, max_iter=100)
-    R = reaction_step(st, spec, 0.1, cfg)
+    R = reaction_step(st, spec, 0.1)
     # recompute the corrector residual at the root; must be within tolerance
     eta_star = reaction_mobility(st.c0 + spec.sigma * (predictor_first_order(st, spec, 0.1) / 2), spec)
     g = (math.log1p(R / (eta_star * 0.1))
@@ -303,7 +301,7 @@ def test_repeated_steps_relax_to_equilibrium():
     np.testing.assert_allclose(c, [0.5, 1.0], rtol=1e-10)
 
 
-def test_quench_limit_raises_instead_of_accepting_bad_residual():
+def test_quench_limit_raises_instead_of_accepting_bad_residual(monkeypatch):
     """A step that drives a species into the last float ulp above zero fails loudly.
 
     For this production-only chemistry the corrector root sits closer to the
@@ -311,14 +309,32 @@ def test_quench_limit_raises_instead_of_accepting_bad_residual():
     by ~1e-3 between neighbouring floats there, so no representable R meets
     the tolerance. The solver must refuse (keeping its residual guarantee for
     accepted steps) rather than return a state pinned at c = 0. Halving dt
-    moves the root back into representable territory.
+    moves the root back into representable territory. The vector path gives
+    up when the bracket collapses, after as many corrector evaluations as
+    the scalar path.
     """
+    import rdsplit.reaction as rx
+
+    calls = {"vector": 0, "scalar": 0}
+
+    def counting(fn, key):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(rx, "_phi", counting(rx._phi, "vector"))
+    monkeypatch.setattr(rx, "_scalar_phi", counting(rx._scalar_phi, "scalar"))
     spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
                                            0.7252, 2.4492)
     c0 = np.array([3.114, 2.4267, 2.7336, 2.384])
-    with pytest.raises(NonConvergence) as exc_info:
-        reaction_step(PointState(c0), spec, 0.02)
-    assert exc_info.value.residual > 1e-12
-    assert exc_info.value.iterations == 100
+    g = Grid(dim=1, n0=1)
+    for solve in (lambda: reaction_step(PointState(c0), spec, 0.02),
+                  lambda: reaction_stage([Field.constant(g, c) for c in c0], spec, 0.02)):
+        with pytest.raises(NonConvergence) as exc_info:
+            solve()
+        assert exc_info.value.residual > 1e-12
+        assert exc_info.value.iterations == 100
+    assert calls["vector"] == calls["scalar"] > 0
     R = reaction_step(PointState(c0), spec, 0.01)
     assert (c0 + spec.sigma * R).min() > 0.3

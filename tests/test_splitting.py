@@ -155,15 +155,20 @@ def test_strang_step_counts_effort():
 
 
 def test_strang_step_tags_failing_stage():
-    rng = np.random.default_rng(33)
-    g = Grid(dim=1, n0=8)
-    sysspec = _two_species_system(rng, g)
-    state = SimState(t=0.0, step_index=0, c=[s.initial for s in sysspec.species])
-    from rdsplit import NonConvergence, ReactionSolveConfig, StepperConfig
+    from rdsplit import NonConvergence
 
-    cfg = StepperConfig(reaction=ReactionSolveConfig(tol_residual=1e-300, max_iter=1))
+    # the quench-limit chemistry of test_reaction: its half step dt/2 = 0.02
+    # has no representable root
+    spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
+                                           0.7252, 2.4492)
+    g = Grid(dim=1, n0=1)
+    c0 = (3.114, 2.4267, 2.7336, 2.384)
+    sysspec = SystemSpec(grid=g, species=[
+        Species(name, DiffusionLaw.none(), Field.constant(g, c))
+        for name, c in zip("abcd", c0)], reaction=spec)
+    state = SimState(t=0.0, step_index=0, c=[s.initial for s in sysspec.species])
     with pytest.raises(NonConvergence) as exc_info:
-        strang_step(state, sysspec, 0.05, cfg)
+        strang_step(state, sysspec, 0.04)
     assert "reaction stage 1" in str(exc_info.value)
 
 
