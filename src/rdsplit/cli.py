@@ -14,7 +14,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .errors import InvalidConfig, NonConvergence, PositivityViolation
+from .errors import InvalidConfig, InvalidInput, NonConvergence, PositivityViolation
 from .harness import (parse_config, run_cauchy_convergence, run_energy_trace,
                       run_ode_convergence, run_single, write_resolved_config)
 
@@ -28,6 +28,13 @@ _KIND_FOR_COMMAND = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdsplit",
@@ -39,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory (created if absent)")
         p.add_argument("--verbose", action="store_true", help="log progress to stderr")
         if command == "cauchy":
-            p.add_argument("--threads", type=int, default=1,
+            p.add_argument("--threads", type=_positive_int, default=1,
                            help="independent resolutions solved concurrently")
     return parser
 
@@ -65,10 +72,10 @@ def main(argv=None) -> int:
         elif cfg.kind == "ode_convergence":
             run_ode_convergence(cfg, out_dir)
         elif cfg.kind == "cauchy_convergence":
-            run_cauchy_convergence(cfg, out_dir, threads=max(1, args.threads))
+            run_cauchy_convergence(cfg, out_dir, threads=args.threads)
         else:
             run_energy_trace(cfg, out_dir)
-    except InvalidConfig as e:
+    except (InvalidConfig, InvalidInput) as e:
         print(f"rdsplit: invalid config: {e}", file=sys.stderr)
         return 2
     except (NonConvergence, PositivityViolation) as e:

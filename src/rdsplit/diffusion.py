@@ -20,7 +20,8 @@ then the face mobility ``M = avg(D(rho_mid) rho_mid)`` with
     (rho_new - rho_n)/dt = div( M grad mu ),
     mu = G1(rho_n, rho_new) + (C - 1) + dt (ln rho_new - ln rho_n),
 
-where G1 is the stable slope of x ln x. Multiplying by mu and summing cells
+where G1 is the slope of x ln x, the kernel whose trajectory form is the
+reaction corrector's difference quotient. Multiplying by mu and summing cells
 telescopes the G1 term into the free energy ``<rho ln rho + (C-1) rho, 1>``,
 so the step dissipates it by at least ``dt <M grad mu, grad mu>``; the dt
 term only strengthens the inequality. Mass is conserved because the right
@@ -40,6 +41,7 @@ import numpy as np
 
 from .errors import InvalidInput, NonConvergence, PositivityViolation
 from .grid import Field, FaceField, Grid, average_to_faces, weighted_divgrad
+from .reaction import _xlnx_slope
 
 __all__ = [
     "DiffusionLaw", "EtdOperator", "etd_step", "semi_implicit_predictor", "nonlinear_cn_step",
@@ -227,23 +229,6 @@ def semi_implicit_predictor(rho_n: Field, law: DiffusionLaw, dt: float) -> Field
     return Field(grid, rho_hat)
 
 
-def _xlnx_slope_and_deriv(a: np.ndarray, x: np.ndarray):
-    """G1(a, x) = slope of x ln x between a and x, and its x-derivative G2."""
-    d = x - a
-    small1 = np.abs(d) <= 1e-8 * np.maximum(1.0, a)
-    dsafe = np.where(small1, 1.0, d)
-    loga = np.log(a)
-    ratio = np.log1p(d / a)
-    g1 = np.where(small1, loga + 1.0 + d / (2.0 * a), loga + (x / dsafe) * ratio)
-    # G2 = (d - a log1p(d/a))/d^2 cancels badly for small d; switch earlier.
-    small2 = np.abs(d) <= 1e-6 * np.maximum(1.0, a)
-    dsafe2 = np.where(small2, 1.0, d)
-    g2 = np.where(small2,
-                  1.0 / (2.0 * a) - d / (3.0 * a ** 2),
-                  (d - a * ratio) / dsafe2 ** 2)
-    return g1, g2
-
-
 def nonlinear_cn_step(rho_n: Field, law: DiffusionLaw, dt: float,
                       energy_constant: float = 0.0) -> Field:
     """One mobility-form Crank-Nicolson step for density-dependent diffusion."""
@@ -285,7 +270,7 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float,
     reach = dt / grid.h ** 2 * _face_sum(faces)
 
     def residual(x):
-        g1, g2 = _xlnx_slope_and_deriv(rn, x)
+        g1, g2, _ = _xlnx_slope(rn, x - rn, log_rn)
         log_x = np.log(x)
         mu = g1 + c_shift + dt * (log_x - log_rn)
         mu_prime = g2 + dt / x

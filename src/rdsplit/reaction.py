@@ -148,10 +148,9 @@ class PointState:
 
 
 # Every Newton solve stops at |residual| <= _TOL or raises NonConvergence after
-# _MAX_ITER iterations; phi switches to its limiting form F' below _PHI_SWITCH.
+# _MAX_ITER iterations.
 _TOL = 1e-12
 _MAX_ITER = 100
-_PHI_SWITCH = 1e-8
 
 
 def reaction_mobility(c, spec: ReactionSpec) -> float:
@@ -196,18 +195,17 @@ def energy_difference_quotient(p: float, q: float, st: PointState, spec: Reactio
                                ) -> float:
     """Difference quotient ``phi(p, q) = (F(p) - F(q))/(p - q)`` along the trajectory.
 
-    Evaluated species-wise through the slope of x ln x, which keeps full
-    precision for nearby arguments; at ``|p - q| <= 1e-8 max(1, |p|, |q|)``
-    it returns the limiting value ``F'((p + q)/2)``, as the solvers do.
-    Symmetric in (p, q).
+    Evaluated species-wise through the slope of x ln x, the kernel the
+    solvers use, which keeps full precision for nearby arguments at any
+    concentration; at ``p = q`` it is the affinity ``F'(p)``. Symmetric in
+    (p, q).
     """
     for r, name in ((p, "p"), (q, "q")):
         c = st.c0 + spec.sigma * r
         if np.any(c <= 0):
             raise DomainError(f"c({name}) leaves the positive orthant")
-    val = _phi(st.c0[:, None], spec.sigma, spec.U,
-               np.array([float(p)]), np.array([float(q)]))
-    return float(val[0])
+    return _scalar_phi(st.c0.tolist(), spec.sigma.tolist(), spec.U.tolist(),
+                       float(p), float(q))
 
 
 def predictor_first_order(st: PointState, spec: ReactionSpec, dt: float) -> float:
@@ -291,34 +289,23 @@ def _interval_arrays(c0, sigma, eta_dt):
     return lo, hi
 
 
-def _xlnx_slope(a, d):
-    """Slope of x ln x between a and a + d, stable for all |d|.
+def _xlnx_slope(a, d, log_a):
+    """Slope of x ln x between a and x = a + d, its d-derivative, and log1p(d/a).
 
-    Uses ln a + ((a + d)/d) log1p(d/a), identical to
-    (x ln x - a ln a)/(x - a) but free of cancellation; below
-    |d| <= 1e-8 max(1, a) the two-term expansion ln a + 1 + d/(2a) applies.
+    Returns ``(G1, G2, L)`` with ``L = log1p(d/a)``,
+    ``G1 = (x ln x - a ln a)/d = ln a + (x/d) L`` and
+    ``G2 = dG1/dd = (d - a L)/d^2``, free of cancellation; ``log_a`` is
+    ``ln a``, which callers hoist. Where ``|d| <= 1e-6 a`` the series in
+    ``t = d/a`` applies: ``G1 = ln a + 1 + t/2 - t^2/6`` and
+    ``G2 = (1/2 - t/3 + t^2/4)/a``.
     """
-    small = np.abs(d) <= 1e-8 * np.maximum(1.0, a)
+    t = d / a
+    L = np.log1p(t)
+    small = np.abs(t) <= 1e-6
     dsafe = np.where(small, 1.0, d)
-    loga = np.log(a)
-    return np.where(small,
-                    loga + 1.0 + d / (2.0 * a),
-                    loga + ((a + d) / dsafe) * np.log1p(d / a))
-
-
-def _phi(c0, sigma, U, p, q):
-    """Vectorized phi(p, q) for trajectories anchored at c0 (shape (nsp, m))."""
-    dR = p - q
-    a = c0 + sigma[:, None] * q[None, :]
-    d = sigma[:, None] * dR[None, :]
-    g1 = _xlnx_slope(a, d)
-    main = np.einsum("i,im->m", sigma, g1) + float(sigma @ (U - 1.0))
-    near = np.abs(dR) <= _PHI_SWITCH * np.maximum(1.0, np.maximum(np.abs(p), np.abs(q)))
-    if not near.any():
-        return main
-    c_mid = c0 + sigma[:, None] * ((p + q) / 2.0)[None, :]
-    aff_mid = np.einsum("i,im->m", sigma, np.log(c_mid) + U[:, None])
-    return np.where(near, aff_mid, main)
+    g1 = np.where(small, log_a + 1.0 + t * (0.5 - t / 6.0), log_a + ((a + d) / dsafe) * L)
+    g2 = np.where(small, (0.5 - t * (1.0 / 3.0 - 0.25 * t)) / a, (d - a * L) / dsafe ** 2)
+    return g1, g2, L
 
 
 def _solve_predictor(c0, spec, dt):
@@ -338,24 +325,19 @@ def _solve_predictor(c0, spec, dt):
 
 def _solve_stage(c0, spec, dt):
     """Predictor + second-order corrector for c0 of shape (nsp, m)."""
-    sigma, U = spec.sigma, spec.U
+    sigma = spec.sigma
     Rhat, it_pred = _solve_predictor(c0, spec, dt)
     eta_star_dt = _eta_of(c0 + sigma[:, None] * (Rhat / 2.0)[None, :], spec) * dt
     lo, hi = _interval_arrays(c0, sigma, eta_star_dt)
-    zeros = np.zeros(c0.shape[1])
+    log_c0 = np.log(c0)
+    shift = float(sigma @ (spec.U - 1.0))
 
     def g_corr(R):
-        c = c0 + sigma[:, None] * R[None, :]
-        dmu = np.einsum("i,im->m", sigma, np.log1p(sigma[:, None] * R[None, :] / c0))
-        ph = _phi(c0, sigma, U, R, zeros)
-        g = np.log1p(R / eta_star_dt) + ph + dt * dmu
-        aff = np.einsum("i,im->m", sigma, np.log(c) + U[:, None])
-        affp = np.einsum("i,im->m", sigma ** 2, 1.0 / c)
-        near = np.abs(R) <= _PHI_SWITCH * np.maximum(1.0, np.abs(R))
-        c_mid = c0 + sigma[:, None] * (R / 2.0)[None, :]
-        affp_mid = np.einsum("i,im->m", sigma ** 2, 1.0 / c_mid)
-        php = np.where(near, 0.5 * affp_mid, (aff - ph) / np.where(near, 1.0, R))
-        gp = 1.0 / (R + eta_star_dt) + php + dt * affp
+        # phi(R, 0) = sigma.(G1 + U - 1); the dt term sum_i sigma_i ln(c_i/c0_i) = sigma.L
+        d = sigma[:, None] * R[None, :]
+        g1, g2, L = _xlnx_slope(c0, d, log_c0)
+        g = np.log1p(R / eta_star_dt) + np.einsum("i,im->m", sigma, g1 + dt * L) + shift
+        gp = 1.0 / (R + eta_star_dt) + np.einsum("i,im->m", sigma ** 2, g2 + dt / (c0 + d))
         return g, gp
 
     x0 = np.where((Rhat > lo) & (Rhat < hi), Rhat, 0.0)
@@ -373,7 +355,7 @@ def _bracketed_newton(eval_fn, lo, hi, x0, label):
     is guaranteed. Converges when ``|g| <= _TOL``. Raises NonConvergence with
     the worst remaining residual after ``_MAX_ITER`` iterations, or as soon as
     a cell's bracket shrinks to adjacent floats (no representable root meets
-    the tolerance there); ``iterations`` is then ``_MAX_ITER`` as well.
+    the tolerance there); ``iterations`` is then the Newton updates made.
     """
     a = np.asarray(lo, dtype=float).copy()
     b = np.asarray(hi, dtype=float).copy()
@@ -408,7 +390,8 @@ def _bracketed_newton(eval_fn, lo, hi, x0, label):
         cand = np.where(bad, 0.5 * (a + b), cand)
         collapsed = ~done & ((cand <= a) | (cand >= b))
         if collapsed.any():
-            _raise_unconverged(label, "bracket collapsed to adjacent floats", collapsed, g)
+            _raise_unconverged(label, "bracket collapsed to adjacent floats", collapsed, g,
+                               it - 1)
         x = np.where(done, x, cand)
         g_new, gp_new = eval_fn(x)
         g = np.where(done, g, g_new)
@@ -417,15 +400,16 @@ def _bracketed_newton(eval_fn, lo, hi, x0, label):
         iters[newly] = it
         done |= newly
     if not done.all():
-        _raise_unconverged(label, f"not converged after {_MAX_ITER} iterations", ~done, g)
+        _raise_unconverged(label, f"not converged after {_MAX_ITER} iterations", ~done, g,
+                           _MAX_ITER)
     return x, iters
 
 
-def _raise_unconverged(label, why, failed, g):
+def _raise_unconverged(label, why, failed, g, iterations):
     idx = np.flatnonzero(failed)
     raise NonConvergence(
         f"{label}: {idx.size} cell(s) {why}, first at flat index {int(idx[0])}",
-        residual=float(np.max(np.abs(g[failed]))), iterations=_MAX_ITER)
+        residual=float(np.max(np.abs(g[failed]))), iterations=iterations)
 
 
 # Scalar twins of the solvers above.  Single-point callers (ODE studies,
@@ -433,9 +417,12 @@ def _raise_unconverged(label, why, failed, g):
 # length-1 arrays, so these run the identical algorithm on plain floats.
 
 def _scalar_xlnx_slope(a, d):
-    if abs(d) <= 1e-8 * max(1.0, a):
-        return math.log(a) + 1.0 + d / (2.0 * a)
-    return math.log(a) + ((a + d) / d) * math.log1p(d / a)
+    t = d / a
+    L = math.log1p(t)
+    if abs(t) <= 1e-6:
+        return (math.log(a) + 1.0 + t * (0.5 - t / 6.0),
+                (0.5 - t * (1.0 / 3.0 - 0.25 * t)) / a, L)
+    return math.log(a) + ((a + d) / d) * L, (d - a * L) / (d * d), L
 
 
 def _scalar_interval(c0, sigma, eta_dt):
@@ -449,15 +436,10 @@ def _scalar_interval(c0, sigma, eta_dt):
 
 
 def _scalar_phi(c0, sigma, U, p, q):
-    dR = p - q
-    if abs(dR) <= _PHI_SWITCH * max(1.0, abs(p), abs(q)):
-        mid = (p + q) / 2.0
-        return sum(s * (math.log(c + s * mid) + u)
-                   for c, s, u in zip(c0, sigma, U) if s)
     tot = 0.0
     for c, s, u in zip(c0, sigma, U):
         if s:
-            tot += s * (_scalar_xlnx_slope(c + s * q, s * dR) + u - 1.0)
+            tot += s * (_scalar_xlnx_slope(c + s * q, s * (p - q))[0] + u - 1.0)
     return tot
 
 
@@ -497,7 +479,7 @@ def _scalar_solve(eval_fn, lo, hi, x0, label):
             cand = 0.5 * (a + b)
         if not (a < cand < b):
             raise NonConvergence(f"{label}: bracket collapsed to adjacent floats",
-                                 residual=abs(g), iterations=_MAX_ITER)
+                                 residual=abs(g), iterations=it - 1)
         x = cand
         g, gp = eval_fn(x)
         if abs(g) <= _TOL:
@@ -537,23 +519,17 @@ def _scalar_stage(c0, spec, dt):
         if bexp:
             eta_star_dt *= (c + s * Rhat / 2.0) ** bexp
     lo, hi = _scalar_interval(c0, sigma, eta_star_dt)
-    active = [(c, s, u) for c, s, u in zip(c0, sigma, U) if s]
+    active = [(c, s) for c, s in zip(c0, sigma) if s]
+    shift = sum(s * (u - 1.0) for s, u in zip(sigma, U))
 
     def g_corr(R):
-        g = math.log1p(R / eta_star_dt)
+        g = math.log1p(R / eta_star_dt) + shift
         gp = 1.0 / (R + eta_star_dt)
-        aff = affp = dmu = 0.0
-        for c, s, u in active:
-            ci = c + s * R
-            aff += s * (math.log(ci) + u)
-            affp += s * s / ci
-            dmu += s * math.log1p(s * R / c)
-        ph = _scalar_phi(c0, sigma, U, R, 0.0)
-        if abs(R) <= _PHI_SWITCH * max(1.0, abs(R)):
-            php = 0.5 * sum(s * s / (c + s * R / 2.0) for c, s, _ in active)
-        else:
-            php = (aff - ph) / R
-        return g + ph + dt * dmu, gp + php + dt * affp
+        for c, s in active:
+            g1, g2, L = _scalar_xlnx_slope(c, s * R)
+            g += s * (g1 + dt * L)
+            gp += s * s * (g2 + dt / (c + s * R))
+        return g, gp
 
     x0 = Rhat if lo < Rhat < hi else 0.0
     R, it_corr = _scalar_solve(g_corr, lo, hi, x0, "second-order reaction step")

@@ -49,10 +49,22 @@ def test_kind_mismatch_exits_2(tmp_path, capsys):
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
-    cfg = _write(tmp_path, "kind = ode_convergence\node.alpha = -1\n")
-    code = main(["ode-convergence", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "invalid config" in capsys.readouterr().err
+    # a malformed value, then values rejected only once the solver set-up sees them:
+    # dt not dividing t_end (default 1), snapshots off the step grid, and
+    # alpha == beta with unequal rates (no detailed balance)
+    cases = [
+        ("ode-convergence", "kind = ode_convergence\node.alpha = -1\n"),
+        ("ode-convergence", "kind = ode_convergence\node.dt = 0.3\n"),
+        ("run", SINGLE_CFG.replace("run.dt = 0.05", "run.dt = 0.1").replace(
+            "run.t_end = 0.1", "run.t_end = 0.2") + "run.snapshots = 0.15\n"),
+        ("run", SINGLE_CFG.replace("reaction.beta = 0, 1", "reaction.beta = 1, 0").replace(
+            "reaction.k_minus = 1", "reaction.k_minus = 2")),
+    ]
+    for i, (command, text) in enumerate(cases):
+        cfg = _write(tmp_path, text, name=f"exp{i}.cfg")
+        code = main([command, "--config", cfg, "--out", str(tmp_path / f"out{i}")])
+        assert code == 2
+        assert "invalid config" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -100,9 +112,11 @@ def test_solver_failure_exits_3(tmp_path, capsys):
 
 def test_threads_only_on_cauchy(tmp_path):
     cfg = _write(tmp_path, SINGLE_CFG)
-    with pytest.raises(SystemExit) as exc_info:
-        main(["run", "--threads", "2", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert exc_info.value.code == 2
+    for argv in (["run", "--threads", "2"], ["cauchy", "--threads", "0"],
+                 ["cauchy", "--threads", "-3"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--config", cfg, "--out", str(tmp_path / "out")])
+        assert exc_info.value.code == 2
 
 
 def test_resolved_config_matches_cli_kind(tmp_path):

@@ -213,6 +213,11 @@ def test_cn_structure_random_sweep():
     g = Grid(dim=1, n0=96, lower=-1.0, upper=1.0)
     rho = Field(g, 1e-6 + 3.0 * np.exp(-10.0 * g.axis_centers(0) ** 2))
     cases.append((rho, DiffusionLaw.power(1.0, 3), 10.0))
+    # a plateau on floors far below 1: G1 must stay exact where |x - rho_n| >> rho_n
+    g = Grid(dim=1, n0=128, lower=-1.0, upper=1.0)
+    for floor in (1e-8, 1e-10, 1e-12):
+        rho = Field(g, floor + (np.abs(g.axis_centers(0)) < 0.3))
+        cases += [(rho, DiffusionLaw.power(1.0, 2), dt) for dt in (1e-5, 1e-3)]
     for rho, law, dt in cases:
         out = nonlinear_cn_step(rho, law, dt)
         assert out.min() > 0

@@ -1,7 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from rdsplit import (
     DomainError,
@@ -130,11 +133,18 @@ def test_affinity_is_free_energy_derivative():
 
 
 def test_difference_quotient_oracle_value():
-    """phi(0.2, 0) for sigma=(-1,1), U=0, c0=(1,1), high-precision reference."""
+    """phi(p, 0) against 50-digit references, sigma = (-1, 1) and (-1/2, 1/2), U = 0."""
     spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
     st = PointState(c0=np.array([1.0, 1.0]))
     val = energy_difference_quotient(0.2, 0.0, st, spec)
     assert val == pytest.approx(0.20135513550688873, abs=1e-15)
+    # a trace species, c0 = 1e-12, crossed by a step far larger than itself
+    st = PointState(c0=np.array([1.0, 1e-12]))
+    assert energy_difference_quotient(1e-9, 0.0, st, spec) == pytest.approx(
+        -21.71535758133401, rel=1e-14)
+    half = ReactionSpec.law_of_mass_action((0.5, 0.0), (0.0, 0.5), 1.0, 1.0)
+    assert energy_difference_quotient(1.5e-8, 0.0, st, half) == pytest.approx(
+        -9.853519891329524, rel=1e-14)
 
 
 def test_difference_quotient_matches_raw_quotient():
@@ -158,7 +168,7 @@ def test_difference_quotient_coincidence_limit():
     p = 0.1
     assert energy_difference_quotient(p, p, st, spec) == pytest.approx(
         chemical_affinity(p, st, spec), rel=1e-14)
-    # just inside the switch: still the midpoint affinity, no cancellation blowup
+    # inside the kernel's series band |d| <= 1e-6 c: no cancellation blowup
     q = p + 1e-10
     assert energy_difference_quotient(p, q, st, spec) == pytest.approx(
         chemical_affinity((p + q) / 2, st, spec), rel=1e-12)
@@ -218,15 +228,21 @@ def test_equilibrium_is_a_fixed_point():
 
 
 def test_step_respects_tight_tolerance():
-    spec = ReactionSpec.law_of_mass_action((1.0, 2.0), (0.0, 3.0), 1.0, 0.1)
-    st = PointState(c0=np.array([1.0, 1.0]))
-    R = reaction_step(st, spec, 0.1)
-    # recompute the corrector residual at the root; must be within tolerance
-    eta_star = reaction_mobility(st.c0 + spec.sigma * (predictor_first_order(st, spec, 0.1) / 2), spec)
-    g = (math.log1p(R / (eta_star * 0.1))
-         + energy_difference_quotient(R, 0.0, st, spec)
-         + 0.1 * float(spec.sigma @ (np.log(st.c0 + spec.sigma * R) - np.log(st.c0))))
-    assert abs(g) <= 1e-12
+    cases = [(ReactionSpec.law_of_mass_action((1.0, 2.0), (0.0, 3.0), 1.0, 0.1), (1.0, 1.0), 0.1)]
+    # fractional stoichiometry on a trace species: the root sits at |sigma R| >> c0[1]
+    half = ReactionSpec.law_of_mass_action((0.5, 0.0), (0.0, 0.5), 1.0, 1.0)
+    cases += [(half, (1.0, 1e-12), dt) for dt in (3e-8, 1e-6)]
+    for spec, c0, dt in cases:
+        st = PointState(c0=np.array(c0))
+        R = reaction_step(st, spec, dt)
+        # recompute the corrector residual at the root; must be within tolerance
+        Rhat = predictor_first_order(st, spec, dt)
+        eta_star = reaction_mobility(st.c0 + spec.sigma * (Rhat / 2), spec)
+        g = (math.log1p(R / (eta_star * dt))
+             + energy_difference_quotient(R, 0.0, st, spec)
+             + dt * float(spec.sigma @ (np.log(st.c0 + spec.sigma * R) - np.log(st.c0))))
+        assert abs(g) <= 1e-12
+        assert point_free_energy(R, st, spec) <= point_free_energy(0.0, st, spec)
 
 
 def test_step_rejects_bad_dt():
@@ -311,7 +327,9 @@ def test_quench_limit_raises_instead_of_accepting_bad_residual(monkeypatch):
     accepted steps) rather than return a state pinned at c = 0. Halving dt
     moves the root back into representable territory. The vector path gives
     up when the bracket collapses, after as many corrector evaluations as
-    the scalar path.
+    the scalar path, whose kernel runs once per active species (all four).
+    Both report the Newton updates they made: of the 51 evaluations, one
+    brackets the root from above and one is the start guess.
     """
     import rdsplit.reaction as rx
 
@@ -323,8 +341,9 @@ def test_quench_limit_raises_instead_of_accepting_bad_residual(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(rx, "_phi", counting(rx._phi, "vector"))
-    monkeypatch.setattr(rx, "_scalar_phi", counting(rx._scalar_phi, "scalar"))
+    monkeypatch.setattr(rx, "_xlnx_slope", counting(rx._xlnx_slope, "vector"))
+    monkeypatch.setattr(rx, "_scalar_xlnx_slope",
+                        counting(rx._scalar_xlnx_slope, "scalar"))
     spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
                                            0.7252, 2.4492)
     c0 = np.array([3.114, 2.4267, 2.7336, 2.384])
@@ -334,7 +353,54 @@ def test_quench_limit_raises_instead_of_accepting_bad_residual(monkeypatch):
         with pytest.raises(NonConvergence) as exc_info:
             solve()
         assert exc_info.value.residual > 1e-12
-        assert exc_info.value.iterations == 100
-    assert calls["vector"] == calls["scalar"] > 0
+        assert exc_info.value.iterations == 49
+    assert calls["vector"] == 51
+    assert 4 * calls["vector"] == calls["scalar"]
     R = reaction_step(PointState(c0), spec, 0.01)
     assert (c0 + spec.sigma * R).min() > 0.3
+
+
+# ---------------------------------------------------------------- x ln x slope kernel
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _slope_oracle(a, d):
+    """G1, G2 of the x ln x slope at the exact binary a and d, to 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        A, Dd = Decimal(a), Decimal(d)
+        if Dd == 0:
+            return float(A.ln() + 1), float(1 / (2 * A))
+        # x ln x - a ln a and d - a ln(x/a) cancel about 2 |log10 t| digits
+        ctx.prec += 2 * max(0, -(Dd / A).adjusted())
+        X = A + Dd
+        g1 = (X * X.ln() - A * A.ln()) / Dd
+        g2 = (Dd - A * (X / A).ln()) / (Dd * Dd)
+        return float(g1), float(g2)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(a=hst.floats(1e-12, 1e3),
+       t=hst.one_of(hst.floats(-1.0, 1e6, exclude_min=True), hst.floats(-1e-6, 1e-6)))
+def test_xlnx_slope_kernels_match_decimal_oracle(a, t):
+    from rdsplit.reaction import _scalar_xlnx_slope, _xlnx_slope
+
+    d = a * t
+    assume(d / a > -1.0)
+    ref1, ref2 = _slope_oracle(a, d)
+    scalar = _scalar_xlnx_slope(a, d)
+    vector = [float(v[0]) for v in _xlnx_slope(np.array([a]), np.array([d]),
+                                               np.log(np.array([a])))]
+    # numpy's and math's log1p may differ by an ulp, which G2's cancellation
+    # amplifies, so G2 of both paths is held to the oracle bound below instead
+    for k in (0, 2):
+        assert abs(vector[k] - scalar[k]) <= 4 * _EPS * max(1.0, abs(scalar[k]))
+    # the kernel sees x = a + d only through fl(d/a); near t = -1 that rounding
+    # moves G2 = (t - L)/(a t^2) by eps |t|/((1 + t)(t - L)) relative
+    tt = d / a
+    cond = abs(tt) / ((1.0 + tt) * (tt - math.log1p(tt))) if abs(tt) > 1e-6 else 0.0
+    for g1, g2, _ in (scalar, vector):
+        assert abs(g1 - ref1) <= 1e-13 * max(1.0, abs(ref1))
+        assert abs(g2 - ref2) <= (1e-8 + 4 * _EPS * cond) * ref2
