@@ -48,8 +48,8 @@ class Grid:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         spans = [hi[a] - lo[a] for a in range(self.dim)]
-        if any(s <= 0 for s in spans):
-            raise InvalidInput(f"upper must exceed lower on every axis, got {lo} .. {hi}")
+        if not all(0 < s < np.inf for s in spans):
+            raise InvalidInput(f"upper must exceed lower by a finite span, got {lo} .. {hi}")
         h0 = spans[0] / self.n0
         for s in spans[1:]:
             if abs(s / self.n0 - h0) > 1e-12 * max(1.0, abs(h0)):

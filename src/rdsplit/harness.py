@@ -56,11 +56,11 @@ _REQUIRED = object()
 
 
 def _fraction(text: str) -> float:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    num, slash, den = text.strip().partition("/")
+    v = float(num) / float(den) if slash else float(num)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return v
 
 
 def _float_list(text: str) -> list[float]:
@@ -503,6 +503,8 @@ def run_cauchy_convergence(cfg: ExperimentConfig, out_dir=None, threads: int = 1
     """
     if cfg.kind != "cauchy_convergence":
         raise InvalidInput(f"expected a cauchy_convergence config, got {cfg.kind!r}")
+    if threads < 1:
+        raise InvalidInput(f"threads must be at least 1, got {threads}")
     out_dir = _prepare_out_dir(out_dir)
     hs = cfg["cauchy.h"]
     with ThreadPoolExecutor(max_workers=threads) as pool:

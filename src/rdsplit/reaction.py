@@ -22,7 +22,11 @@ predicted midpoint, ``eta* = eta(c((Rn + Rhat)/2))``, and solves
 where ``phi(p, q) = (F(p) - F(q))/(p - q)`` is the difference quotient of the
 free energy along the trajectory (its value at p = q is F'(p), the affinity).
 Both residuals are strictly increasing on the admissible interval and blow up
-at its ends, so a bracketed Newton iteration cannot escape or stall.
+at its ends, so a bracketed Newton iteration cannot escape or stall. Both
+read ``log1p(R/(eta dt)) + h(R)`` with h increasing and ``h(0) = A0``, the
+affinity ``sum_i sigma_i mu_i(c0)`` at the start of the step. So every root
+lies between 0 and ``B = eta dt expm1(-A0)``, a bracket that each solve
+intersects with the admissible interval.
 
 Every sub-step starts from Rn = 0; callers fold the returned R into the
 concentrations and reset.
@@ -148,9 +152,11 @@ class PointState:
 
 
 # Every Newton solve stops at |residual| <= _TOL or raises NonConvergence after
-# _MAX_ITER iterations.
+# _MAX_ITER iterations. _MARGIN widens the root bound B against the rounding of
+# A0 and of expm1.
 _TOL = 1e-12
 _MAX_ITER = 100
+_MARGIN = 1e-9
 
 
 def reaction_mobility(c, spec: ReactionSpec) -> float:
@@ -213,7 +219,7 @@ def predictor_first_order(st: PointState, spec: ReactionSpec, dt: float) -> floa
     _check_dt(dt)
     if not spec.sigma.any():
         return 0.0
-    Rhat, _ = _scalar_predictor(st.c0.tolist(), spec, dt)
+    Rhat, _, _ = _scalar_predictor(st.c0.tolist(), spec, dt)
     return Rhat
 
 
@@ -294,24 +300,23 @@ def _xlnx_slope(a, d, log_a):
 
     Returns ``(G1, G2, L)`` with ``L = log1p(d/a)``,
     ``G1 = (x ln x - a ln a)/d = ln a + (x/d) L`` and
-    ``G2 = dG1/dd = (d - a L)/d^2``, free of cancellation; ``log_a`` is
-    ``ln a``, which callers hoist. Where ``|d| <= 1e-6 a`` the series in
-    ``t = d/a`` applies: ``G1 = ln a + 1 + t/2 - t^2/6`` and
-    ``G2 = (1/2 - t/3 + t^2/4)/a``.
+    ``G2 = dG1/dd = (t - L)/(t d)`` with ``t = d/a``, free of cancellation
+    and of the underflow of ``d^2``; ``log_a`` is ``ln a``, which callers
+    hoist. Where ``|t| <= 1e-6`` the series applies:
+    ``G1 = ln a + 1 + t/2 - t^2/6`` and ``G2 = (1/2 - t/3 + t^2/4)/a``.
     """
     t = d / a
     L = np.log1p(t)
     small = np.abs(t) <= 1e-6
-    dsafe = np.where(small, 1.0, d)
+    dsafe, tsafe = np.where(small, 1.0, d), np.where(small, 1.0, t)
     g1 = np.where(small, log_a + 1.0 + t * (0.5 - t / 6.0), log_a + ((a + d) / dsafe) * L)
-    g2 = np.where(small, (0.5 - t * (1.0 / 3.0 - 0.25 * t)) / a, (d - a * L) / dsafe ** 2)
+    g2 = np.where(small, (0.5 - t * (1.0 / 3.0 - 0.25 * t)) / a, (t - L) / (tsafe * dsafe))
     return g1, g2, L
 
 
-def _solve_predictor(c0, spec, dt):
+def _solve_predictor(c0, spec, dt, A0):
     sigma, U = spec.sigma, spec.U
     eta0_dt = _eta_of(c0, spec) * dt
-    lo, hi = _interval_arrays(c0, sigma, eta0_dt)
 
     def g_pred(R):
         c = c0 + sigma[:, None] * R[None, :]
@@ -319,17 +324,17 @@ def _solve_predictor(c0, spec, dt):
         gp = 1.0 / (R + eta0_dt) + np.einsum("i,im->m", sigma ** 2, 1.0 / c)
         return g, gp
 
-    return _bracketed_newton(g_pred, lo, hi, np.zeros(c0.shape[1]),
+    return _bracketed_newton(g_pred, c0, sigma, eta0_dt, A0, np.zeros(c0.shape[1]),
                              "first-order reaction predictor")
 
 
 def _solve_stage(c0, spec, dt):
     """Predictor + second-order corrector for c0 of shape (nsp, m)."""
     sigma = spec.sigma
-    Rhat, it_pred = _solve_predictor(c0, spec, dt)
-    eta_star_dt = _eta_of(c0 + sigma[:, None] * (Rhat / 2.0)[None, :], spec) * dt
-    lo, hi = _interval_arrays(c0, sigma, eta_star_dt)
     log_c0 = np.log(c0)
+    A0 = np.einsum("i,im->m", sigma, log_c0 + spec.U[:, None])
+    Rhat, it_pred = _solve_predictor(c0, spec, dt, A0)
+    eta_star_dt = _eta_of(c0 + sigma[:, None] * (Rhat / 2.0)[None, :], spec) * dt
     shift = float(sigma @ (spec.U - 1.0))
 
     def g_corr(R):
@@ -340,41 +345,37 @@ def _solve_stage(c0, spec, dt):
         gp = 1.0 / (R + eta_star_dt) + np.einsum("i,im->m", sigma ** 2, g2 + dt / (c0 + d))
         return g, gp
 
-    x0 = np.where((Rhat > lo) & (Rhat < hi), Rhat, 0.0)
-    R, it_corr = _bracketed_newton(g_corr, lo, hi, x0, "second-order reaction step")
+    R, it_corr = _bracketed_newton(g_corr, c0, sigma, eta_star_dt, A0, Rhat,
+                                   "second-order reaction step")
     return R, it_pred, it_corr
 
 
-def _bracketed_newton(eval_fn, lo, hi, x0, label):
-    """Vector root solve of strictly increasing residuals on open intervals.
+def _bracketed_newton(eval_fn, c0, sigma, eta_dt, A0, x0, label):
+    """Vector root solve of one reaction residual per cell.
 
-    ``eval_fn(x) -> (g, g')`` per component. The residual tends to -inf at
-    lo+ and +inf at hi- (hi may be +inf; a finite upper bracket is then found
-    by doubling). Newton steps are accepted only strictly inside the current
-    sign-change bracket; anything else falls back to bisection, so progress
-    is guaranteed. Converges when ``|g| <= _TOL``. Raises NonConvergence with
-    the worst remaining residual after ``_MAX_ITER`` iterations, or as soon as
-    a cell's bracket shrinks to adjacent floats (no representable root meets
-    the tolerance there); ``iterations`` is then the Newton updates made.
+    ``eval_fn(x) -> (g, g')`` is strictly increasing with ``g(0) = A0``. The
+    bracket is ``[min(0, B), max(0, B)]`` (module docstring), with B widened
+    by ``_MARGIN``, inside the admissible interval, whose ends are open. The
+    iteration starts at x0 where x0 lies on the bracket, else at 0. Newton
+    steps are accepted only strictly inside the current sign-change bracket;
+    anything else falls back to bisection, so progress is guaranteed.
+    Converges when ``|g| <= _TOL``. Raises DomainError where eta_dt
+    underflows to 0 or B overflows; NonConvergence with the worst remaining
+    residual after ``_MAX_ITER`` iterations, or as soon as a cell's bracket
+    shrinks to adjacent floats (no representable root meets the tolerance
+    there); ``iterations`` is then the Newton updates made.
     """
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
-    x = np.where((x0 > a) & (x0 < b), x0, np.where(np.isfinite(b), 0.5 * (a + b), a + 1.0))
-
-    binf = ~np.isfinite(b)
-    if binf.any():
-        t = np.where(binf, np.maximum(np.maximum(1.0, 2.0 * np.abs(x)), a + 1.0), x)
-        for _ in range(400):
-            g, _ = eval_fn(t)
-            need = binf & (g <= 0)
-            if not need.any():
-                break
-            t = np.where(need, a + 2.0 * (t - a), t)
-        else:
-            raise NonConvergence(f"{label}: could not bracket the root from above")
-        b = np.where(binf, t, b)
-        x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
-
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        B = np.where(A0 > -700.0, eta_dt * np.expm1(-A0), np.exp(np.log(eta_dt) - A0))
+    B = B * (1.0 + _MARGIN)
+    lo, hi = _interval_arrays(c0, sigma, eta_dt)
+    a, b = np.maximum(lo, np.minimum(B, 0.0)), np.minimum(hi, np.maximum(B, 0.0))
+    bad = ~(eta_dt > 0) | ~np.isfinite(b)
+    if bad.any():
+        i = np.flatnonzero(bad)
+        raise DomainError(f"{label}: eta*dt underflows to 0 or the root bound B overflows "
+                          f"in {i.size} cell(s), first at flat index {int(i[0])}")
+    x = np.where((x0 >= a) & (x0 <= b), x0, 0.0)
     g, gp = eval_fn(x)
     done = np.abs(g) <= _TOL
     iters = np.zeros(x.shape, dtype=int)
@@ -422,7 +423,7 @@ def _scalar_xlnx_slope(a, d):
     if abs(t) <= 1e-6:
         return (math.log(a) + 1.0 + t * (0.5 - t / 6.0),
                 (0.5 - t * (1.0 / 3.0 - 0.25 * t)) / a, L)
-    return math.log(a) + ((a + d) / d) * L, (d - a * L) / (d * d), L
+    return math.log(a) + ((a + d) / d) * L, (t - L) / (t * d), L
 
 
 def _scalar_interval(c0, sigma, eta_dt):
@@ -443,29 +444,20 @@ def _scalar_phi(c0, sigma, U, p, q):
     return tot
 
 
-def _scalar_solve(eval_fn, lo, hi, x0, label):
-    """Scalar counterpart of _bracketed_newton; same bracketing rules."""
-    a, b = lo, hi
-    if a < x0 < b:
-        x = x0
-    elif math.isfinite(b):
-        x = 0.5 * (a + b)
-    else:
-        x = a + 1.0
-
+def _scalar_solve(eval_fn, c0, sigma, eta_dt, A0, x0, label):
+    """Scalar counterpart of _bracketed_newton; same bracket and start rules."""
+    if not eta_dt > 0:
+        raise DomainError(f"{label}: eta*dt underflows to 0")
+    try:
+        B = eta_dt * math.expm1(-A0) if A0 > -700.0 else math.exp(math.log(eta_dt) - A0)
+    except OverflowError:
+        B = math.inf
+    B *= 1.0 + _MARGIN
+    lo, hi = _scalar_interval(c0, sigma, eta_dt)
+    a, b = max(lo, min(B, 0.0)), min(hi, max(B, 0.0))
     if not math.isfinite(b):
-        t = max(1.0, 2.0 * abs(x), a + 1.0)
-        for _ in range(400):
-            g, _ = eval_fn(t)
-            if g > 0:
-                break
-            t = a + 2.0 * (t - a)
-        else:
-            raise NonConvergence(f"{label}: could not bracket the root from above")
-        b = t
-        if not (a < x < b):
-            x = 0.5 * (a + b)
-
+        raise DomainError(f"{label}: the root bound B overflows")
+    x = x0 if a <= x0 <= b else 0.0
     g, gp = eval_fn(x)
     if abs(g) <= _TOL:
         return x, 0
@@ -495,8 +487,8 @@ def _scalar_predictor(c0, spec, dt):
     for c, bexp in zip(c0, spec.beta.tolist()):
         if bexp:
             eta0_dt *= c ** bexp
-    lo, hi = _scalar_interval(c0, sigma, eta0_dt)
     active = [(c, s, u) for c, s, u in zip(c0, sigma, U) if s]
+    A0 = sum(s * (math.log(c) + u) for c, s, u in active)
 
     def g_pred(R):
         g = math.log1p(R / eta0_dt)
@@ -507,18 +499,19 @@ def _scalar_predictor(c0, spec, dt):
             gp += s * s / ci
         return g, gp
 
-    return _scalar_solve(g_pred, lo, hi, 0.0, "first-order reaction predictor")
+    R, it = _scalar_solve(g_pred, c0, sigma, eta0_dt, A0, 0.0,
+                          "first-order reaction predictor")
+    return R, it, A0
 
 
 def _scalar_stage(c0, spec, dt):
     sigma = spec.sigma.tolist()
     U = spec.U.tolist()
-    Rhat, it_pred = _scalar_predictor(c0, spec, dt)
+    Rhat, it_pred, A0 = _scalar_predictor(c0, spec, dt)
     eta_star_dt = spec.k_minus * dt
     for c, s, bexp in zip(c0, sigma, spec.beta.tolist()):
         if bexp:
             eta_star_dt *= (c + s * Rhat / 2.0) ** bexp
-    lo, hi = _scalar_interval(c0, sigma, eta_star_dt)
     active = [(c, s) for c, s in zip(c0, sigma) if s]
     shift = sum(s * (u - 1.0) for s, u in zip(sigma, U))
 
@@ -531,6 +524,6 @@ def _scalar_stage(c0, spec, dt):
             gp += s * s * (g2 + dt / (c + s * R))
         return g, gp
 
-    x0 = Rhat if lo < Rhat < hi else 0.0
-    R, it_corr = _scalar_solve(g_corr, lo, hi, x0, "second-order reaction step")
+    R, it_corr = _scalar_solve(g_corr, c0, sigma, eta_star_dt, A0, Rhat,
+                               "second-order reaction step")
     return R, it_pred, it_corr

@@ -51,7 +51,8 @@ def test_kind_mismatch_exits_2(tmp_path, capsys):
 def test_invalid_config_exits_2(tmp_path, capsys):
     # a malformed value, then values rejected only once the solver set-up sees them:
     # dt not dividing t_end (default 1), snapshots off the step grid, and
-    # alpha == beta with unequal rates (no detailed balance)
+    # alpha == beta with unequal rates (no detailed balance); numbers that
+    # are not finite
     cases = [
         ("ode-convergence", "kind = ode_convergence\node.alpha = -1\n"),
         ("ode-convergence", "kind = ode_convergence\node.dt = 0.3\n"),
@@ -59,6 +60,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
             "run.t_end = 0.1", "run.t_end = 0.2") + "run.snapshots = 0.15\n"),
         ("run", SINGLE_CFG.replace("reaction.beta = 0, 1", "reaction.beta = 1, 0").replace(
             "reaction.k_minus = 1", "reaction.k_minus = 2")),
+        ("run", SINGLE_CFG.replace("grid.n0 = 8", "grid.n0 = 1e400")),
+        ("run", SINGLE_CFG.replace("run.t_end = 0.1", "run.t_end = 1e400")),
+        ("run", SINGLE_CFG + "grid.upper = 1e400\n"),
     ]
     for i, (command, text) in enumerate(cases):
         cfg = _write(tmp_path, text, name=f"exp{i}.cfg")

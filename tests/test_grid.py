@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,9 @@ def test_grid_rejects_bad_input():
         Grid(dim=1, n0=0)
     with pytest.raises(InvalidInput):
         Grid(dim=1, n0=4, lower=1.0, upper=0.0)
+    for lower, upper in ((math.nan, 1.0), (0.0, math.inf), (-1e308, 1e308)):
+        with pytest.raises(InvalidInput):  # not a finite span
+            Grid(dim=1, n0=4, lower=lower, upper=upper)
     with pytest.raises(InvalidInput):
         Grid(dim=2, n0=4, lower=(0.0, 0.0), upper=(1.0, 2.0))  # unequal spacing
     with pytest.raises(InvalidInput):

@@ -12,6 +12,7 @@ from rdsplit import (
     exact_ode_solution,
     parse_config,
     resample_spectral,
+    run_cauchy_convergence,
     run_energy_trace,
     run_ode_convergence,
     run_single,
@@ -256,6 +257,13 @@ def test_run_ode_convergence_rejects_other_kinds(tmp_path):
     cfg = parse_config(_cfg(tmp_path, "kind = energy_trace\n"))
     with pytest.raises(InvalidInput):
         run_ode_convergence(cfg)
+
+
+def test_run_cauchy_convergence_rejects_threads_below_one(tmp_path):
+    cfg = parse_config(_cfg(tmp_path, "kind = cauchy_convergence\n"))
+    for threads in (0, -2):
+        with pytest.raises(InvalidInput, match="threads"):
+            run_cauchy_convergence(cfg, tmp_path / "out", threads=threads)
 
 
 def test_run_energy_trace_small(tmp_path):

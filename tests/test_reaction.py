@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from rdsplit import (
@@ -14,6 +14,7 @@ from rdsplit import (
     NonConvergence,
     PointState,
     PositivityViolation,
+    RdsplitError,
     ReactionSpec,
     admissible_interval,
     chemical_affinity,
@@ -328,8 +329,8 @@ def test_quench_limit_raises_instead_of_accepting_bad_residual(monkeypatch):
     moves the root back into representable territory. The vector path gives
     up when the bracket collapses, after as many corrector evaluations as
     the scalar path, whose kernel runs once per active species (all four).
-    Both report the Newton updates they made: of the 51 evaluations, one
-    brackets the root from above and one is the start guess.
+    Both report the Newton updates they made: of the 50 evaluations, one
+    is the start guess.
     """
     import rdsplit.reaction as rx
 
@@ -354,10 +355,95 @@ def test_quench_limit_raises_instead_of_accepting_bad_residual(monkeypatch):
             solve()
         assert exc_info.value.residual > 1e-12
         assert exc_info.value.iterations == 49
-    assert calls["vector"] == 51
+    assert calls["vector"] == 50
     assert 4 * calls["vector"] == calls["scalar"]
     R = reaction_step(PointState(c0), spec, 0.01)
     assert (c0 + spec.sigma * R).min() > 0.3
+
+
+def test_underflowing_eta_dt_raises_domain_error():
+    """eta*dt = k- prod c^beta dt underflows to 0: no bracket, so a typed error."""
+    spec = ReactionSpec.law_of_mass_action((2.0, 2.0, 3.0), (3.0, 2.0, 3.0), 1.0, 1e-6)
+    c0 = (6e-54, 3e-61, 4e-160)
+    g = Grid(dim=1, n0=1)
+    for solve in (lambda: reaction_step(PointState(c0), spec, 1e-4),
+                  lambda: predictor_first_order(PointState(c0), spec, 1e-4),
+                  lambda: reaction_stage([Field.constant(g, c) for c in c0], spec, 1e-4)):
+        with pytest.raises(DomainError, match="underflows"):
+            solve()
+
+
+# ---------------------------------------------------------------- root bound
+
+
+def _check_affinity_bound(spec, c0, dt):
+    """Each returned root has sign -sign(A0) and |R| <= |B| (1 + margin).
+
+    ``A0`` is the affinity at R = 0 and ``B = eta dt expm1(-A0)``, with the
+    predictor's eta(c0) and the corrector's eta* at the predicted midpoint.
+    Returns the number of roots checked (a step may raise a typed error).
+    """
+    from rdsplit.reaction import _MARGIN
+
+    st = PointState(np.array(c0))
+    A0 = chemical_affinity(0.0, st, spec)
+    # the solver rounds A0 on its own, which moves B by eta dt e^-A0 |dA0|
+    dA0 = 8 * _EPS * float(np.sum(np.abs(spec.sigma) * (np.abs(np.log(st.c0)) + np.abs(spec.U))))
+    checked = 0
+    for step in (predictor_first_order, reaction_step):
+        try:
+            R = step(st, spec, dt)
+        except RdsplitError:
+            return checked
+        if step is predictor_first_order:
+            Rhat, eta = R, reaction_mobility(st.c0, spec)
+        else:
+            eta = reaction_mobility(st.c0 + spec.sigma * (Rhat / 2.0), spec)
+        assert R * A0 <= 0.0
+        assert abs(R) <= abs(eta * dt * math.expm1(-A0)) * (1.0 + _MARGIN) + (
+            eta * dt * math.exp(-A0) * dA0)
+        checked += 1
+    return checked
+
+
+_COEF = hst.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(species=hst.lists(hst.tuples(_COEF, _COEF, hst.floats(-12.0, math.log10(3.0))),
+                         min_size=1, max_size=4),
+       log_k=hst.tuples(hst.floats(-3.0, 3.0), hst.floats(-3.0, 3.0)),
+       log_dt=hst.floats(-9.0, 1.0))
+def test_steps_stay_inside_the_affinity_bound(species, log_k, log_dt):
+    alpha, beta, log_c0 = (np.array(v) for v in zip(*species))
+    assume(not np.array_equal(alpha, beta))
+    spec = ReactionSpec.law_of_mass_action(alpha, beta, 10.0 ** log_k[0], 10.0 ** log_k[1])
+    _check_affinity_bound(spec, 10.0 ** log_c0, 10.0 ** log_dt)
+
+
+def test_affinity_bound_margin_reproducer():
+    """B sits within rounding of the root; without the margin the bracket misses it."""
+    spec = ReactionSpec.law_of_mass_action((0.0, 1.0, 0.0, 2.0), (2.0, 2.0, 0.5, 0.5),
+                                           0.5866, 2.953)
+    c0 = (3.657e-4, 3.429e-4, 3.129e-4, 3.507e-11)
+    assert _check_affinity_bound(spec, c0, 3.16e-4) == 2
+    R = reaction_step(PointState(np.array(c0)), spec, 3.16e-4)
+    assert R == pytest.approx(-1.537e-24, rel=1e-3)
+    g = Grid(dim=1, n0=1)
+    staged = reaction_stage([Field.constant(g, c) for c in c0], spec, 3.16e-4)
+    np.testing.assert_allclose([f.values[0] for f in staged], np.array(c0) + spec.sigma * R,
+                               rtol=1e-12)
+
+
+def test_affinity_bound_brackets_one_sided_production():
+    """A <-> 2A consumes nothing, so B alone bounds the root from above."""
+    spec = ReactionSpec.law_of_mass_action((1.0,), (2.0,), 3.0, 0.5)
+    st = PointState(np.array([0.1]))
+    assert _check_affinity_bound(spec, st.c0, 10.0) == 2
+    R = reaction_step(st, spec, 10.0)
+    assert R > 0.0 and point_free_energy(R, st, spec) < point_free_energy(0.0, st, spec)
+    staged = reaction_stage([Field.constant(Grid(dim=1, n0=1), 0.1)], spec, 10.0)
+    assert staged[0].values[0] == pytest.approx(0.1 + R, rel=1e-12)
 
 
 # ---------------------------------------------------------------- x ln x slope kernel
@@ -384,6 +470,7 @@ def _slope_oracle(a, d):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(a=hst.floats(1e-12, 1e3),
        t=hst.one_of(hst.floats(-1.0, 1e6, exclude_min=True), hst.floats(-1e-6, 1e-6)))
+@example(a=4e-170, t=0.5)  # d^2 underflows to 0
 def test_xlnx_slope_kernels_match_decimal_oracle(a, t):
     from rdsplit.reaction import _scalar_xlnx_slope, _xlnx_slope
 
