@@ -24,9 +24,12 @@ free energy along the trajectory (its value at p = q is F'(p), the affinity).
 Both residuals are strictly increasing on the admissible interval and blow up
 at its ends, so a bracketed Newton iteration cannot escape or stall. Both
 read ``log1p(R/(eta dt)) + h(R)`` with h increasing and ``h(0) = A0``, the
-affinity ``sum_i sigma_i mu_i(c0)`` at the start of the step. So every root
-lies between 0 and ``B = eta dt expm1(-A0)``, a bracket that each solve
-intersects with the admissible interval.
+affinity ``sum_i sigma_i mu_i(c0)`` at the start of the step. Both are
+solved in the log-gap variable ``y = log1p(R/(eta dt))``, where they read
+``y + h(R(y))`` with ``R(y) = eta dt expm1(y)`` increasing, so every root
+lies in y between 0 and ``-A0``: the bracket of each solve, exact, with no
+margin. In y a root next to ``R = -eta dt``, whose gap ``R + eta dt`` is far
+below the ulp of eta dt, is an ordinary number.
 
 Every sub-step starts from Rn = 0; callers fold the returned R into the
 concentrations and reset.
@@ -152,11 +155,9 @@ class PointState:
 
 
 # Every Newton solve stops at |residual| <= _TOL or raises NonConvergence after
-# _MAX_ITER iterations. _MARGIN widens the root bound B against the rounding of
-# A0 and of expm1.
+# _MAX_ITER iterations.
 _TOL = 1e-12
 _MAX_ITER = 100
-_MARGIN = 1e-9
 
 
 def reaction_mobility(c, spec: ReactionSpec) -> float:
@@ -193,8 +194,13 @@ def admissible_interval(st: PointState, spec: ReactionSpec, eta_dt: float
     """
     if not eta_dt > 0:
         raise InvalidInput("eta_dt must be positive")
-    lo, hi = _interval_arrays(st.c0[:, None], spec.sigma, np.array([eta_dt]))
-    return float(lo[0]), float(hi[0])
+    lo, hi = -float(eta_dt), math.inf
+    for c, s in zip(st.c0.tolist(), spec.sigma.tolist()):
+        if s > 0:
+            lo = max(lo, -c / s)
+        elif s < 0:
+            hi = min(hi, c / -s)
+    return lo, hi
 
 
 def energy_difference_quotient(p: float, q: float, st: PointState, spec: ReactionSpec
@@ -272,27 +278,12 @@ def reaction_stage_counted(fields: list[Field], spec: ReactionSpec, dt: float
 
 
 def _check_dt(dt: float) -> None:
-    if not dt > 0:
-        raise InvalidInput("dt must be positive")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise InvalidInput("dt must be positive and finite")
 
 
 def _cell_label(grid, flat_index: int) -> str:
     return str(tuple(int(k) for k in np.unravel_index(flat_index, grid.shape)))
-
-
-def _eta_of(c, spec: ReactionSpec) -> np.ndarray:
-    return spec.k_minus * np.prod(c ** spec.beta[:, None], axis=0)
-
-
-def _interval_arrays(c0, sigma, eta_dt):
-    lo = -eta_dt.astype(float).copy()
-    hi = np.full(c0.shape[1], np.inf)
-    for i, s in enumerate(sigma):
-        if s > 0:
-            lo = np.maximum(lo, -c0[i] / s)
-        elif s < 0:
-            hi = np.minimum(hi, -c0[i] / s)
-    return lo, hi
 
 
 def _xlnx_slope(a, d, log_a):
@@ -302,115 +293,119 @@ def _xlnx_slope(a, d, log_a):
     ``G1 = (x ln x - a ln a)/d = ln a + (x/d) L`` and
     ``G2 = dG1/dd = (t - L)/(t d)`` with ``t = d/a``, free of cancellation
     and of the underflow of ``d^2``; ``log_a`` is ``ln a``, which callers
-    hoist. Where ``|t| <= 1e-6`` the series applies:
-    ``G1 = ln a + 1 + t/2 - t^2/6`` and ``G2 = (1/2 - t/3 + t^2/4)/a``.
+    hoist. All arguments have one shape. Where ``|t| <= 1e-6`` the series
+    ``G1 = ln a + 1 + t/2 - t^2/6`` and ``G2 = (1/2 - t/3 + t^2/4)/a``
+    overwrites the closed form, which is 0/0 at d = 0.
     """
     t = d / a
     L = np.log1p(t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g1 = log_a + ((a + d) / d) * L
+        g2 = (t - L) / (t * d)
     small = np.abs(t) <= 1e-6
-    dsafe, tsafe = np.where(small, 1.0, d), np.where(small, 1.0, t)
-    g1 = np.where(small, log_a + 1.0 + t * (0.5 - t / 6.0), log_a + ((a + d) / dsafe) * L)
-    g2 = np.where(small, (0.5 - t * (1.0 / 3.0 - 0.25 * t)) / a, (t - L) / (tsafe * dsafe))
+    ts = t[small]
+    g1[small] = log_a[small] + 1.0 + ts * (0.5 - ts / 6.0)
+    g2[small] = (0.5 - ts * (1.0 / 3.0 - 0.25 * ts)) / a[small]
     return g1, g2, L
-
-
-def _solve_predictor(c0, spec, dt, A0):
-    sigma, U = spec.sigma, spec.U
-    eta0_dt = _eta_of(c0, spec) * dt
-
-    def g_pred(R):
-        c = c0 + sigma[:, None] * R[None, :]
-        g = np.log1p(R / eta0_dt) + np.einsum("i,im->m", sigma, np.log(c) + U[:, None])
-        gp = 1.0 / (R + eta0_dt) + np.einsum("i,im->m", sigma ** 2, 1.0 / c)
-        return g, gp
-
-    return _bracketed_newton(g_pred, c0, sigma, eta0_dt, A0, np.zeros(c0.shape[1]),
-                             "first-order reaction predictor")
 
 
 def _solve_stage(c0, spec, dt):
     """Predictor + second-order corrector for c0 of shape (nsp, m)."""
-    sigma = spec.sigma
+    sigma, U = spec.sigma, spec.U
     log_c0 = np.log(c0)
-    A0 = np.einsum("i,im->m", sigma, log_c0 + spec.U[:, None])
-    Rhat, it_pred = _solve_predictor(c0, spec, dt, A0)
-    eta_star_dt = _eta_of(c0 + sigma[:, None] * (Rhat / 2.0)[None, :], spec) * dt
-    shift = float(sigma @ (spec.U - 1.0))
+    A0 = np.einsum("i,im->m", sigma, log_c0 + U[:, None])
+    log_k_dt = math.log(spec.k_minus) + math.log(dt)
 
-    def g_corr(R):
+    def h_pred(R):
+        c = c0 + sigma[:, None] * R[None, :]
+        return (np.einsum("i,im->m", sigma, np.log(c) + U[:, None]),
+                np.einsum("i,im->m", sigma ** 2, 1.0 / c))
+
+    Rhat, it_pred = _bracketed_newton(h_pred, log_k_dt + spec.beta @ log_c0, A0, 0.0,
+                                      "first-order reaction predictor")
+    log_eta_star_dt = log_k_dt + spec.beta @ np.log(c0 + sigma[:, None] * (Rhat / 2.0)[None, :])
+    shift = float(sigma @ (U - 1.0))
+
+    def h_corr(R):
         # phi(R, 0) = sigma.(G1 + U - 1); the dt term sum_i sigma_i ln(c_i/c0_i) = sigma.L
         d = sigma[:, None] * R[None, :]
         g1, g2, L = _xlnx_slope(c0, d, log_c0)
-        g = np.log1p(R / eta_star_dt) + np.einsum("i,im->m", sigma, g1 + dt * L) + shift
-        gp = 1.0 / (R + eta_star_dt) + np.einsum("i,im->m", sigma ** 2, g2 + dt / (c0 + d))
-        return g, gp
+        return (np.einsum("i,im->m", sigma, g1 + dt * L) + shift,
+                np.einsum("i,im->m", sigma ** 2, g2 + dt / (c0 + d)))
 
-    R, it_corr = _bracketed_newton(g_corr, c0, sigma, eta_star_dt, A0, Rhat,
+    R, it_corr = _bracketed_newton(h_corr, log_eta_star_dt, A0, Rhat,
                                    "second-order reaction step")
     return R, it_pred, it_corr
 
 
-def _bracketed_newton(eval_fn, c0, sigma, eta_dt, A0, x0, label):
-    """Vector root solve of one reaction residual per cell.
+def _bracketed_newton(h_fn, log_eta_dt, A0, R0, label):
+    """Vector root solve of one reaction residual per cell, in y = log1p(R/(eta dt)).
 
-    ``eval_fn(x) -> (g, g')`` is strictly increasing with ``g(0) = A0``. The
-    bracket is ``[min(0, B), max(0, B)]`` (module docstring), with B widened
-    by ``_MARGIN``, inside the admissible interval, whose ends are open. The
-    iteration starts at x0 where x0 lies on the bracket, else at 0. Newton
-    steps are accepted only strictly inside the current sign-change bracket;
-    anything else falls back to bisection, so progress is guaranteed.
-    Converges when ``|g| <= _TOL``. Raises DomainError where eta_dt
-    underflows to 0 or B overflows; NonConvergence with the worst remaining
-    residual after ``_MAX_ITER`` iterations, or as soon as a cell's bracket
-    shrinks to adjacent floats (no representable root meets the tolerance
-    there); ``iterations`` is then the Newton updates made.
+    With ``h_fn(R) -> (h, h')`` the residual is ``g(y) = y + h(R(y))``,
+    ``R(y) = eta dt expm1(y)``, and ``g'(y) = 1 + P h'(R)`` with
+    ``P = eta dt e^y = dR/dy``. h increases and ``h(0) = A0``, so the root
+    lies in ``[min(0, -A0), max(0, -A0)]`` (module docstring). eta dt
+    enters as its logarithm and R is ``eta dt expm1(y)`` for y <= 0 and
+    ``-P expm1(-y)`` for y > 0, so R comes out 0 only where the root is
+    below the smallest double. Where R takes a species to c <= 0, h is not
+    finite and g counts as ``copysign(inf, R)``: -inf where a produced
+    species runs out, +inf where a consumed one does. The iteration starts
+    at ``y(R0)`` where that lies on the bracket, else at 0. Newton steps are
+    accepted only strictly inside the current sign-change bracket; anything
+    else falls back to bisection, so progress is guaranteed. Converges when
+    ``|g| <= _TOL`` and returns R. Raises NonConvergence after ``_MAX_ITER``
+    iterations, or as soon as a cell's bracket shrinks to adjacent floats (no
+    representable root meets the tolerance there); ``residual`` is then the
+    worst last finite |g| and ``iterations`` the Newton updates made.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        B = np.where(A0 > -700.0, eta_dt * np.expm1(-A0), np.exp(np.log(eta_dt) - A0))
-    B = B * (1.0 + _MARGIN)
-    lo, hi = _interval_arrays(c0, sigma, eta_dt)
-    a, b = np.maximum(lo, np.minimum(B, 0.0)), np.minimum(hi, np.maximum(B, 0.0))
-    bad = ~(eta_dt > 0) | ~np.isfinite(b)
-    if bad.any():
-        i = np.flatnonzero(bad)
-        raise DomainError(f"{label}: eta*dt underflows to 0 or the root bound B overflows "
-                          f"in {i.size} cell(s), first at flat index {int(i[0])}")
-    x = np.where((x0 >= a) & (x0 <= b), x0, 0.0)
-    g, gp = eval_fn(x)
-    done = np.abs(g) <= _TOL
-    iters = np.zeros(x.shape, dtype=int)
-    for it in range(1, _MAX_ITER + 1):
-        if done.all():
-            break
-        gpos = g > 0
-        b = np.where(~done & gpos, x, b)
-        a = np.where(~done & ~gpos, x, a)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cand = x - g / gp
-        bad = ~np.isfinite(cand) | (cand <= a) | (cand >= b)
-        cand = np.where(bad, 0.5 * (a + b), cand)
-        collapsed = ~done & ((cand <= a) | (cand >= b))
-        if collapsed.any():
-            _raise_unconverged(label, "bracket collapsed to adjacent floats", collapsed, g,
-                               it - 1)
-        x = np.where(done, x, cand)
-        g_new, gp_new = eval_fn(x)
-        g = np.where(done, g, g_new)
-        gp = np.where(done, gp, gp_new)
-        newly = ~done & (np.abs(g) <= _TOL)
-        iters[newly] = it
-        done |= newly
+    eta_dt = np.exp(log_eta_dt)
+
+    def evaluate(y):
+        P = np.exp(log_eta_dt + y)
+        R = np.where(y > 0, -P, eta_dt) * np.expm1(-np.abs(y))
+        h, hp = h_fn(R)
+        g = y + h
+        return R, np.where(np.isfinite(g), g, np.copysign(np.inf, R)), 1.0 + P * hp
+
+    a, b = np.minimum(0.0, -A0), np.maximum(0.0, -A0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = np.log1p(R0 / eta_dt)
+        y = np.where((y >= a) & (y <= b), y, 0.0)
+        R, g, gp = evaluate(y)
+        res = np.abs(g)
+        done = res <= _TOL
+        iters = np.zeros(y.shape, dtype=int)
+        for it in range(1, _MAX_ITER + 1):
+            if done.all():
+                break
+            gpos = g > 0
+            b = np.where(~done & gpos, y, b)
+            a = np.where(~done & ~gpos, y, a)
+            cand = y - g / gp
+            bad = ~np.isfinite(cand) | (cand <= a) | (cand >= b)
+            cand = np.where(bad, 0.5 * (a + b), cand)
+            collapsed = ~done & ((cand <= a) | (cand >= b))
+            if collapsed.any():
+                _raise_unconverged(label, "bracket collapsed to adjacent floats", collapsed,
+                                   res, it - 1)
+            # converged cells keep their y, so re-evaluating them changes nothing
+            y = np.where(done, y, cand)
+            R, g, gp = evaluate(y)
+            res = np.where(np.isfinite(g), np.abs(g), res)
+            newly = ~done & (res <= _TOL)
+            iters[newly] = it
+            done |= newly
     if not done.all():
-        _raise_unconverged(label, f"not converged after {_MAX_ITER} iterations", ~done, g,
+        _raise_unconverged(label, f"not converged after {_MAX_ITER} iterations", ~done, res,
                            _MAX_ITER)
-    return x, iters
+    return R, iters
 
 
-def _raise_unconverged(label, why, failed, g, iterations):
+def _raise_unconverged(label, why, failed, res, iterations):
     idx = np.flatnonzero(failed)
     raise NonConvergence(
         f"{label}: {idx.size} cell(s) {why}, first at flat index {int(idx[0])}",
-        residual=float(np.max(np.abs(g[failed]))), iterations=iterations)
+        residual=float(np.max(res[failed])), iterations=iterations)
 
 
 # Scalar twins of the solvers above.  Single-point callers (ODE studies,
@@ -426,16 +421,6 @@ def _scalar_xlnx_slope(a, d):
     return math.log(a) + ((a + d) / d) * L, (t - L) / (t * d), L
 
 
-def _scalar_interval(c0, sigma, eta_dt):
-    lo, hi = -eta_dt, math.inf
-    for c, s in zip(c0, sigma):
-        if s > 0:
-            lo = max(lo, -c / s)
-        elif s < 0:
-            hi = min(hi, c / -s)
-    return lo, hi
-
-
 def _scalar_phi(c0, sigma, U, p, q):
     tot = 0.0
     for c, s, u in zip(c0, sigma, U):
@@ -444,86 +429,89 @@ def _scalar_phi(c0, sigma, U, p, q):
     return tot
 
 
-def _scalar_solve(eval_fn, c0, sigma, eta_dt, A0, x0, label):
-    """Scalar counterpart of _bracketed_newton; same bracket and start rules."""
-    if not eta_dt > 0:
-        raise DomainError(f"{label}: eta*dt underflows to 0")
-    try:
-        B = eta_dt * math.expm1(-A0) if A0 > -700.0 else math.exp(math.log(eta_dt) - A0)
-    except OverflowError:
-        B = math.inf
-    B *= 1.0 + _MARGIN
-    lo, hi = _scalar_interval(c0, sigma, eta_dt)
-    a, b = max(lo, min(B, 0.0)), min(hi, max(B, 0.0))
-    if not math.isfinite(b):
-        raise DomainError(f"{label}: the root bound B overflows")
-    x = x0 if a <= x0 <= b else 0.0
-    g, gp = eval_fn(x)
-    if abs(g) <= _TOL:
-        return x, 0
+def _scalar_solve(h_fn, log_eta_dt, A0, R0, label):
+    """Scalar counterpart of _bracketed_newton; same bracket, start and failure rules.
+
+    ``h_fn`` returns NaN for an R outside the positive orthant.
+    """
+    eta_dt = math.exp(log_eta_dt)
+
+    def evaluate(y):
+        P = math.exp(log_eta_dt + y)
+        R = (-P if y > 0 else eta_dt) * math.expm1(-abs(y))
+        h, hp = h_fn(R)
+        g = y + h
+        return R, g if math.isfinite(g) else math.copysign(math.inf, R), 1.0 + P * hp
+
+    a, b = min(0.0, -A0), max(0.0, -A0)
+    y = math.log1p(R0 / eta_dt) if R0 > -eta_dt and eta_dt > 0 else 0.0
+    if not a <= y <= b:
+        y = 0.0
+    R, g, gp = evaluate(y)
+    res = abs(g)
+    if res <= _TOL:
+        return R, 0
     for it in range(1, _MAX_ITER + 1):
         if g > 0:
-            b = x
+            b = y
         else:
-            a = x
-        cand = x - g / gp if gp > 0 and math.isfinite(gp) else math.inf
+            a = y
+        cand = y - g / gp
         if not (a < cand < b):
             cand = 0.5 * (a + b)
         if not (a < cand < b):
             raise NonConvergence(f"{label}: bracket collapsed to adjacent floats",
-                                 residual=abs(g), iterations=it - 1)
-        x = cand
-        g, gp = eval_fn(x)
-        if abs(g) <= _TOL:
-            return x, it
+                                 residual=res, iterations=it - 1)
+        y = cand
+        R, g, gp = evaluate(y)
+        if math.isfinite(g):
+            res = abs(g)
+            if res <= _TOL:
+                return R, it
     raise NonConvergence(f"{label}: not converged after {_MAX_ITER} iterations",
-                         residual=abs(g), iterations=_MAX_ITER)
+                         residual=res, iterations=_MAX_ITER)
 
 
 def _scalar_predictor(c0, spec, dt):
     sigma = spec.sigma.tolist()
     U = spec.U.tolist()
-    eta0_dt = spec.k_minus * dt
-    for c, bexp in zip(c0, spec.beta.tolist()):
-        if bexp:
-            eta0_dt *= c ** bexp
+    log_k_dt = math.log(spec.k_minus) + math.log(dt)
+    log_eta0_dt = log_k_dt + sum(b * math.log(c) for c, b in zip(c0, spec.beta.tolist()) if b)
     active = [(c, s, u) for c, s, u in zip(c0, sigma, U) if s]
     A0 = sum(s * (math.log(c) + u) for c, s, u in active)
 
-    def g_pred(R):
-        g = math.log1p(R / eta0_dt)
-        gp = 1.0 / (R + eta0_dt)
+    def h_pred(R):
+        h = hp = 0.0
         for c, s, u in active:
             ci = c + s * R
-            g += s * (math.log(ci) + u)
-            gp += s * s / ci
-        return g, gp
+            if ci <= 0:
+                return math.nan, math.nan
+            h += s * (math.log(ci) + u)
+            hp += s * s / ci
+        return h, hp
 
-    R, it = _scalar_solve(g_pred, c0, sigma, eta0_dt, A0, 0.0,
-                          "first-order reaction predictor")
+    R, it = _scalar_solve(h_pred, log_eta0_dt, A0, 0.0, "first-order reaction predictor")
     return R, it, A0
 
 
 def _scalar_stage(c0, spec, dt):
     sigma = spec.sigma.tolist()
-    U = spec.U.tolist()
     Rhat, it_pred, A0 = _scalar_predictor(c0, spec, dt)
-    eta_star_dt = spec.k_minus * dt
-    for c, s, bexp in zip(c0, sigma, spec.beta.tolist()):
-        if bexp:
-            eta_star_dt *= (c + s * Rhat / 2.0) ** bexp
+    log_eta_star_dt = math.log(spec.k_minus) + math.log(dt) + sum(
+        b * math.log(c + s * Rhat / 2.0) for c, s, b in zip(c0, sigma, spec.beta.tolist()) if b)
     active = [(c, s) for c, s in zip(c0, sigma) if s]
-    shift = sum(s * (u - 1.0) for s, u in zip(sigma, U))
+    shift = sum(s * (u - 1.0) for s, u in zip(sigma, spec.U.tolist()))
 
-    def g_corr(R):
-        g = math.log1p(R / eta_star_dt) + shift
-        gp = 1.0 / (R + eta_star_dt)
+    def h_corr(R):
+        h, hp = shift, 0.0
         for c, s in active:
+            ci = c + s * R
+            if ci <= 0:
+                return math.nan, math.nan
             g1, g2, L = _scalar_xlnx_slope(c, s * R)
-            g += s * (g1 + dt * L)
-            gp += s * s * (g2 + dt / (c + s * R))
-        return g, gp
+            h += s * (g1 + dt * L)
+            hp += s * s * (g2 + dt / ci)
+        return h, hp
 
-    R, it_corr = _scalar_solve(g_corr, c0, sigma, eta_star_dt, A0, Rhat,
-                               "second-order reaction step")
+    R, it_corr = _scalar_solve(h_corr, log_eta_star_dt, A0, Rhat, "second-order reaction step")
     return R, it_pred, it_corr

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -253,6 +254,8 @@ def test_step_rejects_bad_dt():
         reaction_step(st, spec, 0.0)
     with pytest.raises(InvalidInput):
         reaction_step(st, spec, -0.1)
+    with pytest.raises(InvalidInput):
+        reaction_step(st, spec, math.inf)
 
 
 def test_scalar_and_vector_paths_agree():
@@ -326,68 +329,114 @@ def test_quench_limit_raises_instead_of_accepting_bad_residual(monkeypatch):
     by ~1e-3 between neighbouring floats there, so no representable R meets
     the tolerance. The solver must refuse (keeping its residual guarantee for
     accepted steps) rather than return a state pinned at c = 0. Halving dt
-    moves the root back into representable territory. The vector path gives
-    up when the bracket collapses, after as many corrector evaluations as
-    the scalar path, whose kernel runs once per active species (all four).
-    Both report the Newton updates they made: of the 50 evaluations, one
-    is the start guess.
+    moves the root back into representable territory. Both paths give up
+    when the bracket collapses, after the same Newton updates, and report
+    the last finite residual: some evaluations land outside the orthant,
+    where the residual counts as infinite. Of the vector path's corrector
+    evaluations, one is the start guess.
     """
     import rdsplit.reaction as rx
 
-    calls = {"vector": 0, "scalar": 0}
+    calls = 0
 
-    def counting(fn, key):
-        def wrapped(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapped
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return slope(*args)
 
-    monkeypatch.setattr(rx, "_xlnx_slope", counting(rx._xlnx_slope, "vector"))
-    monkeypatch.setattr(rx, "_scalar_xlnx_slope",
-                        counting(rx._scalar_xlnx_slope, "scalar"))
+    slope = rx._xlnx_slope
+    monkeypatch.setattr(rx, "_xlnx_slope", counting)
     spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
                                            0.7252, 2.4492)
     c0 = np.array([3.114, 2.4267, 2.7336, 2.384])
     g = Grid(dim=1, n0=1)
+    iterations = []
     for solve in (lambda: reaction_step(PointState(c0), spec, 0.02),
                   lambda: reaction_stage([Field.constant(g, c) for c in c0], spec, 0.02)):
-        with pytest.raises(NonConvergence) as exc_info:
+        with pytest.raises(NonConvergence, match="bracket collapsed") as exc_info:
             solve()
-        assert exc_info.value.residual > 1e-12
-        assert exc_info.value.iterations == 49
-    assert calls["vector"] == 50
-    assert 4 * calls["vector"] == calls["scalar"]
+        assert 1e-12 < exc_info.value.residual < math.inf
+        iterations.append(exc_info.value.iterations)
+    assert iterations == [53, 53]
+    assert calls == 54
     R = reaction_step(PointState(c0), spec, 0.01)
     assert (c0 + spec.sigma * R).min() > 0.3
 
 
-def test_underflowing_eta_dt_raises_domain_error():
-    """eta*dt = k- prod c^beta dt underflows to 0: no bracket, so a typed error."""
+def _solve_three_ways(spec, c0, dt):
+    """Roots of reaction_step, predictor_first_order and the one-cell reaction_stage."""
+    st = PointState(np.array(c0, dtype=float))
+    staged = reaction_stage([Field.constant(Grid(dim=1, n0=1), c) for c in st.c0], spec, dt)
+    return (reaction_step(st, spec, dt), predictor_first_order(st, spec, dt),
+            np.array([f.values[0] for f in staged]))
+
+
+def test_underflowing_eta_dt_gives_a_zero_root():
+    """eta*dt = k- prod c^beta dt underflows and so does the root: R = 0 on every path."""
     spec = ReactionSpec.law_of_mass_action((2.0, 2.0, 3.0), (3.0, 2.0, 3.0), 1.0, 1e-6)
     c0 = (6e-54, 3e-61, 4e-160)
-    g = Grid(dim=1, n0=1)
-    for solve in (lambda: reaction_step(PointState(c0), spec, 1e-4),
-                  lambda: predictor_first_order(PointState(c0), spec, 1e-4),
-                  lambda: reaction_stage([Field.constant(g, c) for c in c0], spec, 1e-4)):
-        with pytest.raises(DomainError, match="underflows"):
-            solve()
+    R, Rhat, staged = _solve_three_ways(spec, c0, 1e-4)
+    assert R == 0.0 and Rhat == 0.0
+    np.testing.assert_array_equal(staged, c0)
+
+
+def test_underflowing_eta_dt_with_an_ordinary_root():
+    """eta*dt underflows, but the root is an ordinary number; the log-gap solve finds it."""
+    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 2.0), 1.0, 1e-6)
+    c0 = (1.0, 1e-200)
+    assert reaction_mobility(c0, spec) * 1e-3 == 0.0
+    R, Rhat, staged = _solve_three_ways(spec, c0, 1e-3)
+    assert R == pytest.approx(2.1204e-91, rel=1e-4)
+    assert Rhat == pytest.approx(2.924e-135, rel=1e-3)
+    np.testing.assert_allclose(staged, np.array(c0) + spec.sigma * R, rtol=1e-12)
+    st = PointState(np.array(c0))
+    assert point_free_energy(R, st, spec) <= point_free_energy(0.0, st, spec)
+
+
+@pytest.mark.parametrize("spec, c0, dt, R_ref", [
+    # R + eta0 dt is about 6.7e-6 eta0 dt, far below the ulp of eta0 dt in R
+    (ReactionSpec.law_of_mass_action((1.0, 2.0), (2.0, 0.0), 2.621, 0.3665),
+     (5.635e-8, 2.303e-7), 8.143e-6, -9.476398847e-21),
+    (ReactionSpec.law_of_mass_action((2.0, 1.0), (2.0, 0.0), 0.9555, 2.617),
+     (0.09912, 2.356e-6), 5.68e-7, -1.460408225e-8),
+], ids=["A+2B", "2A+B"])
+def test_roots_next_to_minus_eta_dt(spec, c0, dt, R_ref):
+    """Roots at R = -eta dt (1 + tiny) solve; an R iteration collapses its bracket there."""
+    R, Rhat, staged = _solve_three_ways(spec, c0, dt)
+    assert R == pytest.approx(R_ref, rel=1e-9)
+    assert Rhat < 0.0
+    st = PointState(np.array(c0))
+    assert np.all(st.c0 + spec.sigma * R > 0)
+    assert point_free_energy(R, st, spec) <= point_free_energy(0.0, st, spec)
+    np.testing.assert_allclose(staged, st.c0 + spec.sigma * R, rtol=1e-12)
+
+
+def test_trace_species_stage_raises_no_floating_point_warning():
+    """The series of the x ln x slope runs only where it applies; elsewhere t ~ 4e52."""
+    spec = ReactionSpec.law_of_mass_action((2.0, 0.5), (0.0, 1.0), 1.0, 0.25)
+    c0 = (4e-48, 1e-293)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R, _, staged = _solve_three_ways(spec, c0, 1e-4)
+    assert R == pytest.approx(8.19e-241, rel=1e-3)
+    np.testing.assert_allclose(staged, np.array(c0) + spec.sigma * R, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- root bound
 
 
 def _check_affinity_bound(spec, c0, dt):
-    """Each returned root has sign -sign(A0) and |R| <= |B| (1 + margin).
+    """Each returned root has sign -sign(A0) and |y| <= |A0|, y = log1p(R/(eta dt)).
 
-    ``A0`` is the affinity at R = 0 and ``B = eta dt expm1(-A0)``, with the
-    predictor's eta(c0) and the corrector's eta* at the predicted midpoint.
-    Returns the number of roots checked (a step may raise a typed error).
+    ``A0`` is the affinity at R = 0; eta is the predictor's eta(c0) and the
+    corrector's eta* at the predicted midpoint. The bound is checked on the
+    ratio r = R/(eta dt) = expm1(y): near r = -1, log1p would magnify the
+    rounding of r by up to e^|A0|. Returns the number of roots checked (a
+    step may raise a typed error).
     """
-    from rdsplit.reaction import _MARGIN
-
     st = PointState(np.array(c0))
     A0 = chemical_affinity(0.0, st, spec)
-    # the solver rounds A0 on its own, which moves B by eta dt e^-A0 |dA0|
+    # the solver rounds A0 on its own, which moves the bracket end by dA0
     dA0 = 8 * _EPS * float(np.sum(np.abs(spec.sigma) * (np.abs(np.log(st.c0)) + np.abs(spec.U))))
     checked = 0
     for step in (predictor_first_order, reaction_step):
@@ -400,8 +449,11 @@ def _check_affinity_bound(spec, c0, dt):
         else:
             eta = reaction_mobility(st.c0 + spec.sigma * (Rhat / 2.0), spec)
         assert R * A0 <= 0.0
-        assert abs(R) <= abs(eta * dt * math.expm1(-A0)) * (1.0 + _MARGIN) + (
-            eta * dt * math.exp(-A0) * dA0)
+        # r rounds with R and with eta dt, which the solver forms as the exp of
+        # a sum of logs and this check as a product: a few eps (1 + |ln(eta dt)|)
+        r = R / (eta * dt)
+        dr = 8 * _EPS * (1.0 + abs(math.log(eta * dt))) * abs(r)
+        assert abs(r) <= abs(math.expm1(-A0 - math.copysign(dA0, A0))) + dr
         checked += 1
     return checked
 
@@ -422,7 +474,7 @@ def test_steps_stay_inside_the_affinity_bound(species, log_k, log_dt):
 
 
 def test_affinity_bound_margin_reproducer():
-    """B sits within rounding of the root; without the margin the bracket misses it."""
+    """The root sits within rounding of the R-space bound eta dt expm1(-A0)."""
     spec = ReactionSpec.law_of_mass_action((0.0, 1.0, 0.0, 2.0), (2.0, 2.0, 0.5, 0.5),
                                            0.5866, 2.953)
     c0 = (3.657e-4, 3.429e-4, 3.129e-4, 3.507e-11)
@@ -436,7 +488,7 @@ def test_affinity_bound_margin_reproducer():
 
 
 def test_affinity_bound_brackets_one_sided_production():
-    """A <-> 2A consumes nothing, so B alone bounds the root from above."""
+    """A <-> 2A consumes nothing, so -A0 alone bounds the root from above."""
     spec = ReactionSpec.law_of_mass_action((1.0,), (2.0,), 3.0, 0.5)
     st = PointState(np.array([0.1]))
     assert _check_affinity_bound(spec, st.c0, 10.0) == 2
