@@ -18,14 +18,15 @@ then the face mobility ``M = avg(D(rho_mid) rho_mid)`` with
 ``rho_mid = (rho_n + rho_hat)/2`` is frozen and the update solves
 
     (rho_new - rho_n)/dt = div( M grad mu ),
-    mu = G1(rho_n, rho_new) + (C - 1) + dt (ln rho_new - ln rho_n),
+    mu = G1(rho_n, rho_new) + dt ln(rho_new / rho_n),
 
 where G1 is the slope of x ln x, the kernel whose trajectory form is the
 reaction corrector's difference quotient. Multiplying by mu and summing cells
-telescopes the G1 term into the free energy ``<rho ln rho + (C-1) rho, 1>``,
-so the step dissipates it by at least ``dt <M grad mu, grad mu>``; the dt
-term only strengthens the inequality. Mass is conserved because the right
-side is a discrete divergence.
+telescopes the G1 term into the free energy ``<rho ln rho, 1>``, so the step
+dissipates it by at least ``dt <M grad mu, grad mu>``; the dt term only
+strengthens the inequality. Mass is conserved because the right side is a
+discrete divergence, so the same holds for ``<rho ln rho + C rho, 1>`` with
+any constant C, which would shift mu by a constant that ``grad`` removes.
 
 Its linear systems are symmetric positive definite, solved matrix-free by
 conjugate gradients on ``weighted_divgrad``, preconditioned by the diagonally
@@ -100,17 +101,14 @@ def _laplacian_symbol(grid: Grid) -> np.ndarray:
     """Eigenvalues of the periodic discrete Laplacian on the rfft mode grid."""
     n0, h = grid.n0, grid.h
     full = -(4.0 / h ** 2) * np.sin(np.pi * np.arange(n0) / n0) ** 2
-    half = full[: n0 // 2 + 1]
-    if grid.dim == 1:
-        return half
-    return full[:, None] + half[None, :]
+    per_axis = [full] * (grid.dim - 1) + [full[: n0 // 2 + 1]]
+    return sum(np.meshgrid(*per_axis, indexing="ij", sparse=True))
 
 
 def _fft_multiply(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """Multiply each rfft mode of ``values`` by ``symbol`` and transform back."""
-    if grid.dim == 1:
-        return np.fft.irfft(np.fft.rfft(values) * symbol, n=grid.n0)
-    return np.fft.irfft2(np.fft.rfft2(values) * symbol, s=grid.shape)
+    axes = tuple(range(grid.dim))
+    return np.fft.irfftn(np.fft.rfftn(values, axes=axes) * symbol, s=grid.shape, axes=axes)
 
 
 @lru_cache(maxsize=64)
@@ -229,20 +227,15 @@ def semi_implicit_predictor(rho_n: Field, law: DiffusionLaw, dt: float) -> Field
     return Field(grid, rho_hat)
 
 
-def nonlinear_cn_step(rho_n: Field, law: DiffusionLaw, dt: float,
-                      energy_constant: float = 0.0) -> Field:
+def nonlinear_cn_step(rho_n: Field, law: DiffusionLaw, dt: float) -> Field:
     """One mobility-form Crank-Nicolson step for density-dependent diffusion."""
-    out, _ = nonlinear_cn_step_counted(rho_n, law, dt, energy_constant)
+    out, _ = nonlinear_cn_step_counted(rho_n, law, dt)
     return out
 
 
-def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float,
-                              energy_constant: float = 0.0) -> tuple[Field, int]:
+def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
+                              ) -> tuple[Field, int]:
     """Like :func:`nonlinear_cn_step`, also returning the Newton iteration count.
-
-    ``energy_constant`` is the C in the dissipated energy
-    ``<rho ln rho + (C-1) rho, 1>``; it shifts mu by a constant and therefore
-    never changes the dynamics, only how mu is reported.
 
     Newton stops at ``max|r| <= max(tol, min(floor, cap))``: ``tol`` is 1e-10
     relative to ``max(1, max rho_n)``; ``floor`` is the roundoff that
@@ -263,18 +256,16 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float,
 
     rn = rho_n.values
     log_rn = np.log(rn)
-    c_shift = energy_constant - 1.0
     x = rho_hat.values
     rho_ref = max(1.0, float(np.abs(rn).max()))
     tol, cap = _NEWTON_TOL * rho_ref, np.sqrt(_EPS) * rho_ref
     reach = dt / grid.h ** 2 * _face_sum(faces)
 
     def residual(x):
-        g1, g2, _ = _xlnx_slope(rn, x - rn, log_rn)
-        log_x = np.log(x)
-        mu = g1 + c_shift + dt * (log_x - log_rn)
+        g1, g2, L = _xlnx_slope(rn, x - rn, log_rn)
+        mu = g1 + dt * L
         mu_prime = g2 + dt / x
-        size = np.abs(g1) + abs(c_shift) + dt * (np.abs(log_x) + np.abs(log_rn))
+        size = np.abs(g1) + dt * np.abs(L)
         floor = 2.0 * _EPS * float(np.max(reach * size))
         r = x - rn - dt * weighted_divgrad(faces, Field(grid, mu)).values
         return r, mu_prime, max(tol, min(floor, cap))

@@ -87,13 +87,11 @@ class Grid:
     def centers(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinate arrays, each shaped like a field.
 
-        In 2D the arrays are meshgrids with ``indexing='ij'``: index ``i``
-        (first axis) walks the x coordinate, ``j`` the y coordinate.
+        The arrays are meshgrids with ``indexing='ij'``: index ``i`` (first
+        axis) walks the x coordinate, ``j`` (second axis, in 2D) the y coordinate.
         """
-        axes = [self.axis_centers(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.meshgrid(*(self.axis_centers(a) for a in range(self.dim)),
+                                 indexing="ij"))
 
 
 @dataclass
@@ -213,12 +211,13 @@ def weighted_divgrad(weights: list[FaceField], f: Field) -> Field:
     """
     if len(weights) != f.grid.dim or sorted(w.axis for w in weights) != list(range(f.grid.dim)):
         raise InvalidInput("weighted_divgrad needs exactly one weight field per axis")
-    fluxes = []
+    v, h = f.values, f.grid.h
+    out = np.zeros(f.grid.shape)
     for w in weights:
         _check_same_grid(w, f)
-        g = gradient(f, w.axis)
-        fluxes.append(FaceField(f.grid, w.axis, w.values * g.values))
-    return divergence(fluxes)
+        flux = w.values * ((np.roll(v, -1, axis=w.axis) - v) / h)
+        out += (flux - np.roll(flux, 1, axis=w.axis)) / h
+    return Field(f.grid, out)
 
 
 def write_field_csv(f: Field, path) -> None:
@@ -234,15 +233,9 @@ def write_field_csv(f: Field, path) -> None:
     hi = ",".join(f"{x:.17g}" for x in g.upper)
     lines = [f"# grid dim={g.dim} n0={g.n0} lower={lo} upper={hi}"]
     coords = g.centers()
-    if g.dim == 1:
-        xs = coords[0]
-        for i in range(g.n0):
-            lines.append(f"{i},{xs[i]:.17g},{f.values[i]:.17g}")
-    else:
-        xs, ys = coords
-        for i in range(g.n0):
-            for j in range(g.n0):
-                lines.append(f"{i},{j},{xs[i, j]:.17g},{ys[i, j]:.17g},{f.values[i, j]:.17g}")
+    for idx in np.ndindex(g.shape):
+        lines.append(",".join([*map(str, idx), *(f"{x[idx]:.17g}" for x in coords),
+                               f"{f.values[idx]:.17g}"]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -265,8 +258,5 @@ def read_field_csv(path) -> Field:
             if not line:
                 continue
             parts = line.split(",")
-            if dim == 1:
-                values[int(parts[0])] = float(parts[-1])
-            else:
-                values[int(parts[0]), int(parts[1])] = float(parts[-1])
+            values[tuple(int(i) for i in parts[:dim])] = float(parts[-1])
     return Field(grid, values)

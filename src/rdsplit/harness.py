@@ -345,16 +345,21 @@ def weighted_order(e_coarse: float, e_fine: float,
 
 
 def _trig_eval_matrix(n_src: int, n_dst: int, lower: float, span: float) -> np.ndarray:
-    """Evaluate the trig interpolant of n_src cell samples at n_dst cell centers."""
+    """Evaluate the trig interpolant of n_src cell samples at n_dst cell centers.
+
+    Entry (j, i) is the periodic sinc at ``theta = pi (y_j - x_i) / span``:
+    ``sin(n theta) / (n tan theta)`` for even n (the Nyquist cosine split in
+    two), ``sin(n theta) / (n sin theta)`` for odd n, and 1 where sin theta == 0.
+    """
     x = lower + (np.arange(n_src) + 0.5) * (span / n_src)
     y = lower + (np.arange(n_dst) + 0.5) * (span / n_dst)
-    theta = 2.0 * np.pi * (y[:, None] - x[None, :]) / span
-    kmax = n_src // 2
-    k = np.arange(1, kmax + 1, dtype=float)
-    weights = np.full(kmax, 2.0)
-    if n_src % 2 == 0:
-        weights[-1] = 1.0  # split the Nyquist cosine symmetrically
-    return (1.0 + np.cos(theta[:, :, None] * k) @ weights) / n_src
+    theta = np.pi * (y[:, None] - x[None, :]) / span
+    sin = np.sin(theta)
+    den = n_src * (np.tan(theta) if n_src % 2 == 0 else sin)
+    num = np.sin(n_src * theta)
+    coincident = sin == 0.0
+    num[coincident] = den[coincident] = 1.0
+    return num / den
 
 
 def resample_spectral(f: Field, target: Grid) -> Field:
@@ -371,11 +376,11 @@ def resample_spectral(f: Field, target: Grid) -> Field:
         raise InvalidInput("grids must share the dimension")
     if gs.lower != target.lower or gs.upper != target.upper:
         raise InvalidInput("grids must cover the same box")
-    mats = [_trig_eval_matrix(gs.n0, target.n0, gs.lower[ax], gs.upper[ax] - gs.lower[ax])
-            for ax in range(gs.dim)]
-    if gs.dim == 1:
-        return Field(target, mats[0] @ f.values)
-    return Field(target, mats[0] @ f.values @ mats[1].T)
+    values = f.values
+    for ax in range(gs.dim):
+        mat = _trig_eval_matrix(gs.n0, target.n0, gs.lower[ax], gs.upper[ax] - gs.lower[ax])
+        values = np.moveaxis(np.tensordot(mat, values, axes=(1, ax)), 0, ax)
+    return Field(target, values)
 
 
 def write_convergence_csv(rows: list[ConvergenceRow], path) -> None:
@@ -393,11 +398,7 @@ def write_convergence_csv(rows: list[ConvergenceRow], path) -> None:
 
 def ring_profiles(grid: Grid) -> tuple[Field, Field]:
     """Complementary tanh ring profiles: high inside r = 0.4 and high outside."""
-    coords = grid.centers()
-    if grid.dim == 1:
-        r = np.abs(coords[0])
-    else:
-        r = np.sqrt(coords[0] ** 2 + coords[1] ** 2)
+    r = np.sqrt(sum(x ** 2 for x in grid.centers()))
     step = np.tanh((r - 0.4) / 0.1)
     u = (-step + 1.0) / 2.0 + 1.0
     v = (step + 1.0) / 2.0 + 1.0

@@ -158,6 +158,7 @@ class PointState:
 # _MAX_ITER iterations.
 _TOL = 1e-12
 _MAX_ITER = 100
+_LOG_MAX = float(np.log(np.finfo(float).max))  # an eta dt with a larger log overflows
 
 
 def reaction_mobility(c, spec: ReactionSpec) -> float:
@@ -356,8 +357,13 @@ def _bracketed_newton(h_fn, log_eta_dt, A0, R0, label):
     ``|g| <= _TOL`` and returns R. Raises NonConvergence after ``_MAX_ITER``
     iterations, or as soon as a cell's bracket shrinks to adjacent floats (no
     representable root meets the tolerance there); ``residual`` is then the
-    worst last finite |g| and ``iterations`` the Newton updates made.
+    worst last finite |g| and ``iterations`` the Newton updates made. Raises
+    it before any evaluation, with no residual, where eta dt overflows.
     """
+    over = np.flatnonzero(log_eta_dt > _LOG_MAX)
+    if over.size:
+        raise NonConvergence(f"{label}: eta dt overflows in {over.size} cell(s), "
+                             f"first at flat index {int(over[0])}", iterations=0)
     eta_dt = np.exp(log_eta_dt)
 
     def evaluate(y):
@@ -434,10 +440,13 @@ def _scalar_solve(h_fn, log_eta_dt, A0, R0, label):
 
     ``h_fn`` returns NaN for an R outside the positive orthant.
     """
+    if log_eta_dt > _LOG_MAX:
+        raise NonConvergence(f"{label}: eta dt overflows", iterations=0)
     eta_dt = math.exp(log_eta_dt)
 
     def evaluate(y):
-        P = math.exp(log_eta_dt + y)
+        # where P overflows, so does R > 0 and g = +inf, as on the vector path
+        P = math.exp(log_eta_dt + y) if log_eta_dt + y <= _LOG_MAX else math.inf
         R = (-P if y > 0 else eta_dt) * math.expm1(-abs(y))
         h, hp = h_fn(R)
         g = y + h

@@ -190,8 +190,7 @@ def strang_step_counted(state: SimState, spec: SystemSpec, dt: float
             elif s.law.kind == "constant":
                 updated.append(etd_step(f, s.law, dt))
             else:
-                out, n = nonlinear_cn_step_counted(
-                    f, s.law, dt, energy_constant=float(spec.reaction.U[i]))
+                out, n = nonlinear_cn_step_counted(f, s.law, dt)
                 updated.append(out)
                 diff_iters += n
         except RdsplitError as e:

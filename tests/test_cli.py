@@ -104,10 +104,16 @@ def test_solver_failure_exits_3(tmp_path, capsys):
                               "species.u.ic = disk_in\n")
     text = text.replace("run.dt = 0.05", "run.dt = 1e8").replace(
         "run.t_end = 0.1", "run.t_end = 2e8")
-    for name, text, stage in (("diffusion", text, "[diffusion stage, species 'u']"),
-                              ("quench", QUENCH_CFG, "[reaction stage 1]")):
+    # eta dt = k_minus c_B dt/2 = 2e310 overflows; the scalar path used to raise a bare
+    # OverflowError (exit 1)
+    overflow = ("kind = ode_convergence\node.c0 = 1, 1e300\n"
+                "ode.t_end = 4e10\node.dt = 4e10, 2e10\n")
+    for command, name, text, stage in (
+            ("run", "diffusion", text, "[diffusion stage, species 'u']"),
+            ("run", "quench", QUENCH_CFG, "[reaction stage 1]"),
+            ("ode-convergence", "overflow", overflow, "reaction predictor: eta dt overflows")):
         cfg = _write(tmp_path, text, name=f"{name}.cfg")
-        code = main(["run", "--config", cfg, "--out", str(tmp_path / name)])
+        code = main([command, "--config", cfg, "--out", str(tmp_path / name)])
         assert code == 3
         err = capsys.readouterr().err
         assert "solve failed" in err

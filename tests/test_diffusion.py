@@ -9,6 +9,7 @@ import scipy.linalg
 from rdsplit import (
     DiffusionLaw,
     EtdOperator,
+    FaceField,
     Field,
     Grid,
     InvalidInput,
@@ -18,6 +19,7 @@ from rdsplit import (
     etd_step,
     laplacian,
     nonlinear_cn_step,
+    resample_spectral,
     semi_implicit_predictor,
     weighted_divgrad,
 )
@@ -250,16 +252,6 @@ def test_cn_constant_field_is_fixed_point():
         np.testing.assert_allclose(out.values, value, rtol=1e-12)
 
 
-def test_cn_energy_constant_does_not_change_dynamics():
-    rng = np.random.default_rng(22)
-    g = Grid(dim=1, n0=24)
-    rho = _positive_field(rng, g)
-    law = DiffusionLaw.power(0.2, 2)
-    a = nonlinear_cn_step(rho, law, 0.02, energy_constant=0.0)
-    b = nonlinear_cn_step(rho, law, 0.02, energy_constant=5.0)
-    np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
-
-
 def test_cn_respects_iteration_cap():
     from rdsplit import NonConvergence
     from rdsplit.harness import ring_profiles
@@ -302,3 +294,31 @@ def test_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("kernel", ["etd", "cn", "resample", "weighted_divgrad"])
+def test_one_d_profile_matches_two_d_field_constant_along_axis_1(kernel):
+    """Every grid kernel takes one n-d path; on a 2D field constant along axis 1
+    each column must reproduce the 1D result for the same profile."""
+    rng = np.random.default_rng(31)
+    n0 = 12
+    profile = rng.uniform(0.5, 2.0, n0)
+    weights = rng.uniform(0.1, 2.0, n0)
+
+    def apply(dim):
+        grid = Grid(dim=dim, n0=n0, lower=-1.0, upper=1.0)
+        lift = (lambda v: v) if dim == 1 else (lambda v: np.repeat(v[:, None], n0, axis=1))
+        f = Field(grid, lift(profile))
+        if kernel == "etd":
+            return etd_step(f, DiffusionLaw.constant(0.3), 0.05).values
+        if kernel == "cn":
+            return nonlinear_cn_step(f, DiffusionLaw.power(0.2, 2), 0.05).values
+        if kernel == "resample":
+            return resample_spectral(f, Grid(dim=dim, n0=7, lower=-1.0, upper=1.0)).values
+        faces = [FaceField(grid, ax, lift(weights)) for ax in range(dim)]
+        return weighted_divgrad(faces, f).values
+
+    one, two = apply(1), apply(2)
+    assert two.shape == (one.size, one.size)
+    gap = np.max(np.abs(two - one[:, None])) / np.max(np.abs(one))
+    assert gap <= 1e-12

@@ -159,6 +159,18 @@ def test_weighted_divgrad_unit_weights_is_laplacian():
                                rtol=0, atol=1e-14)
 
 
+def test_weighted_divgrad_is_divergence_of_weighted_gradient_bitwise():
+    """The fused stencil keeps the operation order of div(w * grad f)."""
+    rng = np.random.default_rng(16)
+    for dim in (1, 2):
+        g = Grid(dim=dim, n0=9, lower=-1.0, upper=1.0)
+        f = Field(g, rng.standard_normal(g.shape))
+        ws = [FaceField(g, ax, rng.uniform(0.1, 2.0, g.shape)) for ax in (1, 0)[-dim:]]
+        composed = divergence([FaceField(g, w.axis, w.values * gradient(f, w.axis).values)
+                               for w in ws])
+        np.testing.assert_array_equal(weighted_divgrad(ws, f).values, composed.values)
+
+
 def test_field_csv_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(9)
     for dim in (1, 2):
@@ -166,6 +178,11 @@ def test_field_csv_roundtrip_bitwise(tmp_path):
         f = Field(g, rng.uniform(1e-8, 1e3, g.shape))
         p = tmp_path / f"f{dim}.csv"
         write_field_csv(f, p)
+        rows = p.read_text().splitlines()[1:]
+        assert len(rows) == g.n_cells
+        assert rows[1] == ",".join([*(["0"] * (dim - 1)), "1",
+                                    *(f"{x.flat[1]:.17g}" for x in g.centers()),
+                                    f"{f.values.flat[1]:.17g}"])
         back = read_field_csv(p)
         assert back.grid == g
         np.testing.assert_array_equal(back.values, f.values)

@@ -19,7 +19,7 @@ from rdsplit import (
     weighted_order,
     write_resolved_config,
 )
-from rdsplit.harness import ring_profiles, write_convergence_csv, ConvergenceRow
+from rdsplit.harness import ring_profiles, write_convergence_csv, ConvergenceRow, _trig_eval_matrix
 
 
 def _cfg(tmp_path, text, name="exp.cfg"):
@@ -197,6 +197,32 @@ def test_resample_spectral_identity_on_same_grid():
     f = Field(g, rng.uniform(0.5, 2.0, g.shape))
     r = resample_spectral(f, g)
     np.testing.assert_allclose(r.values, f.values, atol=1e-12)
+
+
+def _trig_eval_cosine_sum(n_src, n_dst, lower, span):
+    """Reference: the trig interpolant's cardinal function as its cosine sum."""
+    x = lower + (np.arange(n_src) + 0.5) * (span / n_src)
+    y = lower + (np.arange(n_dst) + 0.5) * (span / n_dst)
+    theta = 2.0 * np.pi * (y[:, None] - x[None, :]) / span
+    kmax = n_src // 2
+    k = np.arange(1, kmax + 1, dtype=float)
+    weights = np.full(kmax, 2.0)
+    if n_src % 2 == 0:
+        weights[-1] = 1.0  # split the Nyquist cosine symmetrically
+    return (1.0 + np.cos(theta[:, :, None] * k) @ weights) / n_src
+
+
+@pytest.mark.parametrize("n_src", [1, 2, 3, 8, 9, 120])
+def test_trig_eval_matrix_matches_cosine_sum(n_src):
+    """The closed-form periodic sinc equals the cosine sum it replaces, including
+    at coincident centers (n_src = 3 n_dst, and equal grids)."""
+    n_dsts = {1, 5, n_src, 2 * n_src + 1} | ({n_src // 3} if n_src % 3 == 0 else set())
+    for lower, span in ((-1.0, 2.0), (0.3, 1.7)):
+        for n_dst in sorted(n_dsts):
+            got = _trig_eval_matrix(n_src, n_dst, lower, span)
+            assert got.shape == (n_dst, n_src)
+            np.testing.assert_allclose(got, _trig_eval_cosine_sum(n_src, n_dst, lower, span),
+                                       rtol=0, atol=1e-13)
 
 
 def test_resample_spectral_rejects_mismatched_boxes():

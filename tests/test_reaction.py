@@ -422,6 +422,41 @@ def test_trace_species_stage_raises_no_floating_point_warning():
     np.testing.assert_allclose(staged, np.array(c0) + spec.sigma * R, rtol=1e-12)
 
 
+@pytest.mark.parametrize("c0, label", [
+    ((1.0,), "second-order reaction step"),  # the predictor's R ~ 1e155 overflows eta* dt
+    ((1e200,), "first-order reaction predictor"),
+], ids=["corrector", "predictor"])
+def test_overflowing_eta_dt_raises_nonconvergence(c0, label):
+    """log(eta dt) above the log of the largest double raises the stage's typed error
+    before any residual is evaluated, and without a floating-point warning."""
+    spec = ReactionSpec.law_of_mass_action((1.0,), (2.0,), 1e300, 1.0)
+    st = PointState(np.array(c0))
+    solves = [lambda: reaction_step(st, spec, 1e10),
+              lambda: reaction_stage([Field.constant(Grid(dim=1, n0=1), c0[0])], spec, 1e10)]
+    if "predictor" in label:
+        solves.append(lambda: predictor_first_order(st, spec, 1e10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in solves:
+            with pytest.raises(NonConvergence, match=f"{label}: eta dt overflows") as exc_info:
+                solve()
+            assert exc_info.value.iterations == 0 and exc_info.value.residual is None
+
+
+def test_overflowing_gap_variable_counts_as_an_infinite_residual():
+    """Iterates where P = eta dt e^y overflows give g = +inf on the scalar path, as on
+    the vector path; the scalar solve used to raise a bare OverflowError there."""
+    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 2.0), 1e133, 1e101)
+    c0 = (1e268, 1e-106)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R, _, staged = _solve_three_ways(spec, c0, 1e-6)
+    st = PointState(np.array(c0))
+    assert R > 0 and np.all(st.c0 + spec.sigma * R > 0)
+    assert point_free_energy(R, st, spec) <= point_free_energy(0.0, st, spec)
+    np.testing.assert_allclose(staged, st.c0 + spec.sigma * R, rtol=1e-12)
+
+
 # ---------------------------------------------------------------- root bound
 
 
