@@ -89,7 +89,7 @@ class ReactionSpec:
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "k_plus", float(self.k_plus))
         object.__setattr__(self, "k_minus", float(self.k_minus))
-        gap = float(self.sigma @ u) - np.log(self.k_minus / self.k_plus)
+        gap = float(self.sigma @ u) - (math.log(self.k_minus) - math.log(self.k_plus))
         if abs(gap) > 1e-12:
             warnings.warn(
                 "internal energies break detailed balance: sigma.U - ln(k-/k+) = "
@@ -125,16 +125,17 @@ class ReactionSpec:
         U = np.zeros_like(sigma)
         s_minus = -sigma[sigma < 0].sum()
         s_plus = sigma[sigma > 0].sum()
+        log_ratio = math.log(k_minus) - math.log(k_plus)  # k_minus / k_plus can underflow
         if s_minus == 0 and s_plus == 0:
-            if abs(np.log(k_minus / k_plus)) > 1e-12:
+            if abs(log_ratio) > 1e-12:
                 raise InvalidInput(
                     "alpha == beta leaves no stoichiometric change; detailed balance "
                     "then requires k_plus == k_minus")
             return cls(a, b, float(k_plus), float(k_minus), U)
         if s_minus == 0:
-            U[sigma > 0] = np.log(k_minus / k_plus) / s_plus
+            U[sigma > 0] = log_ratio / s_plus
         elif s_plus == 0:
-            U[sigma < 0] = np.log(k_plus / k_minus) / s_minus
+            U[sigma < 0] = -log_ratio / s_minus
         else:
             U[sigma < 0] = np.log(k_plus) / s_minus
             U[sigma > 0] = np.log(k_minus) / s_plus
@@ -155,9 +156,11 @@ class PointState:
 
 
 # Every Newton solve stops at |residual| <= _TOL or raises NonConvergence after
-# _MAX_ITER iterations.
+# _MAX_ITER iterations. A stage solves its cells in near-equal contiguous blocks
+# of at most _BLOCK cells, so the Newton temporaries stay cache-sized.
 _TOL = 1e-12
 _MAX_ITER = 100
+_BLOCK = 16384
 _LOG_MAX = float(np.log(np.finfo(float).max))  # an eta dt with a larger log overflows
 
 
@@ -253,7 +256,11 @@ def reaction_stage(fields: list[Field], spec: ReactionSpec, dt: float) -> list[F
 
 def reaction_stage_counted(fields: list[Field], spec: ReactionSpec, dt: float
                            ) -> tuple[list[Field], float]:
-    """Like :func:`reaction_stage` but also returns mean Newton iterations per cell."""
+    """Like :func:`reaction_stage` but also returns mean Newton iterations per cell.
+
+    Cells are solved in blocks, and no cell's result depends on the split. A
+    NonConvergence names the first failing cell of the first block that fails.
+    """
     if len(fields) != spec.n_species:
         raise InvalidInput(f"expected {spec.n_species} fields, got {len(fields)}")
     grid = fields[0].grid
@@ -268,14 +275,20 @@ def reaction_stage_counted(fields: list[Field], spec: ReactionSpec, dt: float
             f"nonpositive concentration entering reaction stage at cell {_cell_label(grid, i)}")
     if not spec.sigma.any():
         return [f.copy() for f in fields], 0.0
-    R, it_pred, it_corr = _solve_stage(c0, spec, dt)
+    m = c0.shape[1]
+    k = -(-m // _BLOCK)
+    edges = [m * j // k for j in range(k + 1)]
+    R, iters = np.empty(m), np.empty(m, dtype=int)
+    for lo, hi in zip(edges, edges[1:]):
+        R[lo:hi], it_pred, it_corr = _solve_stage(c0[:, lo:hi], spec, dt, first=lo)
+        iters[lo:hi] = it_pred + it_corr
     c_new = c0 + spec.sigma[:, None] * R[None, :]
     if np.any(c_new <= 0):
         i = int(np.argwhere(np.any(c_new <= 0, axis=0)).ravel()[0])
         raise PositivityViolation(
             f"reaction stage left the positive orthant at cell {_cell_label(grid, i)}")
     out = [Field(grid, c_new[i].reshape(grid.shape)) for i in range(spec.n_species)]
-    return out, float(np.mean(it_pred + it_corr))
+    return out, float(np.mean(iters))
 
 
 def _check_dt(dt: float) -> None:
@@ -310,8 +323,20 @@ def _xlnx_slope(a, d, log_a):
     return g1, g2, L
 
 
-def _solve_stage(c0, spec, dt):
-    """Predictor + second-order corrector for c0 of shape (nsp, m)."""
+def _species_sum(w, x):
+    """``sum_i w_i x_i`` per column of x, in the scalar path's order.
+
+    Unlike a BLAS matmul, no cell's value depends on the block it is solved in.
+    """
+    tot = np.zeros(x.shape[1])
+    for wi, xi in zip(w.tolist(), x):
+        if wi:
+            tot += wi * xi
+    return tot
+
+
+def _solve_stage(c0, spec, dt, first):
+    """Predictor + second-order corrector for c0 of shape (nsp, m), column 0 at cell ``first``."""
     sigma, U = spec.sigma, spec.U
     log_c0 = np.log(c0)
     A0 = np.einsum("i,im->m", sigma, log_c0 + U[:, None])
@@ -322,9 +347,10 @@ def _solve_stage(c0, spec, dt):
         return (np.einsum("i,im->m", sigma, np.log(c) + U[:, None]),
                 np.einsum("i,im->m", sigma ** 2, 1.0 / c))
 
-    Rhat, it_pred = _bracketed_newton(h_pred, log_k_dt + spec.beta @ log_c0, A0, 0.0,
-                                      "first-order reaction predictor")
-    log_eta_star_dt = log_k_dt + spec.beta @ np.log(c0 + sigma[:, None] * (Rhat / 2.0)[None, :])
+    Rhat, it_pred = _bracketed_newton(h_pred, log_k_dt + _species_sum(spec.beta, log_c0), A0,
+                                      0.0, "first-order reaction predictor", first)
+    log_eta_star_dt = log_k_dt + _species_sum(
+        spec.beta, np.log(c0 + sigma[:, None] * (Rhat / 2.0)[None, :]))
     shift = float(sigma @ (U - 1.0))
 
     def h_corr(R):
@@ -335,11 +361,11 @@ def _solve_stage(c0, spec, dt):
                 np.einsum("i,im->m", sigma ** 2, g2 + dt / (c0 + d)))
 
     R, it_corr = _bracketed_newton(h_corr, log_eta_star_dt, A0, Rhat,
-                                   "second-order reaction step")
+                                   "second-order reaction step", first)
     return R, it_pred, it_corr
 
 
-def _bracketed_newton(h_fn, log_eta_dt, A0, R0, label):
+def _bracketed_newton(h_fn, log_eta_dt, A0, R0, label, first):
     """Vector root solve of one reaction residual per cell, in y = log1p(R/(eta dt)).
 
     With ``h_fn(R) -> (h, h')`` the residual is ``g(y) = y + h(R(y))``,
@@ -359,11 +385,12 @@ def _bracketed_newton(h_fn, log_eta_dt, A0, R0, label):
     representable root meets the tolerance there); ``residual`` is then the
     worst last finite |g| and ``iterations`` the Newton updates made. Raises
     it before any evaluation, with no residual, where eta dt overflows.
+    Flat indices in messages are offset by ``first``, the grid index of cell 0.
     """
     over = np.flatnonzero(log_eta_dt > _LOG_MAX)
     if over.size:
         raise NonConvergence(f"{label}: eta dt overflows in {over.size} cell(s), "
-                             f"first at flat index {int(over[0])}", iterations=0)
+                             f"first at flat index {first + int(over[0])}", iterations=0)
     eta_dt = np.exp(log_eta_dt)
 
     def evaluate(y):
@@ -393,7 +420,7 @@ def _bracketed_newton(h_fn, log_eta_dt, A0, R0, label):
             collapsed = ~done & ((cand <= a) | (cand >= b))
             if collapsed.any():
                 _raise_unconverged(label, "bracket collapsed to adjacent floats", collapsed,
-                                   res, it - 1)
+                                   res, it - 1, first)
             # converged cells keep their y, so re-evaluating them changes nothing
             y = np.where(done, y, cand)
             R, g, gp = evaluate(y)
@@ -403,14 +430,14 @@ def _bracketed_newton(h_fn, log_eta_dt, A0, R0, label):
             done |= newly
     if not done.all():
         _raise_unconverged(label, f"not converged after {_MAX_ITER} iterations", ~done, res,
-                           _MAX_ITER)
+                           _MAX_ITER, first)
     return R, iters
 
 
-def _raise_unconverged(label, why, failed, res, iterations):
+def _raise_unconverged(label, why, failed, res, iterations, first):
     idx = np.flatnonzero(failed)
     raise NonConvergence(
-        f"{label}: {idx.size} cell(s) {why}, first at flat index {int(idx[0])}",
+        f"{label}: {idx.size} cell(s) {why}, first at flat index {first + int(idx[0])}",
         residual=float(np.max(res[failed])), iterations=iterations)
 
 

@@ -205,10 +205,10 @@ def strang_step_counted(state: SimState, spec: SystemSpec, dt: float
 
 def steps_for(t_end: float, dt: float) -> int:
     """Step count; t_end must be an integer multiple of dt, up to 1 ulp of the ratio."""
-    if not dt > 0:
-        raise InvalidInput("dt must be positive")
-    if t_end < 0:
-        raise InvalidInput("t_end must be nonnegative")
+    if not (dt > 0 and np.isfinite(dt)):
+        raise InvalidInput("dt must be positive and finite")
+    if not (t_end >= 0 and np.isfinite(t_end)):
+        raise InvalidInput("t_end must be nonnegative and finite")
     ratio = t_end / dt
     n = round(ratio)
     if abs(ratio - n) > np.spacing(max(abs(ratio), 1.0)):

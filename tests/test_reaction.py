@@ -87,6 +87,20 @@ def test_law_of_mass_action_null_reaction():
         ReactionSpec.law_of_mass_action((1.0,), (1.0,), 1.0, 2.0)
 
 
+@pytest.mark.parametrize("alpha, beta, k_plus, k_minus", [
+    ((1.0, 0.0), (0.0, 2.0), 5e211, 3e-165),
+    ((1.0,), (2.0,), 1e200, 1e-200),  # one-sided: the whole log ratio on one species
+])
+def test_law_of_mass_action_survives_an_underflowing_rate_ratio(alpha, beta, k_plus, k_minus):
+    """k_minus / k_plus below the smallest double must not turn U into -inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = ReactionSpec.law_of_mass_action(alpha, beta, k_plus, k_minus)
+    assert np.all(np.isfinite(spec.U))
+    log_ratio = math.log(k_minus) - math.log(k_plus)
+    assert abs(float(spec.sigma @ spec.U) - log_ratio) <= 1e-12 * abs(log_ratio)
+
+
 # ---------------------------------------------------------------- small pieces
 
 
@@ -361,6 +375,66 @@ def test_quench_limit_raises_instead_of_accepting_bad_residual(monkeypatch):
     assert calls == 54
     R = reaction_step(PointState(c0), spec, 0.01)
     assert (c0 + spec.sigma * R).min() > 0.3
+
+
+def test_stage_result_does_not_depend_on_the_block_split(monkeypatch):
+    """Fields and mean iterations are bitwise the same for any block size.
+
+    Non-integer stoichiometry makes the rounding of sum_i beta_i ln c_i show:
+    a BLAS matmul there gives per-cell results that depend on the block width.
+    """
+    import rdsplit.reaction as rx
+
+    rng = np.random.default_rng(23)
+    solved = 0
+    for _ in range(40):
+        nsp = int(rng.integers(1, 5))
+        alpha, beta = rng.uniform(0.0, 3.0, (2, nsp)) * (rng.random((2, nsp)) < 0.7)
+        if np.array_equal(alpha, beta):
+            beta[0] += 1.0
+        spec = ReactionSpec.law_of_mass_action(alpha, beta, float(rng.uniform(0.2, 3.0)),
+                                               float(rng.uniform(0.2, 3.0)))
+        g = Grid(dim=1, n0=int(rng.integers(33, 401)))
+        vals = 10.0 ** rng.uniform(-8.0, math.log10(3.0), (spec.n_species, g.n0))
+        fields = [Field(g, v) for v in vals]
+        dt = float(10.0 ** rng.uniform(-4.0, 0.0))
+        results = []
+        for block in (g.n0, 16, 32, g.n0 - 1):
+            monkeypatch.setattr(rx, "_BLOCK", block)
+            try:
+                results.append(reaction_stage_counted(fields, spec, dt))
+            except NonConvergence:
+                results.append(None)
+        if results[0] is None:
+            assert results == [None] * 4
+            continue
+        solved += 1
+        ref, ref_iters = results[0]
+        for out, iters in results[1:]:
+            for f, f_ref in zip(out, ref):
+                np.testing.assert_array_equal(f.values, f_ref.values)
+            assert iters == ref_iters
+    assert solved >= 30
+
+
+def test_stage_failure_names_the_global_cell(monkeypatch):
+    """A failure in a later block reports its cell by its index in the whole grid.
+
+    The quench input of the test above, at cell 7 of a 10-cell grid of ones
+    split into blocks of at most 3 cells, fails as it does alone.
+    """
+    import rdsplit.reaction as rx
+
+    monkeypatch.setattr(rx, "_BLOCK", 3)
+    spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
+                                           0.7252, 2.4492)
+    vals = np.ones((4, 10))
+    vals[:, 7] = [3.114, 2.4267, 2.7336, 2.384]
+    g = Grid(dim=1, n0=10)
+    with pytest.raises(NonConvergence, match=r"1 cell\(s\) bracket collapsed to adjacent "
+                       r"floats, first at flat index 7$") as exc_info:
+        reaction_stage([Field(g, v) for v in vals], spec, 0.02)
+    assert exc_info.value.iterations == 53
 
 
 def _solve_three_ways(spec, c0, dt):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,16 @@ def test_steps_for():
         steps_for(1.0, -0.1)
     with pytest.raises(InvalidInput):
         steps_for(-1.0, 0.1)
+
+
+@pytest.mark.parametrize("t_end, dt", [(math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf)])
+def test_steps_for_rejects_non_finite_input(t_end, dt):
+    with pytest.raises(InvalidInput, match="finite"):
+        steps_for(t_end, dt)
+    # and run() refuses them instead of taking no step
+    sysspec = _two_species_system(np.random.default_rng(0), Grid(dim=1, n0=4))
+    with pytest.raises(InvalidInput, match="finite"):
+        run(sysspec, dt, t_end)
 
 
 def test_system_energy_value():
