@@ -35,6 +35,7 @@ scaled exact FFT inverse of the mean-coefficient operator (Concus & Golub 1973).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,10 +68,11 @@ class DiffusionLaw:
     def __post_init__(self):
         if self.kind not in ("none", "constant", "power"):
             raise InvalidInput(f"unknown diffusion kind {self.kind!r}")
-        if self.kind == "constant" and not self.D > 0:
-            raise InvalidInput("constant diffusion needs D > 0")
-        if self.kind == "power" and not (self.D0 > 0 and self.alpha_exp >= 1):
-            raise InvalidInput("power diffusion needs D0 > 0 and alpha_exp >= 1")
+        if self.kind == "constant" and not 0 < self.D < math.inf:
+            raise InvalidInput("constant diffusion needs a finite D > 0")
+        if self.kind == "power" and not (0 < self.D0 < math.inf
+                                         and 1 <= self.alpha_exp < math.inf):
+            raise InvalidInput("power diffusion needs finite D0 > 0 and alpha_exp >= 1")
 
     @classmethod
     def none(cls) -> "DiffusionLaw":

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -78,10 +79,8 @@ class ReactionSpec:
             raise InvalidInput("alpha, beta, U must be 1-D arrays of equal length")
         if a.size == 0:
             raise InvalidInput("need at least one species")
-        if np.any(a < 0) or np.any(b < 0):
-            raise InvalidInput("stoichiometric coefficients must be nonnegative")
-        if not (self.k_plus > 0 and self.k_minus > 0):
-            raise InvalidInput("rate constants must be positive")
+        _check_coefficients(a, b)
+        _check_rates(self.k_plus, self.k_minus)
         if not np.all(np.isfinite(u)):
             raise InvalidInput("U must be finite")
         object.__setattr__(self, "alpha", a)
@@ -119,9 +118,9 @@ class ReactionSpec:
         """
         a = np.atleast_1d(np.asarray(alpha, dtype=float))
         b = np.atleast_1d(np.asarray(beta, dtype=float))
+        _check_coefficients(a, b)
+        _check_rates(k_plus, k_minus)
         sigma = b - a
-        if not (k_plus > 0 and k_minus > 0):
-            raise InvalidInput("rate constants must be positive")
         U = np.zeros_like(sigma)
         s_minus = -sigma[sigma < 0].sum()
         s_plus = sigma[sigma > 0].sum()
@@ -140,6 +139,16 @@ class ReactionSpec:
             U[sigma < 0] = np.log(k_plus) / s_minus
             U[sigma > 0] = np.log(k_minus) / s_plus
         return cls(a, b, float(k_plus), float(k_minus), U)
+
+
+def _check_coefficients(a, b) -> None:
+    if not (np.all(np.isfinite(a) & (a >= 0)) and np.all(np.isfinite(b) & (b >= 0))):
+        raise InvalidInput("stoichiometric coefficients must be finite and nonnegative")
+
+
+def _check_rates(k_plus, k_minus) -> None:
+    if not (0 < k_plus < math.inf and 0 < k_minus < math.inf):
+        raise InvalidInput("rate constants must be positive and finite")
 
 
 @dataclass
@@ -275,20 +284,14 @@ def reaction_stage_counted(fields: list[Field], spec: ReactionSpec, dt: float
             f"nonpositive concentration entering reaction stage at cell {_cell_label(grid, i)}")
     if not spec.sigma.any():
         return [f.copy() for f in fields], 0.0
-    m = c0.shape[1]
-    k = -(-m // _BLOCK)
-    edges = [m * j // k for j in range(k + 1)]
-    R, iters = np.empty(m), np.empty(m, dtype=int)
-    for lo, hi in zip(edges, edges[1:]):
-        R[lo:hi], it_pred, it_corr = _solve_stage(c0[:, lo:hi], spec, dt, first=lo)
-        iters[lo:hi] = it_pred + it_corr
+    R, it_pred, it_corr = _solve_stage(c0, spec, dt)
     c_new = c0 + spec.sigma[:, None] * R[None, :]
     if np.any(c_new <= 0):
         i = int(np.argwhere(np.any(c_new <= 0, axis=0)).ravel()[0])
         raise PositivityViolation(
             f"reaction stage left the positive orthant at cell {_cell_label(grid, i)}")
     out = [Field(grid, c_new[i].reshape(grid.shape)) for i in range(spec.n_species)]
-    return out, float(np.mean(iters))
+    return out, float(np.mean(it_pred + it_corr))
 
 
 def _check_dt(dt: float) -> None:
@@ -300,7 +303,7 @@ def _cell_label(grid, flat_index: int) -> str:
     return str(tuple(int(k) for k in np.unravel_index(flat_index, grid.shape)))
 
 
-def _xlnx_slope(a, d, log_a):
+def _xlnx_slope(a, d, log_a, out=None):
     """Slope of x ln x between a and x = a + d, its d-derivative, and log1p(d/a).
 
     Returns ``(G1, G2, L)`` with ``L = log1p(d/a)``,
@@ -310,128 +313,245 @@ def _xlnx_slope(a, d, log_a):
     hoist. All arguments have one shape. Where ``|t| <= 1e-6`` the series
     ``G1 = ln a + 1 + t/2 - t^2/6`` and ``G2 = (1/2 - t/3 + t^2/4)/a``
     overwrites the closed form, which is 0/0 at d = 0.
+
+    ``out``, five arrays of that shape, receives ``(G1, G2, L, x, t)``: the
+    results, ``x = a + d`` for the caller to reuse, and scratch. Only the
+    series, where it applies, then allocates. Without ``out`` all five are new.
     """
-    t = d / a
-    L = np.log1p(t)
+    g1, g2, L, x, t = out if out is not None else [np.empty_like(d) for _ in range(5)]
+    np.divide(d, a, out=t)
+    np.log1p(t, out=L)
+    small = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g1 = log_a + ((a + d) / d) * L
-        g2 = (t - L) / (t * d)
-    small = np.abs(t) <= 1e-6
-    ts = t[small]
-    g1[small] = log_a[small] + 1.0 + ts * (0.5 - ts / 6.0)
-    g2[small] = (0.5 - ts * (1.0 / 3.0 - 0.25 * ts)) / a[small]
+        np.add(a, d, out=x)
+        np.divide(x, d, out=g1)
+        g1 *= L
+        g1 += log_a
+        # the series runs only if some |t| is small; fmin skips NaN, as the mask does
+        if np.fmin.reduce(np.abs(t, out=g2), axis=None) <= 1e-6:
+            small = g2 <= 1e-6
+            ts = t[small]
+        np.multiply(t, d, out=g2)
+        np.subtract(t, L, out=t)
+        np.divide(t, g2, out=g2)
+    if small is not None:
+        g1[small] = log_a[small] + 1.0 + ts * (0.5 - ts / 6.0)
+        g2[small] = (0.5 - ts * (1.0 / 3.0 - 0.25 * ts)) / a[small]
     return g1, g2, L
 
 
-def _species_sum(w, x):
-    """``sum_i w_i x_i`` per column of x, in the scalar path's order.
+# The stage workspace (see _solve_stage): rows hold one entry per species with
+# sigma_i != 0 and cell, the other arrays one entry per cell.
+_ROWS = ("c0", "log_c0", "d", "g1", "g2", "L", "x", "t")
+_CELLS = ("eta_dt", "log_eta_dt", "A0", "a", "b", "y", "Rhat", "g", "hp", "gp", "res")
+_MASKS = ("todo", "fin", "m1", "m2")
 
-    Unlike a BLAS matmul, no cell's value depends on the block it is solved in.
+
+def _solve_stage(c0, spec, dt):
+    """Predictor + second-order corrector for every column of c0, shape (nsp, m).
+
+    Returns R and the predictor's and corrector's iterations per cell. The
+    cells are solved in near-equal contiguous blocks of at most _BLOCK. All
+    Newton arrays live in one workspace, allocated here at the widest block
+    and shared by both solves of every block; the solves write into it in
+    place.
     """
-    tot = np.zeros(x.shape[1])
-    for wi, xi in zip(w.tolist(), x):
-        if wi:
-            tot += wi * xi
-    return tot
-
-
-def _solve_stage(c0, spec, dt, first):
-    """Predictor + second-order corrector for c0 of shape (nsp, m), column 0 at cell ``first``."""
-    sigma, U = spec.sigma, spec.U
-    log_c0 = np.log(c0)
-    A0 = np.einsum("i,im->m", sigma, log_c0 + U[:, None])
-    log_k_dt = math.log(spec.k_minus) + math.log(dt)
-
-    def h_pred(R):
-        c = c0 + sigma[:, None] * R[None, :]
-        return (np.einsum("i,im->m", sigma, np.log(c) + U[:, None]),
-                np.einsum("i,im->m", sigma ** 2, 1.0 / c))
-
-    Rhat, it_pred = _bracketed_newton(h_pred, log_k_dt + _species_sum(spec.beta, log_c0), A0,
-                                      0.0, "first-order reaction predictor", first)
-    log_eta_star_dt = log_k_dt + _species_sum(
-        spec.beta, np.log(c0 + sigma[:, None] * (Rhat / 2.0)[None, :]))
-    shift = float(sigma @ (U - 1.0))
-
-    def h_corr(R):
-        # phi(R, 0) = sigma.(G1 + U - 1); the dt term sum_i sigma_i ln(c_i/c0_i) = sigma.L
-        d = sigma[:, None] * R[None, :]
-        g1, g2, L = _xlnx_slope(c0, d, log_c0)
-        return (np.einsum("i,im->m", sigma, g1 + dt * L) + shift,
-                np.einsum("i,im->m", sigma ** 2, g2 + dt / (c0 + d)))
-
-    R, it_corr = _bracketed_newton(h_corr, log_eta_star_dt, A0, Rhat,
-                                   "second-order reaction step", first)
+    n, m = np.count_nonzero(spec.sigma), c0.shape[1]
+    k = -(-m // _BLOCK)
+    edges = [m * j // k for j in range(k + 1)]
+    width = -(-m // k)
+    rows = np.empty((len(_ROWS), n * width))
+    cells = np.empty((len(_CELLS), width))
+    masks = np.empty((len(_MASKS), width), dtype=bool)
+    R, it_pred, it_corr = np.empty(m), np.empty(m, dtype=int), np.empty(m, dtype=int)
+    for lo, hi in zip(edges, edges[1:]):
+        mb = hi - lo
+        w = SimpleNamespace(**{name: r[:n * mb].reshape(n, mb) for name, r in zip(_ROWS, rows)},
+                            **{name: v[:mb] for name, v in zip(_CELLS + _MASKS, [*cells, *masks])})
+        _solve_block(c0[:, lo:hi], spec, dt, w, R[lo:hi], it_pred[lo:hi], it_corr[lo:hi], lo)
     return R, it_pred, it_corr
 
 
-def _bracketed_newton(h_fn, log_eta_dt, A0, R0, label, first):
+def _log_eta_dt(c0, spec, dt, half, out, tmp):
+    """``ln(k_minus dt) + sum_i beta_i ln(c0_i + sigma_i half)`` per cell, into out.
+
+    Added species by species from zero in the scalar path's order: unlike a
+    BLAS matmul, no cell's value depends on the block it is solved in.
+    """
+    out.fill(0.0)
+    for ci, si, bi in zip(c0, spec.sigma.tolist(), spec.beta.tolist()):
+        if bi:
+            np.multiply(half, si, out=tmp)
+            tmp += ci
+            np.log(tmp, out=tmp)
+            tmp *= bi
+            out += tmp
+    out += math.log(spec.k_minus) + math.log(dt)
+
+
+def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
+    """Both solves for one block c0 of shape (nsp, m) in workspace w, column 0 at cell ``first``.
+
+    Writes R, the predictor's R in w.Rhat, and the iterations of each solve.
+    """
+    act = np.flatnonzero(spec.sigma)
+    sigma = spec.sigma[act]
+    sig_col, sig2, U_col = sigma[:, None], sigma ** 2, spec.U[act][:, None]
+    for row, i in zip(w.c0, act):
+        np.copyto(row, c0[i])
+    np.log(w.c0, out=w.log_c0)
+    np.add(w.log_c0, U_col, out=w.g1)
+    np.einsum("i,im->m", sigma, w.g1, out=w.A0)
+    w.hp.fill(0.0)
+    _log_eta_dt(c0, spec, dt, w.hp, w.log_eta_dt, w.y)
+
+    def h_pred(R):
+        np.multiply(sig_col, R, out=w.x)
+        w.x += w.c0
+        np.log(w.x, out=w.g1)
+        w.g1 += U_col
+        np.einsum("i,im->m", sigma, w.g1, out=w.g)
+        np.divide(1.0, w.x, out=w.x)
+        np.einsum("i,im->m", sig2, w.x, out=w.hp)
+
+    # the predictor starts at R = 0, where h' = sum_i sigma_i^2 / c0_i
+    np.divide(1.0, w.c0, out=w.x)
+    np.einsum("i,im->m", sig2, w.x, out=w.hp)
+    _bracketed_newton(h_pred, w, w.Rhat, it_pred, "first-order reaction predictor", first)
+    np.divide(w.Rhat, 2.0, out=w.hp)
+    _log_eta_dt(c0, spec, dt, w.hp, w.log_eta_dt, w.y)
+    shift = float(spec.sigma @ (spec.U - 1.0))
+
+    def h_corr(R):
+        # phi(R, 0) = sigma.(G1 + U - 1); the dt term sum_i sigma_i ln(c_i/c0_i) = sigma.L
+        np.multiply(sig_col, R, out=w.d)
+        _xlnx_slope(w.c0, w.d, w.log_c0, (w.g1, w.g2, w.L, w.x, w.t))
+        w.L *= dt
+        w.g1 += w.L
+        np.einsum("i,im->m", sigma, w.g1, out=w.g)
+        w.g += shift
+        np.divide(dt, w.x, out=w.x)
+        w.g2 += w.x
+        np.einsum("i,im->m", sig2, w.g2, out=w.hp)
+
+    _bracketed_newton(h_corr, w, R, it_corr, "second-order reaction step", first, R0=w.Rhat)
+
+
+def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
     """Vector root solve of one reaction residual per cell, in y = log1p(R/(eta dt)).
 
-    With ``h_fn(R) -> (h, h')`` the residual is ``g(y) = y + h(R(y))``,
-    ``R(y) = eta dt expm1(y)``, and ``g'(y) = 1 + P h'(R)`` with
-    ``P = eta dt e^y = dR/dy``. h increases and ``h(0) = A0``, so the root
-    lies in ``[min(0, -A0), max(0, -A0)]`` (module docstring). eta dt
-    enters as its logarithm and R is ``eta dt expm1(y)`` for y <= 0 and
-    ``-P expm1(-y)`` for y > 0, so R comes out 0 only where the root is
-    below the smallest double. Where R takes a species to c <= 0, h is not
-    finite and g counts as ``copysign(inf, R)``: -inf where a produced
-    species runs out, +inf where a consumed one does. The iteration starts
-    at ``y(R0)`` where that lies on the bracket, else at 0. Newton steps are
-    accepted only strictly inside the current sign-change bracket; anything
-    else falls back to bisection, so progress is guaranteed. Converges when
-    ``|g| <= _TOL`` and returns R. Raises NonConvergence after ``_MAX_ITER``
-    iterations, or as soon as a cell's bracket shrinks to adjacent floats (no
-    representable root meets the tolerance there); ``residual`` is then the
-    worst last finite |g| and ``iterations`` the Newton updates made. Raises
-    it before any evaluation, with no residual, where eta dt overflows.
-    Flat indices in messages are offset by ``first``, the grid index of cell 0.
+    ``h_fn(R)`` writes h into ``w.g`` and h' into ``w.hp``; the residual is
+    ``g(y) = y + h(R(y))``, ``R(y) = eta dt expm1(y)``, and
+    ``g'(y) = 1 + P h'(R)`` with ``P = eta dt e^y = dR/dy``. h increases and
+    ``h(0) = A0`` (``w.A0``), so the root lies in ``[min(0, -A0), max(0, -A0)]``
+    (module docstring). eta dt enters as its logarithm ``w.log_eta_dt`` and R
+    is ``eta dt expm1(y)`` for y <= 0 and ``-P expm1(-y)`` for y > 0, so R comes
+    out 0 only where the root is below the smallest double. Where R takes a
+    species to c <= 0, h is not finite and g counts as ``copysign(inf, R)``:
+    -inf where a produced species runs out, +inf where a consumed one does.
+    The iteration starts at ``y(R0)`` where that lies on the bracket, else at
+    0. Without R0 it starts at y = 0, whose residual is known in closed form:
+    R = -0, h = A0, P = eta dt and h' is the caller's ``w.hp``. Newton steps
+    are accepted only strictly inside the current sign-change bracket;
+    anything else falls back to bisection, so progress is guaranteed.
+    Converges when ``|g| <= _TOL``; R and the iterations per cell are
+    written to ``R`` and ``iters``, every other array to w. Raises
+    NonConvergence after ``_MAX_ITER`` iterations, or as soon as a cell's
+    bracket shrinks to adjacent floats (no representable root meets the
+    tolerance there); ``residual`` is then the worst last finite |g| and
+    ``iterations`` the Newton updates made. Raises it before any evaluation,
+    with no residual, where eta dt overflows. Flat indices in messages are
+    offset by ``first``, the grid index of cell 0.
     """
-    over = np.flatnonzero(log_eta_dt > _LOG_MAX)
+    over = np.flatnonzero(w.log_eta_dt > _LOG_MAX)
     if over.size:
         raise NonConvergence(f"{label}: eta dt overflows in {over.size} cell(s), "
                              f"first at flat index {first + int(over[0])}", iterations=0)
-    eta_dt = np.exp(log_eta_dt)
+    eta_dt, y, a, b, g, gp, hp, res = w.eta_dt, w.y, w.a, w.b, w.g, w.gp, w.hp, w.res
+    todo, fin, m1, m2 = w.todo, w.fin, w.m1, w.m2
+    np.exp(w.log_eta_dt, out=eta_dt)
 
-    def evaluate(y):
-        P = np.exp(log_eta_dt + y)
-        R = np.where(y > 0, -P, eta_dt) * np.expm1(-np.abs(y))
-        h, hp = h_fn(R)
-        g = y + h
-        return R, np.where(np.isfinite(g), g, np.copysign(np.inf, R)), 1.0 + P * hp
+    def residual():
+        # h is in g and P in gp
+        np.add(g, y, out=g)
+        np.isfinite(g, out=fin)
+        if not fin.all():
+            np.logical_not(fin, out=m1)
+            np.copysign(np.inf, R, out=g, where=m1)
+        np.multiply(gp, hp, out=gp)
+        np.add(gp, 1.0, out=gp)
 
-    a, b = np.minimum(0.0, -A0), np.maximum(0.0, -A0)
+    def evaluate():
+        np.add(w.log_eta_dt, y, out=gp)
+        np.exp(gp, out=gp)
+        np.abs(y, out=R)
+        np.negative(R, out=R)
+        np.expm1(R, out=R)
+        np.negative(gp, out=g)
+        np.less_equal(y, 0.0, out=m1)
+        np.copyto(g, eta_dt, where=m1)
+        np.multiply(R, g, out=R)
+        h_fn(R)
+        residual()
+
+    np.negative(w.A0, out=b)
+    np.minimum(0.0, b, out=a)
+    np.maximum(0.0, b, out=b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        y = np.log1p(R0 / eta_dt)
-        y = np.where((y >= a) & (y <= b), y, 0.0)
-        R, g, gp = evaluate(y)
-        res = np.abs(g)
-        done = res <= _TOL
-        iters = np.zeros(y.shape, dtype=int)
+        if R0 is None:
+            y.fill(0.0)
+            R.fill(-0.0)
+            np.copyto(g, w.A0)
+            np.copyto(gp, eta_dt)
+            residual()
+        else:
+            np.divide(R0, eta_dt, out=y)
+            np.log1p(y, out=y)
+            np.copyto(y, 0.0, where=~((y >= a) & (y <= b)))
+            evaluate()
+        np.abs(g, out=res)
+        np.greater(res, _TOL, out=todo)
+        iters.fill(0)
         for it in range(1, _MAX_ITER + 1):
-            if done.all():
+            if not todo.any():
                 break
-            gpos = g > 0
-            b = np.where(~done & gpos, y, b)
-            a = np.where(~done & ~gpos, y, a)
-            cand = y - g / gp
-            bad = ~np.isfinite(cand) | (cand <= a) | (cand >= b)
-            cand = np.where(bad, 0.5 * (a + b), cand)
-            collapsed = ~done & ((cand <= a) | (cand >= b))
-            if collapsed.any():
-                _raise_unconverged(label, "bracket collapsed to adjacent floats", collapsed,
-                                   res, it - 1, first)
+            # a converged cell's bracket is never read again
+            np.greater(g, 0.0, out=m1)
+            np.copyto(b, y, where=m1)
+            np.logical_not(m1, out=m1)
+            np.copyto(a, y, where=m1)
+            cand = gp
+            np.divide(g, gp, out=cand)
+            np.subtract(y, cand, out=cand)
+            # m1: the Newton step is not finite or leaves the bracket
+            np.isfinite(cand, out=m1)
+            np.logical_not(m1, out=m1)
+            np.less_equal(cand, a, out=m2)
+            m1 |= m2
+            np.greater_equal(cand, b, out=m2)
+            m1 |= m2
+            if m1.any():  # a Newton step kept lies strictly inside, so cannot collapse
+                np.add(a, b, out=cand, where=m1)
+                np.multiply(cand, 0.5, out=cand, where=m1)
+                np.less_equal(cand, a, out=m2)
+                np.greater_equal(cand, b, out=fin)
+                m2 |= fin
+                m2 &= todo
+                if m2.any():
+                    _raise_unconverged(label, "bracket collapsed to adjacent floats", m2,
+                                       res, it - 1, first)
             # converged cells keep their y, so re-evaluating them changes nothing
-            y = np.where(done, y, cand)
-            R, g, gp = evaluate(y)
-            res = np.where(np.isfinite(g), np.abs(g), res)
-            newly = ~done & (res <= _TOL)
-            iters[newly] = it
-            done |= newly
-    if not done.all():
-        _raise_unconverged(label, f"not converged after {_MAX_ITER} iterations", ~done, res,
+            np.copyto(y, cand, where=todo)
+            evaluate()
+            np.abs(g, out=hp)
+            np.copyto(res, hp, where=fin)
+            np.less_equal(res, _TOL, out=m1)
+            m1 &= todo
+            np.copyto(iters, it, where=m1)
+            todo ^= m1
+    if todo.any():
+        _raise_unconverged(label, f"not converged after {_MAX_ITER} iterations", todo, res,
                            _MAX_ITER, first)
-    return R, iters
 
 
 def _raise_unconverged(label, why, failed, res, iterations, first):

@@ -221,11 +221,16 @@ def run(spec: SystemSpec, dt: float, t_end: float,
     """March the system from its initial data to t_end with fixed dt.
 
     ``observers`` maps step indices to callbacks receiving the SimState after
-    that step (index 0 fires on the initial state). Records energy, conserved
-    integrals, species minima and solver effort at every accepted state.
+    that step (index 0 fires on the initial state); an index outside
+    ``0..n_steps`` raises InvalidInput. Records energy, conserved integrals,
+    species minima and solver effort at every accepted state.
     """
     observers = observers or {}
     n_steps = steps_for(t_end, dt)
+    outside = [k for k in observers if k not in range(n_steps + 1)]
+    if outside:
+        raise InvalidInput(f"observer step {outside[0]!r} is outside the run's steps "
+                           f"0..{n_steps} (t_end = {t_end:g}, dt = {dt:g})")
     basis = conserved_basis(spec.reaction)
     state = SimState(t=0.0, step_index=0,
                      c=[s.initial.copy() for s in spec.species])

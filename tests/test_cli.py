@@ -71,6 +71,21 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert "invalid config" in capsys.readouterr().err
 
 
+def test_snapshots_after_t_end_exit_2(tmp_path, capsys):
+    """A snapshot time past t_end used to be dropped silently, with exit 0."""
+    cases = [
+        ("run", SINGLE_CFG.replace("run.t_end = 0.1", "run.t_end = 0.2")
+         + "run.snapshots = 0.1, 5\n"),
+        ("energy-trace", "kind = energy_trace\ntrace.t_end = 0.2\ntrace.snapshots = 0.1, 5\n"),
+    ]
+    for i, (command, text) in enumerate(cases):
+        cfg = _write(tmp_path, text, name=f"snap{i}.cfg")
+        out = tmp_path / f"out{i}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "observer step 100 is outside the run's steps 0..4" in capsys.readouterr().err
+        assert not list(out.glob("*_t0.1.csv"))
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = main(["ode-convergence", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "out")])

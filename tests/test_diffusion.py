@@ -59,6 +59,11 @@ def test_law_constructors_and_validation():
         DiffusionLaw.power(0.1, 0.5)
     with pytest.raises(InvalidInput):
         DiffusionLaw(kind="exotic")
+    for make in (lambda: DiffusionLaw.constant(np.inf), lambda: DiffusionLaw.constant(np.nan),
+                 lambda: DiffusionLaw.power(np.inf, 2), lambda: DiffusionLaw.power(np.nan, 2),
+                 lambda: DiffusionLaw.power(1, np.inf), lambda: DiffusionLaw.power(1, np.nan)):
+        with pytest.raises(InvalidInput, match="finite"):
+            make()
 
 
 def test_power_law_coefficient_and_mobility():

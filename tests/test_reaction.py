@@ -26,7 +26,7 @@ from rdsplit import (
     reaction_stage,
     reaction_step,
 )
-from rdsplit.reaction import reaction_stage_counted
+from rdsplit.reaction import _LOG_MAX, _MAX_ITER, _TOL, reaction_stage_counted
 
 
 def _random_spec(rng, nsp=None):
@@ -53,6 +53,27 @@ def test_spec_validation():
     with pytest.raises(InvalidInput):
         ReactionSpec(alpha=(1.0, 0.0), beta=(0.0, 1.0), k_plus=1.0, k_minus=1.0,
                      U=(np.inf, 0.0))
+
+
+@pytest.mark.parametrize("alpha, beta, k_plus, k_minus", [
+    ((np.nan, 1.0), (0.0, 2.0), 1.0, 1.0),
+    ((1.0, np.inf), (0.0, 2.0), 1.0, 1.0),
+    ((1.0, 0.0), (np.nan, 2.0), 1.0, 1.0),
+    ((0.0, 1.0), (0.0, np.inf), 1.0, 1.0),
+    ((1.0, 0.0), (0.0, 1.0), np.inf, 1.0),
+    ((1.0, 0.0), (0.0, 1.0), 1.0, np.inf),
+    ((1.0, 0.0), (0.0, 1.0), np.nan, 1.0),
+    ((1.0, 0.0), (0.0, 1.0), 1.0, np.nan),
+])
+def test_spec_rejects_non_finite_parameters(alpha, beta, k_plus, k_minus):
+    """Both constructors refuse at once; a NaN coefficient used to reach the stage
+    and spend 100 iterations there, an infinite rate only warned."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="finite"):
+            ReactionSpec.law_of_mass_action(alpha, beta, k_plus, k_minus)
+        with pytest.raises(InvalidInput, match="finite"):
+            ReactionSpec(alpha, beta, k_plus, k_minus, U=(0.0, 0.0))
 
 
 def test_spec_warns_when_energies_break_detailed_balance():
@@ -437,6 +458,270 @@ def test_stage_failure_names_the_global_cell(monkeypatch):
     assert exc_info.value.iterations == 53
 
 
+# ---------------------------------------------------------------- in-place stage oracle
+#
+# The vector stage solver as it was before its Newton arrays moved into one
+# workspace written in place, copied verbatim: the reference the in-place
+# solver must reproduce bit for bit. Its names shadow nothing this module
+# imports; _TOL, _MAX_ITER and _LOG_MAX come from rdsplit.reaction.
+
+
+def _xlnx_slope(a, d, log_a):
+    """Slope of x ln x between a and x = a + d, its d-derivative, and log1p(d/a).
+
+    Returns ``(G1, G2, L)`` with ``L = log1p(d/a)``,
+    ``G1 = (x ln x - a ln a)/d = ln a + (x/d) L`` and
+    ``G2 = dG1/dd = (t - L)/(t d)`` with ``t = d/a``, free of cancellation
+    and of the underflow of ``d^2``; ``log_a`` is ``ln a``, which callers
+    hoist. All arguments have one shape. Where ``|t| <= 1e-6`` the series
+    ``G1 = ln a + 1 + t/2 - t^2/6`` and ``G2 = (1/2 - t/3 + t^2/4)/a``
+    overwrites the closed form, which is 0/0 at d = 0.
+    """
+    t = d / a
+    L = np.log1p(t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g1 = log_a + ((a + d) / d) * L
+        g2 = (t - L) / (t * d)
+    small = np.abs(t) <= 1e-6
+    ts = t[small]
+    g1[small] = log_a[small] + 1.0 + ts * (0.5 - ts / 6.0)
+    g2[small] = (0.5 - ts * (1.0 / 3.0 - 0.25 * ts)) / a[small]
+    return g1, g2, L
+
+
+def _species_sum(w, x):
+    """``sum_i w_i x_i`` per column of x, in the scalar path's order.
+
+    Unlike a BLAS matmul, no cell's value depends on the block it is solved in.
+    """
+    tot = np.zeros(x.shape[1])
+    for wi, xi in zip(w.tolist(), x):
+        if wi:
+            tot += wi * xi
+    return tot
+
+
+def _solve_stage(c0, spec, dt, first):
+    """Predictor + second-order corrector for c0 of shape (nsp, m), column 0 at cell ``first``."""
+    sigma, U = spec.sigma, spec.U
+    log_c0 = np.log(c0)
+    A0 = np.einsum("i,im->m", sigma, log_c0 + U[:, None])
+    log_k_dt = math.log(spec.k_minus) + math.log(dt)
+
+    def h_pred(R):
+        c = c0 + sigma[:, None] * R[None, :]
+        return (np.einsum("i,im->m", sigma, np.log(c) + U[:, None]),
+                np.einsum("i,im->m", sigma ** 2, 1.0 / c))
+
+    Rhat, it_pred = _bracketed_newton(h_pred, log_k_dt + _species_sum(spec.beta, log_c0), A0,
+                                      0.0, "first-order reaction predictor", first)
+    log_eta_star_dt = log_k_dt + _species_sum(
+        spec.beta, np.log(c0 + sigma[:, None] * (Rhat / 2.0)[None, :]))
+    shift = float(sigma @ (U - 1.0))
+
+    def h_corr(R):
+        # phi(R, 0) = sigma.(G1 + U - 1); the dt term sum_i sigma_i ln(c_i/c0_i) = sigma.L
+        d = sigma[:, None] * R[None, :]
+        g1, g2, L = _xlnx_slope(c0, d, log_c0)
+        return (np.einsum("i,im->m", sigma, g1 + dt * L) + shift,
+                np.einsum("i,im->m", sigma ** 2, g2 + dt / (c0 + d)))
+
+    R, it_corr = _bracketed_newton(h_corr, log_eta_star_dt, A0, Rhat,
+                                   "second-order reaction step", first)
+    return R, it_pred, it_corr
+
+
+def _bracketed_newton(h_fn, log_eta_dt, A0, R0, label, first):
+    """Vector root solve of one reaction residual per cell, in y = log1p(R/(eta dt)).
+
+    With ``h_fn(R) -> (h, h')`` the residual is ``g(y) = y + h(R(y))``,
+    ``R(y) = eta dt expm1(y)``, and ``g'(y) = 1 + P h'(R)`` with
+    ``P = eta dt e^y = dR/dy``. h increases and ``h(0) = A0``, so the root
+    lies in ``[min(0, -A0), max(0, -A0)]`` (module docstring). eta dt
+    enters as its logarithm and R is ``eta dt expm1(y)`` for y <= 0 and
+    ``-P expm1(-y)`` for y > 0, so R comes out 0 only where the root is
+    below the smallest double. Where R takes a species to c <= 0, h is not
+    finite and g counts as ``copysign(inf, R)``: -inf where a produced
+    species runs out, +inf where a consumed one does. The iteration starts
+    at ``y(R0)`` where that lies on the bracket, else at 0. Newton steps are
+    accepted only strictly inside the current sign-change bracket; anything
+    else falls back to bisection, so progress is guaranteed. Converges when
+    ``|g| <= _TOL`` and returns R. Raises NonConvergence after ``_MAX_ITER``
+    iterations, or as soon as a cell's bracket shrinks to adjacent floats (no
+    representable root meets the tolerance there); ``residual`` is then the
+    worst last finite |g| and ``iterations`` the Newton updates made. Raises
+    it before any evaluation, with no residual, where eta dt overflows.
+    Flat indices in messages are offset by ``first``, the grid index of cell 0.
+    """
+    over = np.flatnonzero(log_eta_dt > _LOG_MAX)
+    if over.size:
+        raise NonConvergence(f"{label}: eta dt overflows in {over.size} cell(s), "
+                             f"first at flat index {first + int(over[0])}", iterations=0)
+    eta_dt = np.exp(log_eta_dt)
+
+    def evaluate(y):
+        P = np.exp(log_eta_dt + y)
+        R = np.where(y > 0, -P, eta_dt) * np.expm1(-np.abs(y))
+        h, hp = h_fn(R)
+        g = y + h
+        return R, np.where(np.isfinite(g), g, np.copysign(np.inf, R)), 1.0 + P * hp
+
+    a, b = np.minimum(0.0, -A0), np.maximum(0.0, -A0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = np.log1p(R0 / eta_dt)
+        y = np.where((y >= a) & (y <= b), y, 0.0)
+        R, g, gp = evaluate(y)
+        res = np.abs(g)
+        done = res <= _TOL
+        iters = np.zeros(y.shape, dtype=int)
+        for it in range(1, _MAX_ITER + 1):
+            if done.all():
+                break
+            gpos = g > 0
+            b = np.where(~done & gpos, y, b)
+            a = np.where(~done & ~gpos, y, a)
+            cand = y - g / gp
+            bad = ~np.isfinite(cand) | (cand <= a) | (cand >= b)
+            cand = np.where(bad, 0.5 * (a + b), cand)
+            collapsed = ~done & ((cand <= a) | (cand >= b))
+            if collapsed.any():
+                _raise_unconverged(label, "bracket collapsed to adjacent floats", collapsed,
+                                   res, it - 1, first)
+            # converged cells keep their y, so re-evaluating them changes nothing
+            y = np.where(done, y, cand)
+            R, g, gp = evaluate(y)
+            res = np.where(np.isfinite(g), np.abs(g), res)
+            newly = ~done & (res <= _TOL)
+            iters[newly] = it
+            done |= newly
+    if not done.all():
+        _raise_unconverged(label, f"not converged after {_MAX_ITER} iterations", ~done, res,
+                           _MAX_ITER, first)
+    return R, iters
+
+
+def _raise_unconverged(label, why, failed, res, iterations, first):
+    idx = np.flatnonzero(failed)
+    raise NonConvergence(
+        f"{label}: {idx.size} cell(s) {why}, first at flat index {first + int(idx[0])}",
+        residual=float(np.max(res[failed])), iterations=iterations)
+
+
+def _reference_stage(c0, spec, dt, block):
+    """R and the predictor's and corrector's iterations of the reference, in blocks."""
+    m = c0.shape[1]
+    k = -(-m // block)
+    edges = [m * j // k for j in range(k + 1)]
+    R, it_pred, it_corr = np.empty(m), np.empty(m, dtype=int), np.empty(m, dtype=int)
+    for lo, hi in zip(edges, edges[1:]):
+        R[lo:hi], it_pred[lo:hi], it_corr[lo:hi] = _solve_stage(c0[:, lo:hi], spec, dt, lo)
+    return R, it_pred, it_corr
+
+
+def _stage_outcome(solve):
+    """The bytes of R and both iteration arrays, or the NonConvergence raised."""
+    try:
+        R, it_pred, it_corr = solve()
+    except NonConvergence as e:
+        return str(e), e.iterations, e.residual
+    return R.tobytes(), it_pred.tolist(), it_corr.tolist()
+
+
+def _oracle_case(rng, i):
+    """Spec, c0 (nsp, m), dt and block width of the i-th seeded oracle draw.
+
+    Every third spec with two or more species has a species with sigma = 0
+    that still enters the mobility; every fourth has k+ = k- = 1, so U = 0
+    and the leading cells, all ones, have A0 = 0. Cells 4-7 sit within 1e-9
+    of equilibrium, so every species changes by far less than 1e-6 of itself
+    there: the series branch.
+    """
+    nsp = 1 + i % 4
+    alpha, beta = rng.choice((0.0, 0.5, 1.0, 2.0, 3.0), (2, nsp))
+    if nsp > 1 and i % 3 == 0:
+        j = int(rng.integers(nsp))
+        alpha[j] = beta[j] = 1.0
+    if np.array_equal(alpha, beta):
+        beta[(j + 1) % nsp if nsp > 1 and i % 3 == 0 else 0] += 1.0
+    k_plus, k_minus = (1.0, 1.0) if i % 4 == 1 else 10.0 ** rng.uniform(-2.0, 2.0, 2)
+    spec = ReactionSpec.law_of_mass_action(alpha, beta, k_plus, k_minus)
+    m = int(rng.integers(40, 200))
+    c0 = 10.0 ** rng.uniform(-6.0, 0.5, (nsp, m))
+    c0[:, :4] = 1.0
+    c0[:, 4:8] = np.exp(-spec.U)[:, None] * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, (nsp, 4)))
+    return spec, c0, float(10.0 ** rng.uniform(-4.0, 0.5)), int(rng.integers(16, m + 1))
+
+
+def test_in_place_stage_matches_the_reference_bitwise(monkeypatch):
+    """The workspace solver gives the reference's R bit for bit and the same
+    iterations per cell, or raises the same NonConvergence, and leaves c0 as it was.
+
+    The draws cover the cases below, counted on the reference. An iterate
+    outside the orthant has g = +-inf, so that cell's next update is a
+    bisection.
+    """
+    import rdsplit.reaction as rx
+
+    seen = set()
+
+    def newton(h_fn, *args):
+        def h(R):
+            hv, hp = h_fn(R)
+            if not np.all(np.isfinite(hv)):
+                seen.add("left the orthant, then bisection")
+            return hv, hp
+        return bracketed(h, *args)
+
+    def slope(a, d, log_a):
+        if np.any(np.abs(d / a) <= 1e-6):
+            seen.add("series branch")
+        return kernel(a, d, log_a)
+
+    bracketed, kernel = _bracketed_newton, _xlnx_slope
+    monkeypatch.setitem(globals(), "_bracketed_newton", newton)
+    monkeypatch.setitem(globals(), "_xlnx_slope", slope)
+    rng = np.random.default_rng(2024)
+    solved = 0
+    for i in range(60):
+        spec, c0, dt, block = _oracle_case(rng, i)
+        if not spec.sigma.all():
+            seen.add("sigma = 0")
+        if np.any(np.einsum("i,im->m", spec.sigma, np.log(c0) + spec.U[:, None]) == 0.0):
+            seen.add("A0 = 0")
+        monkeypatch.setattr(rx, "_BLOCK", block)
+        before = c0.copy()
+        got = _stage_outcome(lambda: rx._solve_stage(c0, spec, dt))
+        np.testing.assert_array_equal(c0, before)
+        assert got == _stage_outcome(lambda: _reference_stage(c0, spec, dt, block))
+        solved += isinstance(got[0], bytes)
+    assert seen == {"sigma = 0", "A0 = 0", "series branch", "left the orthant, then bisection"}
+    assert solved >= 50
+
+
+@pytest.mark.parametrize("case", ["collapse", "iteration cap", "overflow"])
+def test_in_place_stage_fails_like_the_reference(monkeypatch, case):
+    """Each failure raises the reference's message, iterations and residual."""
+    import rdsplit.reaction as rx
+
+    if case == "collapse":  # the quench input at cell 7, in blocks of 3 cells
+        spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
+                                               0.7252, 2.4492)
+        c0 = np.ones((4, 10))
+        c0[:, 7] = [3.114, 2.4267, 2.7336, 2.384]
+        dt, block = 0.02, 3
+    elif case == "iteration cap":
+        spec, c0, dt, block = _oracle_case(np.random.default_rng(5), 2)
+        monkeypatch.setattr(rx, "_MAX_ITER", 2)
+        monkeypatch.setitem(globals(), "_MAX_ITER", 2)
+    else:  # eta dt overflows in the predictor at cell 0, in the corrector at cell 1
+        spec = ReactionSpec.law_of_mass_action((1.0,), (2.0,), 1e300, 1.0)
+        c0, dt, block = np.array([[1e200, 1.0]]), 1e10, 1
+    monkeypatch.setattr(rx, "_BLOCK", block)
+    got = _stage_outcome(lambda: rx._solve_stage(c0, spec, dt))
+    assert isinstance(got[0], str)
+    assert got == _stage_outcome(lambda: _reference_stage(c0, spec, dt, block))
+
+
 def _solve_three_ways(spec, c0, dt):
     """Roots of reaction_step, predictor_first_order and the one-cell reaction_stage."""
     st = PointState(np.array(c0, dtype=float))
@@ -639,8 +924,14 @@ def test_xlnx_slope_kernels_match_decimal_oracle(a, t):
     assume(d / a > -1.0)
     ref1, ref2 = _slope_oracle(a, d)
     scalar = _scalar_xlnx_slope(a, d)
-    vector = [float(v[0]) for v in _xlnx_slope(np.array([a]), np.array([d]),
-                                               np.log(np.array([a])))]
+    args = np.array([a]), np.array([d]), np.log(np.array([a]))
+    vector = [float(v[0]) for v in _xlnx_slope(*args)]
+    # the out= form writes the same bits into the caller's arrays, and a + d
+    out = tuple(np.empty(1) for _ in range(5))
+    in_place = _xlnx_slope(*args, out=out)
+    assert all(v is o for v, o in zip(in_place, out))
+    assert [v.tobytes() for v in in_place] == [v.tobytes() for v in _xlnx_slope(*args)]
+    assert out[3][0] == a + d
     # numpy's and math's log1p may differ by an ulp, which G2's cancellation
     # amplifies, so G2 of both paths is held to the oracle bound below instead
     for k in (0, 2):

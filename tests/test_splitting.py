@@ -193,6 +193,10 @@ def test_run_records_and_observes():
                  observers={0: lambda s: seen.append(s.step_index),
                             4: lambda s: seen.append(s.step_index)})
     assert seen == [0, 4]
+    for k in (99, -1, 2.5):
+        with pytest.raises(InvalidInput, match=f"observer step {k} is outside"):
+            run(sysspec, dt=0.05, t_end=0.2, observers={k: lambda s: seen.append(k)})
+    assert seen == [0, 4]
     assert report.times.shape == (5,)
     np.testing.assert_allclose(report.times, [0.0, 0.05, 0.1, 0.15, 0.2])
     assert report.species_names == ["u", "v"]
