@@ -536,6 +536,15 @@ def run_cauchy_convergence(cfg: ExperimentConfig, out_dir=None, threads: int = 1
     return tables
 
 
+def _snapshot_step(t_snap, dt, t_end, key):
+    """Step index of the snapshot time t_snap; InvalidConfig if it lies after t_end."""
+    k = steps_for(t_snap, dt)
+    if k > steps_for(t_end, dt):
+        raise InvalidConfig(f"{key}: snapshot time {t_snap:g} is after t_end = {t_end:g}",
+                            key=key)
+    return k
+
+
 def run_energy_trace(cfg: ExperimentConfig, out_dir=None) -> dict[int, RunReport]:
     """Free-energy decay of the autocatalysis run, with field snapshots.
 
@@ -559,7 +568,7 @@ def run_energy_trace(cfg: ExperimentConfig, out_dir=None) -> dict[int, RunReport
         observers = {}
         if out_dir is not None:
             for t_snap in cfg["trace.snapshots"]:
-                k = steps_for(t_snap, dt)
+                k = _snapshot_step(t_snap, dt, t_end, "trace.snapshots")
 
                 def save(state, a=a, t_snap=t_snap):
                     for i, name in enumerate(system.names):
@@ -620,7 +629,7 @@ def run_single(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     observers = {}
     if out_dir is not None:
         for t_snap in cfg["run.snapshots"]:
-            k = steps_for(t_snap, dt)
+            k = _snapshot_step(t_snap, dt, cfg["run.t_end"], "run.snapshots")
 
             def save(state, t_snap=t_snap):
                 for i, name in enumerate(system.names):

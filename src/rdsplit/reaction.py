@@ -340,8 +340,8 @@ def _xlnx_slope(a, d, log_a, out=None):
     return g1, g2, L
 
 
-# The stage workspace (see _solve_stage): rows hold one entry per species with
-# sigma_i != 0 and cell, the other arrays one entry per cell.
+# The stage workspace (see _solve_stage): rows hold one entry per species and
+# cell, the other arrays one entry per cell.
 _ROWS = ("c0", "log_c0", "d", "g1", "g2", "L", "x", "t")
 _CELLS = ("eta_dt", "log_eta_dt", "A0", "a", "b", "y", "Rhat", "g", "hp", "gp", "res")
 _MASKS = ("todo", "fin", "m1", "m2")
@@ -356,7 +356,7 @@ def _solve_stage(c0, spec, dt):
     and shared by both solves of every block; the solves write into it in
     place.
     """
-    n, m = np.count_nonzero(spec.sigma), c0.shape[1]
+    n, m = spec.n_species, c0.shape[1]
     k = -(-m // _BLOCK)
     edges = [m * j // k for j in range(k + 1)]
     width = -(-m // k)
@@ -394,11 +394,9 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
 
     Writes R, the predictor's R in w.Rhat, and the iterations of each solve.
     """
-    act = np.flatnonzero(spec.sigma)
-    sigma = spec.sigma[act]
-    sig_col, sig2, U_col = sigma[:, None], sigma ** 2, spec.U[act][:, None]
-    for row, i in zip(w.c0, act):
-        np.copyto(row, c0[i])
+    sigma = spec.sigma
+    sig_col, sig2, U_col = sigma[:, None], sigma ** 2, spec.U[:, None]
+    np.copyto(w.c0, c0)
     np.log(w.c0, out=w.log_c0)
     np.add(w.log_c0, U_col, out=w.g1)
     np.einsum("i,im->m", sigma, w.g1, out=w.A0)

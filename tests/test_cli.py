@@ -82,7 +82,9 @@ def test_snapshots_after_t_end_exit_2(tmp_path, capsys):
         cfg = _write(tmp_path, text, name=f"snap{i}.cfg")
         out = tmp_path / f"out{i}"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert "observer step 100 is outside the run's steps 0..4" in capsys.readouterr().err
+        key = "run" if command == "run" else "trace"
+        assert (f"{key}.snapshots: snapshot time 5 is after t_end = 0.2"
+                in capsys.readouterr().err)
         assert not list(out.glob("*_t0.1.csv"))
 
 
