@@ -5,35 +5,35 @@
 #
 # has a closed-form solution, so we can measure the true error of the split
 # stepper (two dt/2 sub-steps per step, exactly what the PDE splitting does
-# when nothing diffuses) and watch the order climb to 2.
+# when nothing diffuses) and watch the order climb to 2. The study is the one
+# `rdsplit ode-convergence` runs, driven here through its config.
 
-import numpy as np
+import tempfile
+from pathlib import Path
 
-from rdsplit import (PointState, ReactionSpec, exact_ode_solution,
-                     reaction_step, steps_for)
+from rdsplit import exact_ode_solution, parse_config, run_ode_convergence
 
-alpha = 2.0        # forward rate; backward rate is 1
-c_init = np.array([1.0, 0.5])
-t_end = 1.0
+text = """kind = ode_convergence
+# forward rate; the backward rate is 1
+ode.alpha = 2
+ode.c0 = 1, 0.5
+ode.t_end = 1
+ode.dt = 1/20, 1/40, 1/80, 1/160, 1/320
+"""
+with tempfile.TemporaryDirectory() as tmp:
+    cfg_path = Path(tmp) / "study.cfg"
+    cfg_path.write_text(text)
+    cfg = parse_config(cfg_path)
+rows = run_ode_convergence(cfg)
 
-spec = ReactionSpec.law_of_mass_action([1.0, 0.0], [0.0, 1.0], alpha, 1.0)
-exact = exact_ode_solution(t_end, alpha, c_init)
+t_end = cfg["ode.t_end"]
+exact = exact_ode_solution(t_end, cfg["ode.alpha"], cfg["ode.c0"])
 print(f"exact state at t = {t_end}: c = ({exact[0]:.12f}, {exact[1]:.12f})")
 print()
 print(f"{'dt':>10} {'max error':>12} {'order':>8}")
-
-prev_err = None
-for k in range(5):
-    dt = 1.0 / (20 * 2 ** k)
-    c = c_init.copy()
-    for _ in range(steps_for(t_end, dt)):
-        for _ in range(2):
-            R = reaction_step(PointState(c), spec, dt / 2)
-            c = c + spec.sigma * R
-    err = np.max(np.abs(c - exact))
-    order = "" if prev_err is None else f"{np.log2(prev_err / err):8.4f}"
-    print(f"{dt:10.6f} {err:12.4e} {order:>8}")
-    prev_err = err
+for dt, row in zip(cfg["ode.dt"], rows):
+    order = "" if row.order is None else f"{row.order:8.4f}"
+    print(f"{dt:10.6f} {row.error:12.4e} {order:>8}")
 
 print()
 print("Total mass is conserved exactly by construction; the error above is")

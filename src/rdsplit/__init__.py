@@ -6,7 +6,7 @@ conserves the reaction invariants and per-species diffusion mass, and
 dissipates the discrete free energy.
 """
 
-from .diffusion import (DiffusionLaw, EtdOperator, diffusion_energy, etd_step,
+from .diffusion import (DiffusionLaw, diffusion_energy, etd_step,
                         nonlinear_cn_step, semi_implicit_predictor)
 from .errors import (DomainError, InvalidConfig, InvalidInput, NonConvergence,
                      PositivityViolation, RdsplitError)

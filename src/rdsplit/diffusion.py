@@ -43,10 +43,10 @@ import numpy as np
 
 from .errors import InvalidInput, NonConvergence, PositivityViolation
 from .grid import Field, FaceField, Grid, average_to_faces, weighted_divgrad
-from .reaction import _xlnx_slope
+from .reaction import _check_dt, _xlnx_slope
 
 __all__ = [
-    "DiffusionLaw", "EtdOperator", "etd_step", "semi_implicit_predictor", "nonlinear_cn_step",
+    "DiffusionLaw", "etd_step", "semi_implicit_predictor", "nonlinear_cn_step",
     "nonlinear_cn_step_counted", "diffusion_energy",
 ]
 
@@ -115,43 +115,26 @@ def _fft_multiply(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.ndar
 
 @lru_cache(maxsize=64)
 def _etd_multipliers(grid: Grid, D: float, dt: float):
+    """Mode multipliers ``exp(dt D lambda_k)`` of the exact propagator, cached per (grid, D, dt).
+
+    The zero mode's is exactly 1 and all lie in (0, 1]; heavily damped modes
+    may underflow to +0.
+    """
     mult = np.exp(dt * D * _laplacian_symbol(grid))
+    if mult.ravel()[0] != 1.0 or mult.max() > 1.0 or mult.min() < 0.0:
+        raise InvalidInput("propagator multipliers left (0, 1]")
     mult.setflags(write=False)
     return mult
 
 
-class EtdOperator:
-    """Exact propagator ``exp(dt D Lap_h)`` applied mode-wise via the real FFT.
-
-    Multipliers are computed once per (grid, D, dt) and cached; the zero
-    frequency multiplier is exactly 1 and all of them lie in (0, 1].
-    """
-
-    def __init__(self, grid: Grid, D: float, dt: float):
-        if not D > 0:
-            raise InvalidInput("ETD needs a positive constant diffusion coefficient")
-        if not dt > 0:
-            raise InvalidInput("dt must be positive")
-        self.grid = grid
-        self.D = float(D)
-        self.dt = float(dt)
-        self.multipliers = _etd_multipliers(grid, self.D, self.dt)
-        flat0 = self.multipliers.ravel()[0]
-        # mathematically in (0, 1]; heavily damped modes may underflow to +0
-        if flat0 != 1.0 or self.multipliers.max() > 1.0 or self.multipliers.min() < 0.0:
-            raise InvalidInput("propagator multipliers left (0, 1]")
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return _fft_multiply(self.grid, values, self.multipliers)
-
-
 def etd_step(rho: Field, law: DiffusionLaw, dt: float) -> Field:
-    """One exact diffusion step for a constant-coefficient law."""
+    """One exact diffusion step ``exp(dt D Lap_h)`` for a constant-coefficient law."""
     if law.kind != "constant":
         raise InvalidInput("etd_step applies to constant-coefficient diffusion only")
     if np.any(rho.values <= 0):
         raise PositivityViolation("etd_step needs a strictly positive field")
-    out = EtdOperator(rho.grid, law.D, dt).apply(rho.values)
+    _check_dt(dt)
+    out = _fft_multiply(rho.grid, rho.values, _etd_multipliers(rho.grid, law.D, float(dt)))
     if out.min() <= 0:
         raise PositivityViolation("exponential step lost positivity")
     return Field(rho.grid, out)
@@ -216,8 +199,7 @@ def semi_implicit_predictor(rho_n: Field, law: DiffusionLaw, dt: float) -> Field
     """
     if law.kind == "none":
         raise InvalidInput("predictor needs a diffusing species")
-    if not dt > 0:
-        raise InvalidInput("dt must be positive")
+    _check_dt(dt)
     if np.any(rho_n.values <= 0):
         raise PositivityViolation("predictor needs a strictly positive field")
     grid = rho_n.grid
@@ -246,8 +228,7 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
     into its mu; ``cap`` (sqrt(eps) relative) keeps that floor from excusing
     a genuinely stalled solve.
     """
-    if not dt > 0:
-        raise InvalidInput("dt must be positive")
+    _check_dt(dt)
     if np.any(rho_n.values <= 0):
         raise PositivityViolation("nonlinear step needs a strictly positive field")
     grid = rho_n.grid
@@ -297,9 +278,9 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
     return Field(grid, x), n_iter
 
 
-def diffusion_energy(rho: Field, C: float = 0.0) -> float:
-    """Entropy-type energy ``<rho ln rho + C rho, 1>`` of a positive field."""
+def diffusion_energy(rho: Field) -> float:
+    """Entropy-type energy ``<rho ln rho, 1>`` of a positive field."""
     if np.any(rho.values <= 0):
         raise PositivityViolation("energy needs a strictly positive field")
     v = rho.values
-    return float(rho.grid.cell_volume * np.sum(v * np.log(v) + C * v))
+    return float(rho.grid.cell_volume * np.sum(v * np.log(v)))

@@ -427,12 +427,20 @@ def _exchange_spec(alpha: float) -> ReactionSpec:
 # experiment runners
 
 
-def _prepare_out_dir(out_dir):
-    if out_dir is None:
-        return None
-    p = Path(out_dir)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+def _prepare(cfg: ExperimentConfig, kind: str, out_dir, setup=lambda out: None):
+    """Check the config's kind, run ``setup(out)``, then create ``out``; return both.
+
+    ``out`` is ``Path(out_dir)`` or None. ``setup`` makes the runner's own
+    checks, so no directory is created for a config that fails one.
+    """
+    if cfg.kind != kind:
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise InvalidInput(f"expected {article} {kind} config, got {cfg.kind!r}")
+    out = None if out_dir is None else Path(out_dir)
+    prepared = setup(out)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    return prepared, out
 
 
 def run_ode_convergence(cfg: ExperimentConfig, out_dir=None) -> list[ConvergenceRow]:
@@ -442,9 +450,7 @@ def run_ode_convergence(cfg: ExperimentConfig, out_dir=None) -> list[Convergence
     sub-steps per step, exactly what the full splitting does when no species
     diffuses; errors are measured against the exact solution in max norm.
     """
-    if cfg.kind != "ode_convergence":
-        raise InvalidInput(f"expected an ode_convergence config, got {cfg.kind!r}")
-    out_dir = _prepare_out_dir(out_dir)
+    _, out_dir = _prepare(cfg, "ode_convergence", out_dir)
     alpha = cfg["ode.alpha"]
     c_init = np.array(cfg["ode.c0"], dtype=float)
     t_end = cfg["ode.t_end"]
@@ -469,27 +475,29 @@ def run_ode_convergence(cfg: ExperimentConfig, out_dir=None) -> list[Convergence
             order = math.log(errors[k - 1] / errors[k]) / math.log(dts[k - 1] / dts[k])
         rows.append(ConvergenceRow(label=f"dt={dt:.6g}", error=errors[k], order=order))
     if out_dir is not None:
-        write_convergence_csv(rows, Path(out_dir) / "ode_convergence.csv")
+        write_convergence_csv(rows, out_dir / "ode_convergence.csv")
     return rows
 
 
-def _cauchy_fields(h: float, cfg: ExperimentConfig) -> tuple[Grid, list[Field]]:
+def _autocatalysis_systems(cfg: ExperimentConfig, section: str, h: float, alpha_exps
+                           ) -> list[SystemSpec]:
+    """One autocatalysis system per exponent on the grid of mesh size h, rates from section.
+
+    The keys of _SYSTEM_KEYS are the keyword arguments of cubic_autocatalysis_system.
+    """
     n0 = round(2.0 / h)
     if abs(2.0 / h - n0) > 1e-9 * n0:
-        raise InvalidConfig(f"h = {h} does not tile the domain (-1, 1)", key="cauchy.h")
+        raise InvalidConfig(f"h = {h} does not tile the domain (-1, 1)", key=f"{section}.h")
     grid = Grid(dim=2, n0=n0, lower=-1.0, upper=1.0)
-    system = cubic_autocatalysis_system(
-        grid, alpha_exp=cfg["cauchy.alpha_exp"],
-        D_u=cfg["cauchy.D_u"], D_v=cfg["cauchy.D_v"],
-        k_plus=cfg["cauchy.k_plus"], k_minus=cfg["cauchy.k_minus"])
-    report_state = {}
+    rates = {key: cfg[f"{section}.{key}"] for key in _SYSTEM_KEYS}
+    return [cubic_autocatalysis_system(grid, a, **rates) for a in alpha_exps]
 
-    def keep_final(state):
-        report_state["c"] = state.c
 
-    n_steps = steps_for(cfg["cauchy.t_end"], grid.h)
-    run(system, grid.h, cfg["cauchy.t_end"], observers={n_steps: keep_final})
-    return grid, report_state["c"]
+def _cauchy_fields(h: float, cfg: ExperimentConfig) -> tuple[Grid, list[Field]]:
+    [system] = _autocatalysis_systems(cfg, "cauchy", h, [cfg["cauchy.alpha_exp"]])
+    dt, t_end, final = system.grid.h, cfg["cauchy.t_end"], []
+    run(system, dt, t_end, observers={steps_for(t_end, dt): final.append})
+    return system.grid, final[0].c
 
 
 def run_cauchy_convergence(cfg: ExperimentConfig, out_dir=None, threads: int = 1
@@ -502,11 +510,11 @@ def run_cauchy_convergence(cfg: ExperimentConfig, out_dir=None, threads: int = 1
     pollute a second-order difference); orders use the weighted formula that
     accounts for non-halved spacings.
     """
-    if cfg.kind != "cauchy_convergence":
-        raise InvalidInput(f"expected a cauchy_convergence config, got {cfg.kind!r}")
-    if threads < 1:
-        raise InvalidInput(f"threads must be at least 1, got {threads}")
-    out_dir = _prepare_out_dir(out_dir)
+    def check_threads(out):
+        if threads < 1:
+            raise InvalidInput(f"threads must be at least 1, got {threads}")
+
+    _, out_dir = _prepare(cfg, "cauchy_convergence", out_dir, check_threads)
     hs = cfg["cauchy.h"]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         solutions = list(pool.map(lambda h: _cauchy_fields(h, cfg), hs))
@@ -532,17 +540,32 @@ def run_cauchy_convergence(cfg: ExperimentConfig, out_dir=None, threads: int = 1
                 label=f"{hs[j]:.6g}:{hs[j + 1]:.6g}", error=diffs[name][j], order=order))
         tables[name] = rows
         if out_dir is not None:
-            write_convergence_csv(rows, Path(out_dir) / f"cauchy_{name}.csv")
+            write_convergence_csv(rows, out_dir / f"cauchy_{name}.csv")
     return tables
 
 
-def _snapshot_step(t_snap, dt, t_end, key):
-    """Step index of the snapshot time t_snap; InvalidConfig if it lies after t_end."""
-    k = steps_for(t_snap, dt)
-    if k > steps_for(t_end, dt):
-        raise InvalidConfig(f"{key}: snapshot time {t_snap:g} is after t_end = {t_end:g}",
-                            key=key)
-    return k
+def _snapshot_observers(cfg: ExperimentConfig, section: str, system: SystemSpec, out,
+                        tag: str = "") -> dict:
+    """Observers writing each species to ``out/<name><tag>_t<t>.csv`` at ``<section>.snapshots``.
+
+    None without an output directory; a time after ``<section>.t_end`` raises InvalidConfig.
+    """
+    if out is None:
+        return {}
+    dt, t_end, key = cfg[f"{section}.dt"], cfg[f"{section}.t_end"], f"{section}.snapshots"
+    observers = {}
+    for t_snap in cfg[key]:
+        k = steps_for(t_snap, dt)
+        if k > steps_for(t_end, dt):
+            raise InvalidConfig(f"{key}: snapshot time {t_snap:g} is after t_end = {t_end:g}",
+                                key=key)
+
+        def save(state, t_snap=t_snap):
+            for i, name in enumerate(system.names):
+                write_field_csv(state.c[i], out / f"{name}{tag}_t{t_snap:g}.csv")
+
+        observers[k] = save
+    return observers
 
 
 def run_energy_trace(cfg: ExperimentConfig, out_dir=None) -> dict[int, RunReport]:
@@ -551,36 +574,19 @@ def run_energy_trace(cfg: ExperimentConfig, out_dir=None) -> dict[int, RunReport
     Runs once per requested power-law exponent, records the full per-step
     report (energy included) and writes snapshot CSVs at the configured times.
     """
-    if cfg.kind != "energy_trace":
-        raise InvalidInput(f"expected an energy_trace config, got {cfg.kind!r}")
-    out_dir = _prepare_out_dir(out_dir)
-    h, dt, t_end = cfg["trace.h"], cfg["trace.dt"], cfg["trace.t_end"]
-    n0 = round(2.0 / h)
-    if abs(2.0 / h - n0) > 1e-9 * n0:
-        raise InvalidConfig(f"h = {h} does not tile the domain (-1, 1)", key="trace.h")
-    grid = Grid(dim=2, n0=n0, lower=-1.0, upper=1.0)
+    def setup(out):
+        alphas = cfg["trace.alpha_exp"]
+        systems = _autocatalysis_systems(cfg, "trace", cfg["trace.h"], alphas)
+        return [(a, system, _snapshot_observers(cfg, "trace", system, out, f"_alpha{a}"))
+                for a, system in zip(alphas, systems)]
 
+    runs, out_dir = _prepare(cfg, "energy_trace", out_dir, setup)
     reports = {}
-    for a in cfg["trace.alpha_exp"]:
-        system = cubic_autocatalysis_system(
-            grid, alpha_exp=a, D_u=cfg["trace.D_u"], D_v=cfg["trace.D_v"],
-            k_plus=cfg["trace.k_plus"], k_minus=cfg["trace.k_minus"])
-        observers = {}
-        if out_dir is not None:
-            for t_snap in cfg["trace.snapshots"]:
-                k = _snapshot_step(t_snap, dt, t_end, "trace.snapshots")
-
-                def save(state, a=a, t_snap=t_snap):
-                    for i, name in enumerate(system.names):
-                        write_field_csv(
-                            state.c[i],
-                            Path(out_dir) / f"{name}_alpha{a}_t{t_snap:g}.csv")
-
-                observers[k] = save
-        report = run(system, dt, t_end, observers=observers)
+    for a, system, observers in runs:
+        report = run(system, cfg["trace.dt"], cfg["trace.t_end"], observers=observers)
         reports[a] = report
         if out_dir is not None:
-            report.to_csv(Path(out_dir) / f"energy_alpha{a}.csv")
+            report.to_csv(out_dir / f"energy_alpha{a}.csv")
     return reports
 
 
@@ -621,22 +627,12 @@ def _single_run_system(cfg: ExperimentConfig) -> SystemSpec:
 
 def run_single(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     """One plain run of a configured system; writes report.csv and snapshots."""
-    if cfg.kind != "single_run":
-        raise InvalidInput(f"expected a single_run config, got {cfg.kind!r}")
-    out_dir = _prepare_out_dir(out_dir)
-    system = _single_run_system(cfg)
-    dt = cfg["run.dt"]
-    observers = {}
-    if out_dir is not None:
-        for t_snap in cfg["run.snapshots"]:
-            k = _snapshot_step(t_snap, dt, cfg["run.t_end"], "run.snapshots")
+    def setup(out):
+        system = _single_run_system(cfg)
+        return system, _snapshot_observers(cfg, "run", system, out)
 
-            def save(state, t_snap=t_snap):
-                for i, name in enumerate(system.names):
-                    write_field_csv(state.c[i], Path(out_dir) / f"{name}_t{t_snap:g}.csv")
-
-            observers[k] = save
-    report = run(system, dt, cfg["run.t_end"], observers=observers)
+    (system, observers), out_dir = _prepare(cfg, "single_run", out_dir, setup)
+    report = run(system, cfg["run.dt"], cfg["run.t_end"], observers=observers)
     if out_dir is not None:
-        report.to_csv(Path(out_dir) / "report.csv")
+        report.to_csv(out_dir / "report.csv")
     return report

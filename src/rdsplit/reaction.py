@@ -389,6 +389,18 @@ def _log_eta_dt(c0, spec, dt, half, out, tmp):
     out += math.log(spec.k_minus) + math.log(dt)
 
 
+def _species_sum(coef, rows, out, tmp):
+    """``out = sum_i coef_i rows_i`` per cell, added from the first term in species order.
+
+    Unlike einsum, which groups a one-cell sum pairwise, the order does not
+    depend on the block width.
+    """
+    np.multiply(rows[0], coef[0], out=out)
+    for ci, row in zip(coef[1:], rows[1:]):
+        np.multiply(row, ci, out=tmp)
+        out += tmp
+
+
 def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
     """Both solves for one block c0 of shape (nsp, m) in workspace w, column 0 at cell ``first``.
 
@@ -399,7 +411,7 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
     np.copyto(w.c0, c0)
     np.log(w.c0, out=w.log_c0)
     np.add(w.log_c0, U_col, out=w.g1)
-    np.einsum("i,im->m", sigma, w.g1, out=w.A0)
+    _species_sum(sigma, w.g1, w.A0, w.t[0])
     w.hp.fill(0.0)
     _log_eta_dt(c0, spec, dt, w.hp, w.log_eta_dt, w.y)
 
@@ -408,13 +420,13 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
         w.x += w.c0
         np.log(w.x, out=w.g1)
         w.g1 += U_col
-        np.einsum("i,im->m", sigma, w.g1, out=w.g)
+        _species_sum(sigma, w.g1, w.g, w.t[0])
         np.divide(1.0, w.x, out=w.x)
-        np.einsum("i,im->m", sig2, w.x, out=w.hp)
+        _species_sum(sig2, w.x, w.hp, w.t[0])
 
     # the predictor starts at R = 0, where h' = sum_i sigma_i^2 / c0_i
     np.divide(1.0, w.c0, out=w.x)
-    np.einsum("i,im->m", sig2, w.x, out=w.hp)
+    _species_sum(sig2, w.x, w.hp, w.t[0])
     _bracketed_newton(h_pred, w, w.Rhat, it_pred, "first-order reaction predictor", first)
     np.divide(w.Rhat, 2.0, out=w.hp)
     _log_eta_dt(c0, spec, dt, w.hp, w.log_eta_dt, w.y)
@@ -426,11 +438,11 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
         _xlnx_slope(w.c0, w.d, w.log_c0, (w.g1, w.g2, w.L, w.x, w.t))
         w.L *= dt
         w.g1 += w.L
-        np.einsum("i,im->m", sigma, w.g1, out=w.g)
+        _species_sum(sigma, w.g1, w.g, w.t[0])
         w.g += shift
         np.divide(dt, w.x, out=w.x)
         w.g2 += w.x
-        np.einsum("i,im->m", sig2, w.g2, out=w.hp)
+        _species_sum(sig2, w.g2, w.hp, w.t[0])
 
     _bracketed_newton(h_corr, w, R, it_corr, "second-order reaction step", first, R0=w.Rhat)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .diffusion import DiffusionLaw, etd_step, nonlinear_cn_step_counted
 from .errors import InvalidInput, PositivityViolation, RdsplitError
 from .grid import Field, Grid, inner_product
-from .reaction import ReactionSpec, reaction_stage_counted
+from .reaction import ReactionSpec, _check_dt, reaction_stage_counted
 
 __all__ = [
     "Species", "SystemSpec", "SimState", "RunReport",
@@ -174,8 +174,7 @@ def strang_step(state: SimState, spec: SystemSpec, dt: float) -> SimState:
 def strang_step_counted(state: SimState, spec: SystemSpec, dt: float
                         ) -> tuple[SimState, float, int]:
     """One step plus solver effort: (state, mean reaction iters, diffusion iters)."""
-    if not dt > 0:
-        raise InvalidInput("dt must be positive")
+    _check_dt(dt)
     try:
         fields, it_r1 = reaction_stage_counted(state.c, spec.reaction, dt / 2)
     except RdsplitError as e:

@@ -162,3 +162,11 @@ def test_cli_outputs_are_deterministic(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(b)]) == 0
     for name in ("report.csv", "u_t0.1.csv", "v_t0.1.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+    # the levels of a Cauchy study run concurrently; the thread count changes no byte
+    cfg = _write(tmp_path, "kind = cauchy_convergence\ncauchy.h = 1/10, 1/15, 1/20\n",
+                 name="cauchy.cfg")
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert main(["cauchy", "--config", cfg, "--out", str(one), "--threads", "1"]) == 0
+    assert main(["cauchy", "--config", cfg, "--out", str(two), "--threads", "2"]) == 0
+    for name in ("cauchy_u.csv", "cauchy_v.csv"):
+        assert (one / name).read_bytes() == (two / name).read_bytes()

@@ -8,7 +8,6 @@ import scipy.linalg
 
 from rdsplit import (
     DiffusionLaw,
-    EtdOperator,
     FaceField,
     Field,
     Grid,
@@ -23,6 +22,10 @@ from rdsplit import (
     semi_implicit_predictor,
     weighted_divgrad,
 )
+
+
+# dt values every diffusion entry point rejects with InvalidInput
+BAD_DT = (0.0, -0.1, np.inf, np.nan)
 
 
 def _positive_field(rng, grid, low=0.1, high=2.0):
@@ -122,10 +125,12 @@ def test_etd_constant_field_is_fixed_point():
 
 def test_etd_underflowed_modes_are_tolerated():
     # huge dt*D: high modes underflow to +0 but the step stays valid
+    from rdsplit.diffusion import _etd_multipliers
+
     g = Grid(dim=1, n0=128)
-    op = EtdOperator(g, D=1.0, dt=50.0)
-    assert op.multipliers.ravel()[0] == 1.0
-    assert op.multipliers.min() == 0.0
+    mult = _etd_multipliers(g, 1.0, 50.0)
+    assert mult.ravel()[0] == 1.0
+    assert mult.min() == 0.0
     rho = Field(g, 1.0 + 0.5 * np.sin(2 * np.pi * g.axis_centers(0)))
     out = etd_step(rho, DiffusionLaw.constant(1.0), 50.0)
     np.testing.assert_allclose(out.values, 1.0, rtol=1e-12)
@@ -140,9 +145,10 @@ def test_etd_step_rejects_wrong_inputs():
         etd_step(Field(g, [1.0, -1.0, 1.0, 1.0] + np.array([0.0, 0.9, 0.0, 0.0])),
                  DiffusionLaw.constant(0.1), 0.1)
     with pytest.raises(InvalidInput):
-        EtdOperator(g, D=-1.0, dt=0.1)
-    with pytest.raises(InvalidInput):
-        EtdOperator(g, D=1.0, dt=0.0)
+        etd_step(rho, DiffusionLaw.constant(-1.0), 0.1)
+    for dt in BAD_DT:
+        with pytest.raises(InvalidInput, match="dt must be positive and finite"):
+            etd_step(rho, DiffusionLaw.constant(1.0), dt)
 
 
 def test_etd_semigroup_property():
@@ -272,8 +278,10 @@ def test_cn_respects_iteration_cap():
 def test_cn_rejects_nonpositive_input():
     g = Grid(dim=1, n0=4)
     vals = np.array([1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(InvalidInput):
-        nonlinear_cn_step(Field(g, vals), DiffusionLaw.power(0.1, 2), -0.1)
+    for dt in BAD_DT:
+        for step in (nonlinear_cn_step, semi_implicit_predictor):
+            with pytest.raises(InvalidInput, match="dt must be positive and finite"):
+                step(Field(g, vals), DiffusionLaw.power(0.1, 2), dt)
     bad = Field(g, vals)
     bad.values = bad.values.copy()
     bad.values[1] = -1.0
@@ -284,9 +292,8 @@ def test_cn_rejects_nonpositive_input():
 def test_diffusion_energy_value():
     g = Grid(dim=1, n0=2)  # h = 1/2
     rho = Field(g, [1.0, np.e])
-    # 0.5 * (1*0 + e*1) + C * 0.5 * (1 + e)
+    # 0.5 * (1*0 + e*1)
     assert diffusion_energy(rho) == pytest.approx(0.5 * np.e, rel=1e-15)
-    assert diffusion_energy(rho, C=2.0) == pytest.approx(0.5 * np.e + (1 + np.e), rel=1e-15)
 
 
 def test_import_leaves_scipy_out():

@@ -266,6 +266,21 @@ def test_write_convergence_csv(tmp_path):
 # ---------------------------------------------------------------- runners
 
 
+SINGLE_RUN = """kind = single_run
+species = u, v
+grid.n0 = 8
+reaction.alpha = 1, 0
+reaction.beta = 0, 1
+reaction.k_plus = 1
+reaction.k_minus = 1
+run.dt = 0.05
+species.u.diffusion = constant
+species.u.D = 0.2
+species.u.ic = disk_in
+species.v.ic = disk_out
+"""
+
+
 def test_run_ode_convergence_short(tmp_path):
     cfg = parse_config(_cfg(tmp_path, (
         "kind = ode_convergence\n"
@@ -290,6 +305,25 @@ def test_run_cauchy_convergence_rejects_threads_below_one(tmp_path):
     for threads in (0, -2):
         with pytest.raises(InvalidInput, match="threads"):
             run_cauchy_convergence(cfg, tmp_path / "out", threads=threads)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("runner, text, error", [
+    (run_single, "kind = ode_convergence\n", InvalidInput),
+    (run_energy_trace, "kind = energy_trace\ntrace.h = 0.3\n", InvalidConfig),
+    (run_energy_trace, "kind = energy_trace\ntrace.t_end = 0.2\ntrace.snapshots = 0.1, 5\n",
+     InvalidConfig),
+    (run_single, SINGLE_RUN + "run.t_end = 0.2\nrun.snapshots = 5\n", InvalidConfig),
+    (run_single, SINGLE_RUN.replace("grid.n0 = 8", "grid.n0 = 8\ngrid.dim = 1")
+     + "run.t_end = 0.2\nrun.snapshots = 0.125\n", InvalidInput),
+], ids=["kind", "h not tiling", "trace snapshot after t_end", "run snapshot after t_end",
+        "snapshot off the step grid"])
+def test_rejected_configs_create_no_output_directory(tmp_path, runner, text, error):
+    """A runner makes every check on its config before it creates out_dir."""
+    cfg = parse_config(_cfg(tmp_path, text))
+    with pytest.raises(error):
+        runner(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_energy_trace_small(tmp_path):
@@ -311,27 +345,26 @@ def test_run_energy_trace_small(tmp_path):
 
 
 def test_run_single_writes_report_and_snapshots(tmp_path):
-    text = """kind = single_run
-species = u, v
-grid.n0 = 8
-reaction.alpha = 1, 0
-reaction.beta = 0, 1
-reaction.k_plus = 1
-reaction.k_minus = 1
-run.dt = 0.05
-run.t_end = 0.2
-run.snapshots = 0.1
-species.u.diffusion = constant
-species.u.D = 0.2
-species.u.ic = disk_in
-species.v.ic = disk_out
-"""
+    text = SINGLE_RUN + "run.t_end = 0.2\nrun.snapshots = 0.1\n"
     cfg = parse_config(_cfg(tmp_path, text))
     report = run_single(cfg, tmp_path / "out")
     assert report.times[-1] == pytest.approx(0.2)
     assert (tmp_path / "out" / "report.csv").exists()
     assert (tmp_path / "out" / "u_t0.1.csv").exists()
     assert (tmp_path / "out" / "v_t0.1.csv").exists()
+
+
+def test_run_single_explicit_U_matches_the_derived_one(tmp_path):
+    """reaction.U equal to the law-of-mass-action U gives the same report, byte for byte."""
+    text = (SINGLE_RUN.replace("reaction.beta = 0, 1", "reaction.beta = 0, 2")
+            .replace("reaction.k_minus = 1", "reaction.k_minus = 2")
+            + "run.t_end = 0.2\n")
+    for name, extra in (("derived", ""), ("explicit", "reaction.U = 0, 0.34657359027997264\n")):
+        cfg = parse_config(_cfg(tmp_path, text + extra, name=f"{name}.cfg"))
+        assert cfg["reaction.U"] == (None if name == "derived" else [0.0, math.log(2.0) / 2])
+        run_single(cfg, tmp_path / name)
+    assert ((tmp_path / "derived" / "report.csv").read_bytes()
+            == (tmp_path / "explicit" / "report.csv").read_bytes())
 
 
 def test_runs_are_deterministic(tmp_path):

@@ -164,6 +164,11 @@ def test_strang_step_counts_effort():
     _, it_r, it_d = strang_step_counted(state, sysspec, 0.05)
     assert it_r > 0
     assert it_d >= 1  # one nonlinear species
+    # a bad dt is the step's input, not a stage's failure
+    for dt in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(InvalidInput, match="dt must be positive and finite") as exc_info:
+            strang_step_counted(state, sysspec, dt)
+        assert exc_info.value.stage is None
 
 
 def test_strang_step_tags_failing_stage():
