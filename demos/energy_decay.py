@@ -9,24 +9,32 @@
 #
 # never increases, step after step, for linear diffusion (exponential
 # integrator) and degenerate nonlinear diffusion (mobility-form CN) alike.
-# This script runs both and prints the traces side by side.
+# This script runs both and prints the traces side by side. The study is the
+# one `rdsplit energy-trace` runs, driven here through its config.
 
-from rdsplit import Grid, cubic_autocatalysis_system, run
+import tempfile
+from pathlib import Path
 
-h = 1.0 / 10          # bump to 1/20 for the production setting
-dt = h
-t_end = 0.7
+from rdsplit import parse_config, run_energy_trace
 
-grid = Grid(dim=2, n0=round(2.0 / h), lower=-1.0, upper=1.0)
-traces = {}
-for alpha_exp in (1, 2):
-    system = cubic_autocatalysis_system(grid, alpha_exp=alpha_exp)
-    report = run(system, dt, t_end)
-    traces[alpha_exp] = report
+n0 = 20               # cells per side of (-1, 1); 40 for the production setting h = 1/20
+
+text = f"""kind = energy_trace
+trace.alpha_exp = 1, 2
+trace.h = 2/{n0}
+trace.dt = 2/{n0}
+trace.t_end = 0.7
+"""
+with tempfile.TemporaryDirectory() as tmp:
+    cfg_path = Path(tmp) / "trace.cfg"
+    cfg_path.write_text(text)
+    cfg = parse_config(cfg_path)
+traces = run_energy_trace(cfg)
+for report in traces.values():
     drops = [b - a for a, b in zip(report.energy, report.energy[1:])]
     assert max(drops) <= 0.0, "energy increased -- should be impossible"
 
-print(f"grid {grid.n0}x{grid.n0}, dt = {dt}, T = {t_end}")
+print(f"grid {n0}x{n0}, dt = {cfg['trace.dt']}, T = {cfg['trace.t_end']}")
 print()
 print(f"{'t':>6} {'F_h (linear)':>16} {'F_h (nonlinear u)':>18}")
 for k, t in enumerate(traces[1].times):

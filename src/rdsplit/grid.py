@@ -241,22 +241,40 @@ def write_field_csv(f: Field, path) -> None:
 
 
 def read_field_csv(path) -> Field:
-    """Inverse of :func:`write_field_csv`; values round-trip bitwise."""
+    """Inverse of :func:`write_field_csv`; values round-trip bitwise.
+
+    Every cell needs exactly one row. A malformed header or row, an index
+    outside the grid, a repeated cell or a missing one raises InvalidInput.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("# grid "):
             raise InvalidInput(f"{path}: missing grid header line")
-        meta = dict(tok.split("=", 1) for tok in header[len("# grid "):].split())
-        dim = int(meta["dim"])
-        n0 = int(meta["n0"])
-        lower = tuple(float(x) for x in meta["lower"].split(","))
-        upper = tuple(float(x) for x in meta["upper"].split(","))
+        try:
+            meta = dict(tok.split("=", 1) for tok in header[len("# grid "):].split())
+            dim, n0 = int(meta["dim"]), int(meta["n0"])
+            lower = tuple(float(x) for x in meta["lower"].split(","))
+            upper = tuple(float(x) for x in meta["upper"].split(","))
+        except (KeyError, ValueError) as e:
+            raise InvalidInput(f"{path}: malformed grid header {header!r}") from e
         grid = Grid(dim=dim, n0=n0, lower=lower, upper=upper)
         values = np.empty(grid.shape)
-        for line in fh:
-            line = line.strip()
-            if not line:
+        seen = np.zeros(grid.shape, dtype=bool)
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
                 continue
             parts = line.split(",")
-            values[tuple(int(i) for i in parts[:dim])] = float(parts[-1])
+            try:
+                if len(parts) != 2 * dim + 1:
+                    raise ValueError(f"expected {2 * dim + 1} columns, got {len(parts)}")
+                idx = tuple(int(i) for i in parts[:dim])
+                if not all(0 <= i < n0 for i in idx) or seen[idx]:
+                    raise ValueError(f"cell {idx} is outside the grid or repeated")
+                values[idx] = float(parts[-1])
+            except ValueError as e:
+                raise InvalidInput(f"{path}:{lineno}: {e}") from e
+            seen[idx] = True
+    if not seen.all():
+        missing = tuple(int(i) for i in np.argwhere(~seen)[0])
+        raise InvalidInput(f"{path}: {int((~seen).sum())} cells have no row, first {missing}")
     return Field(grid, values)

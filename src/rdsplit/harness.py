@@ -6,7 +6,7 @@ dotted section prefix on the key (``ode.alpha = 2.0``). Unknown keys are
 rejected, missing keys fall back to documented defaults, and the fully
 resolved key set can be echoed back out as a sidecar that parses to the
 same configuration. Numeric values accept plain decimals or exact fractions
-like ``1/20``; list values are comma separated.
+like ``1/20``; list values are comma separated and never empty.
 """
 
 from __future__ import annotations
@@ -63,10 +63,6 @@ def _fraction(text: str) -> float:
     return v
 
 
-def _float_list(text: str) -> list[float]:
-    return [_fraction(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _int_value(text: str) -> int:
     v = _fraction(text)
     if v != int(v):
@@ -74,64 +70,66 @@ def _int_value(text: str) -> int:
     return int(v)
 
 
-def _int_list(text: str) -> list[int]:
-    return [_int_value(tok) for tok in text.split(",") if tok.strip()]
+def _name(text: str) -> str:
+    name = text.strip()
+    if not name.isidentifier():
+        raise ValueError(f"{name!r} is not an identifier")
+    return name
 
 
-def _name_list(text: str) -> list[str]:
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not names:
-        raise ValueError("empty list")
-    return names
+def _list_of(parse_item):
+    """Parser of a comma-separated list of parse_item values; an empty list is an error."""
+    def parse(text: str) -> list:
+        items = [parse_item(tok) for tok in text.split(",") if tok.strip()]
+        if not items:
+            raise ValueError("empty list")
+        return items
+    return parse
 
 
-def _positive(v):
-    if not (isinstance(v, (int, float)) and v > 0):
-        raise ValueError("must be positive")
-    return v
-
-
-def _nonnegative(v):
-    if not (isinstance(v, (int, float)) and v >= 0):
-        raise ValueError("must be nonnegative")
-    return v
-
-
-def _positive_list(v):
-    if not v or any(x <= 0 for x in v):
-        raise ValueError("must be a nonempty list of positive values")
-    return v
-
-
-def _decreasing_list(v):
-    _positive_list(v)
-    if any(b >= a for a, b in zip(v, v[1:])):
-        raise ValueError("must be strictly decreasing")
-    return v
-
-
-def _nonnegative_list(v):
-    if not v or any(x < 0 for x in v):
-        raise ValueError("must be a nonempty list of nonnegative values")
-    return v
-
-
-def _choice(*allowed):
+def _rule(holds, message: str):
+    """Validator returning its value when ``holds(value)``, else raising ValueError(message)."""
     def check(v):
-        if v not in allowed:
-            raise ValueError(f"must be one of {allowed}")
+        if not holds(v):
+            raise ValueError(message)
         return v
     return check
 
 
-def _at_least_one(v):
-    if not v >= 1:
-        raise ValueError("must be >= 1")
-    return v
+def _all(*checks):
+    """Validator applying each check in turn."""
+    def check_all(v):
+        for check in checks:
+            v = check(v)
+        return v
+    return check_all
+
+
+def _each(check):
+    return lambda v: [check(x) for x in v]
+
+
+def _choice(*allowed):
+    return _rule(lambda v: v in allowed, f"must be one of {allowed}")
 
 
 def _identity(v):
     return v
+
+
+_positive = _rule(lambda v: v > 0, "must be positive")
+_nonnegative = _rule(lambda v: v >= 0, "must be nonnegative")
+_at_least_one = _rule(lambda v: v >= 1, "must be >= 1")
+_decreasing_list = _all(_each(_positive), _rule(
+    lambda v: all(b < a for a, b in zip(v, v[1:])), "must be strictly decreasing"))
+_concentration_pair = _all(_each(_positive), _rule(
+    lambda v: len(v) == 2, "must list exactly two concentrations"))
+_resolution_ladder = _all(_decreasing_list, _rule(
+    lambda v: len(v) >= 3, "needs at least three resolutions"))
+
+
+def _prefixed(prefix: str, keys: dict) -> dict:
+    return {f"{prefix}.{key}": spec for key, spec in keys.items()}
 
 
 # key -> (parser, validator, default); _REQUIRED means the key must be present
@@ -145,60 +143,71 @@ _SYSTEM_KEYS = {
 _SCHEMAS = {
     "ode_convergence": {
         "ode.alpha": (_fraction, _positive, 2.0),
-        "ode.c0": (_float_list, _positive_list, [1.0, 0.5]),
+        "ode.c0": (_list_of(_fraction), _concentration_pair, [1.0, 0.5]),
         "ode.t_end": (_fraction, _positive, 1.0),
-        "ode.dt": (_float_list, _decreasing_list,
+        "ode.dt": (_list_of(_fraction), _decreasing_list,
                    [1 / 20, 1 / 40, 1 / 80, 1 / 160, 1 / 320, 1 / 640]),
     },
     "cauchy_convergence": {
         "cauchy.alpha_exp": (_int_value, _choice(1, 2), 1),
-        "cauchy.h": (_float_list, _decreasing_list,
+        "cauchy.h": (_list_of(_fraction), _resolution_ladder,
                      [1 / 20, 1 / 30, 1 / 40, 1 / 50, 1 / 60]),
         "cauchy.t_end": (_fraction, _positive, 0.2),
-        **{f"cauchy.{k}": v for k, v in _SYSTEM_KEYS.items()},
+        **_prefixed("cauchy", _SYSTEM_KEYS),
     },
     "energy_trace": {
-        "trace.alpha_exp": (_int_list, lambda v: [_choice(1, 2)(x) for x in v], [1, 2]),
+        "trace.alpha_exp": (_list_of(_int_value), _each(_choice(1, 2)), [1, 2]),
         "trace.h": (_fraction, _positive, 1 / 20),
         "trace.dt": (_fraction, _positive, 1 / 20),
         "trace.t_end": (_fraction, _positive, 0.7),
-        "trace.snapshots": (_float_list, _positive_list, [0.2, 0.5, 0.7]),
-        **{f"trace.{k}": v for k, v in _SYSTEM_KEYS.items()},
+        "trace.snapshots": (_list_of(_fraction), _each(_positive), [0.2, 0.5, 0.7]),
+        **_prefixed("trace", _SYSTEM_KEYS),
     },
-}
-
-_IC_CHOICES = ("uniform", "disk_in", "disk_out")
-
-
-def _single_run_schema(names: list[str], kv: dict[str, str]) -> dict:
-    schema = {
-        "species": (_name_list, _identity, _REQUIRED),
+    "single_run": {
+        "species": (_list_of(_name), _identity, _REQUIRED),
         "grid.dim": (_int_value, _choice(1, 2), 2),
         "grid.n0": (_int_value, _positive, _REQUIRED),
         "grid.lower": (_fraction, _identity, -1.0),
         "grid.upper": (_fraction, _identity, 1.0),
-        "reaction.alpha": (_float_list, _nonnegative_list, _REQUIRED),
-        "reaction.beta": (_float_list, _nonnegative_list, _REQUIRED),
+        "reaction.alpha": (_list_of(_fraction), _each(_nonnegative), _REQUIRED),
+        "reaction.beta": (_list_of(_fraction), _each(_nonnegative), _REQUIRED),
         "reaction.k_plus": (_fraction, _positive, _REQUIRED),
         "reaction.k_minus": (_fraction, _positive, _REQUIRED),
-        "reaction.U": (_float_list, _identity, None),
+        "reaction.U": (_list_of(_fraction), _identity, None),
         "run.dt": (_fraction, _positive, _REQUIRED),
         "run.t_end": (_fraction, _nonnegative, _REQUIRED),
-        "run.snapshots": (_float_list, _nonnegative_list, []),
-    }
+        "run.snapshots": (_list_of(_fraction), _each(_nonnegative), []),
+    },
+}
+
+# diffusion kind -> its keys under species.<name>; the keys are DiffusionLaw's fields
+_DIFFUSION_LAWS = {
+    "none": {},
+    "constant": {"D": (_fraction, _positive, _REQUIRED)},
+    "power": {"D0": (_fraction, _positive, _REQUIRED),
+              "alpha_exp": (_fraction, _at_least_one, _REQUIRED)},
+}
+
+# initial condition -> (its keys under species.<name>, field from the grid and those keys)
+_INITIAL_CONDITIONS = {
+    "uniform": ({"value": (_fraction, _positive, 1.0)}, Field.constant),
+    "disk_in": ({}, lambda grid: ring_profiles(grid)[0]),
+    "disk_out": ({}, lambda grid: ring_profiles(grid)[1]),
+}
+
+
+def _species_schema(names: list[str], kv: dict[str, str]) -> dict:
+    """Keys under species.<name>: the diffusion kind, the initial condition and their keys."""
+    schema = {}
     for name in names:
         pre = f"species.{name}"
-        kind = kv.get(f"{pre}.diffusion", "none").strip()
-        schema[f"{pre}.diffusion"] = (str.strip, _choice("none", "constant", "power"), "none")
-        if kind == "constant":
-            schema[f"{pre}.D"] = (_fraction, _positive, _REQUIRED)
-        elif kind == "power":
-            schema[f"{pre}.D0"] = (_fraction, _positive, _REQUIRED)
-            schema[f"{pre}.alpha_exp"] = (_fraction, _at_least_one, _REQUIRED)
-        ic = kv.get(f"{pre}.ic", "uniform").strip()
-        schema[f"{pre}.ic"] = (str.strip, _choice(*_IC_CHOICES), "uniform")
-        if ic == "uniform":
-            schema[f"{pre}.value"] = (_fraction, _positive, 1.0)
+        kind = kv.get(f"{pre}.diffusion", "none")
+        schema[f"{pre}.diffusion"] = (str.strip, _choice(*_DIFFUSION_LAWS), "none")
+        schema.update(_prefixed(pre, _DIFFUSION_LAWS.get(kind, {})))
+        ic = kv.get(f"{pre}.ic", "uniform")
+        schema[f"{pre}.ic"] = (str.strip, _choice(*_INITIAL_CONDITIONS), "uniform")
+        ic_keys, _ = _INITIAL_CONDITIONS.get(ic, ({}, None))
+        schema.update(_prefixed(pre, ic_keys))
     return schema
 
 
@@ -224,31 +233,8 @@ def _read_key_values(path) -> dict[str, str]:
     return kv
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Parse and validate a config file; unknown keys are errors.
-
-    Returns the configuration with every default resolved; pass it to
-    :func:`write_resolved_config` to echo the resolved key set for provenance.
-    """
-    kv = _read_key_values(path)
-    if "kind" not in kv:
-        raise InvalidConfig(f"{path}: missing required key 'kind'", key="kind")
-    kind = kv.pop("kind").strip()
-    if kind == "single_run":
-        if "species" not in kv:
-            raise InvalidConfig(f"{path}: single_run requires 'species'", key="species")
-        try:
-            names = _name_list(kv["species"])
-        except ValueError as e:
-            raise InvalidConfig(f"{path}: key 'species': {e}", key="species")
-        schema = _single_run_schema(names, kv)
-    elif kind in _SCHEMAS:
-        schema = _SCHEMAS[kind]
-    else:
-        raise InvalidConfig(
-            f"{path}: unknown kind {kind!r}; expected one of "
-            f"{sorted(_SCHEMAS) + ['single_run']}", key="kind")
-
+def _take(path, schema: dict, kv: dict[str, str]) -> dict:
+    """Parse and validate the keys of schema, removing them from kv; fill in defaults."""
     params = {}
     for key, (parse, validate, default) in schema.items():
         if key in kv:
@@ -261,48 +247,58 @@ def parse_config(path) -> ExperimentConfig:
             raise InvalidConfig(f"{path}: missing required key {key!r}", key=key)
         else:
             params[key] = default
+    return params
+
+
+def parse_config(path) -> ExperimentConfig:
+    """Parse and validate a config file; unknown keys are errors.
+
+    Returns the configuration with every default resolved; pass it to
+    :func:`write_resolved_config` to echo the resolved key set for provenance.
+    """
+    kv = _read_key_values(path)
+    kind = _take(path, {"kind": (str.strip, _choice(*_SCHEMAS), _REQUIRED)}, kv)["kind"]
+    params = _take(path, _SCHEMAS[kind], kv)
+    if kind == "single_run":
+        params.update(_take(path, _species_schema(params["species"], kv), kv))
     if kv:
         key = sorted(kv)[0]
         raise InvalidConfig(f"{path}: unknown key {key!r} for kind {kind!r}", key=key)
     cfg = ExperimentConfig(kind=kind, params=params)
-    _cross_validate(cfg)
+    if kind == "single_run":
+        _cross_validate(cfg)
     return cfg
 
 
 def _cross_validate(cfg: ExperimentConfig) -> None:
-    if cfg.kind == "ode_convergence" and len(cfg["ode.c0"]) != 2:
-        raise InvalidConfig("ode.c0 must list exactly two concentrations", key="ode.c0")
-    if cfg.kind == "cauchy_convergence" and len(cfg["cauchy.h"]) < 3:
-        raise InvalidConfig("cauchy.h needs at least three resolutions", key="cauchy.h")
-    if cfg.kind == "single_run":
-        nsp = len(cfg["species"])
-        for key in ("reaction.alpha", "reaction.beta"):
-            if len(cfg[key]) != nsp:
-                raise InvalidConfig(f"{key} must list {nsp} coefficients", key=key)
-        if cfg["reaction.U"] is not None and len(cfg["reaction.U"]) != nsp:
-            raise InvalidConfig(f"reaction.U must list {nsp} energies", key="reaction.U")
-        if cfg["grid.upper"] <= cfg["grid.lower"]:
-            raise InvalidConfig("grid.upper must exceed grid.lower", key="grid.upper")
+    """Checks of a single_run config that span several keys."""
+    nsp = len(cfg["species"])
+    for key in ("reaction.alpha", "reaction.beta"):
+        if len(cfg[key]) != nsp:
+            raise InvalidConfig(f"{key} must list {nsp} coefficients", key=key)
+    if cfg["reaction.U"] is not None and len(cfg["reaction.U"]) != nsp:
+        raise InvalidConfig(f"reaction.U must list {nsp} energies", key="reaction.U")
+    if cfg["grid.upper"] <= cfg["grid.lower"]:
+        raise InvalidConfig("grid.upper must exceed grid.lower", key="grid.upper")
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, (int, np.integer)):
-        return str(v)
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, (list, tuple)):
+    if isinstance(v, list):
         return ", ".join(_format_value(x) for x in v)
     return str(v)
 
 
 def write_resolved_config(cfg: ExperimentConfig, path) -> None:
-    """Echo the fully resolved configuration; the output parses identically."""
+    """Echo the fully resolved configuration; the output parses identically.
+
+    A key at an empty default (no ``reaction.U``, no ``run.snapshots``) is left out.
+    """
     lines = [f"kind = {cfg.kind}"]
     for key in sorted(cfg.params):
         v = cfg.params[key]
-        if v is None or (isinstance(v, list) and not v):
+        if v is None or v == []:
             continue
         lines.append(f"{key} = {_format_value(v)}")
     Path(path).write_text("\n".join(lines) + "\n")
@@ -593,34 +589,16 @@ def run_energy_trace(cfg: ExperimentConfig, out_dir=None) -> dict[int, RunReport
 def _single_run_system(cfg: ExperimentConfig) -> SystemSpec:
     grid = Grid(dim=cfg["grid.dim"], n0=cfg["grid.n0"],
                 lower=cfg["grid.lower"], upper=cfg["grid.upper"])
-    names = cfg["species"]
-    if cfg["reaction.U"] is not None:
-        reaction = ReactionSpec(np.array(cfg["reaction.alpha"]),
-                                np.array(cfg["reaction.beta"]),
-                                cfg["reaction.k_plus"], cfg["reaction.k_minus"],
-                                np.array(cfg["reaction.U"]))
-    else:
-        reaction = ReactionSpec.law_of_mass_action(
-            cfg["reaction.alpha"], cfg["reaction.beta"],
-            cfg["reaction.k_plus"], cfg["reaction.k_minus"])
-    ring_u, ring_v = ring_profiles(grid)
+    args = [cfg[f"reaction.{key}"] for key in ("alpha", "beta", "k_plus", "k_minus")]
+    reaction = (ReactionSpec.law_of_mass_action(*args) if cfg["reaction.U"] is None
+                else ReactionSpec(*args, cfg["reaction.U"]))
     species = []
-    for name in names:
+    for name in cfg["species"]:
         pre = f"species.{name}"
-        kind = cfg[f"{pre}.diffusion"]
-        if kind == "none":
-            law = DiffusionLaw.none()
-        elif kind == "constant":
-            law = DiffusionLaw.constant(cfg[f"{pre}.D"])
-        else:
-            law = DiffusionLaw.power(cfg[f"{pre}.D0"], cfg[f"{pre}.alpha_exp"])
-        ic = cfg[f"{pre}.ic"]
-        if ic == "uniform":
-            initial = Field.constant(grid, cfg[f"{pre}.value"])
-        elif ic == "disk_in":
-            initial = ring_u.copy()
-        else:
-            initial = ring_v.copy()
+        kind, ic = cfg[f"{pre}.diffusion"], cfg[f"{pre}.ic"]
+        law = DiffusionLaw(kind, **{k: cfg[f"{pre}.{k}"] for k in _DIFFUSION_LAWS[kind]})
+        keys, make_field = _INITIAL_CONDITIONS[ic]
+        initial = make_field(grid, *(cfg[f"{pre}.{k}"] for k in keys))
         species.append(Species(name, law, initial))
     return SystemSpec(grid=grid, species=species, reaction=reaction)
 

@@ -160,11 +160,6 @@ class RunReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def _tag_stage(exc: RdsplitError, stage: str):
-    exc.stage = stage
-    return exc
-
-
 def strang_step(state: SimState, spec: SystemSpec, dt: float) -> SimState:
     """One Strang-split step: reaction dt/2, diffusion dt, reaction dt/2."""
     new_state, _, _ = strang_step_counted(state, spec, dt)
@@ -175,15 +170,13 @@ def strang_step_counted(state: SimState, spec: SystemSpec, dt: float
                         ) -> tuple[SimState, float, int]:
     """One step plus solver effort: (state, mean reaction iters, diffusion iters)."""
     _check_dt(dt)
+    stage = "reaction stage 1"
     try:
         fields, it_r1 = reaction_stage_counted(state.c, spec.reaction, dt / 2)
-    except RdsplitError as e:
-        raise _tag_stage(e, "reaction stage 1")
-    diff_iters = 0
-    updated = []
-    for i, s in enumerate(spec.species):
-        f = fields[i]
-        try:
+        diff_iters = 0
+        updated = []
+        for f, s in zip(fields, spec.species):
+            stage = f"diffusion stage, species {s.name!r}"
             if s.law.kind == "none":
                 updated.append(f)
             elif s.law.kind == "constant":
@@ -192,20 +185,18 @@ def strang_step_counted(state: SimState, spec: SystemSpec, dt: float
                 out, n = nonlinear_cn_step_counted(f, s.law, dt)
                 updated.append(out)
                 diff_iters += n
-        except RdsplitError as e:
-            raise _tag_stage(e, f"diffusion stage, species {s.name!r}")
-    try:
+        stage = "reaction stage 2"
         fields, it_r2 = reaction_stage_counted(updated, spec.reaction, dt / 2)
     except RdsplitError as e:
-        raise _tag_stage(e, "reaction stage 2")
+        e.stage = stage
+        raise
     new_state = SimState(t=state.t + dt, step_index=state.step_index + 1, c=fields)
     return new_state, 0.5 * (it_r1 + it_r2), diff_iters
 
 
 def steps_for(t_end: float, dt: float) -> int:
     """Step count; t_end must be an integer multiple of dt, up to 1 ulp of the ratio."""
-    if not (dt > 0 and np.isfinite(dt)):
-        raise InvalidInput("dt must be positive and finite")
+    _check_dt(dt)
     if not (t_end >= 0 and np.isfinite(t_end)):
         raise InvalidInput("t_end must be nonnegative and finite")
     ratio = t_end / dt

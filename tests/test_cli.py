@@ -88,6 +88,20 @@ def test_snapshots_after_t_end_exit_2(tmp_path, capsys):
         assert not list(out.glob("*_t0.1.csv"))
 
 
+@pytest.mark.parametrize("name", ["../xa", "x.a", "1x", "x a", "x-a"])
+def test_species_names_must_be_identifiers(tmp_path, capsys, name):
+    """A species name is a dotted key segment and a file name; '../xa' wrote outside --out."""
+    text = SINGLE_CFG.replace("species = u, v", f"species = {name}, b").replace(
+        "species.u.diffusion = constant\nspecies.u.D = 0.2\n", "run.snapshots = 0.1\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    cfg = _write(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(work / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and f"key 'species': {name!r} is not an identifier" in err
+    assert list(work.iterdir()) == []
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = main(["ode-convergence", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "out")])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,40 @@ def test_read_field_csv_rejects_missing_header(tmp_path):
     p.write_text("0,0.5,1.0\n")
     with pytest.raises(InvalidInput):
         read_field_csv(p)
+
+
+def _mangled_field_csv(tmp_path, mangle):
+    """A 4x4 field's CSV with its lines passed through ``mangle``."""
+    g = Grid(dim=2, n0=4, lower=-1.0, upper=1.0)
+    p = tmp_path / "field.csv"
+    write_field_csv(Field(g, np.arange(1.0, 17.0).reshape(g.shape)), p)
+    p.write_text("\n".join(mangle(p.read_text().splitlines())) + "\n")
+    return p
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda lines: lines[:-5], "5 cells have no row, first (2, 3)"),
+    (lambda lines: lines[:3] + ["4,0,0.5,0.5,1.0"] + lines[4:], "outside the grid"),
+    (lambda lines: lines[:3] + ["0,-1,0.5,0.5,1.0"] + lines[4:], "outside the grid"),
+    (lambda lines: lines[:3] + [lines[2]] + lines[4:], "(0, 1) is outside the grid or repeated"),
+    (lambda lines: lines[:3] + ["0,2,0.5,1.0"] + lines[4:], "expected 5 columns, got 4"),
+    (lambda lines: lines[:3] + ["0,2,0.5,0.5,one"] + lines[4:], "field.csv:4"),
+    (lambda lines: lines[:3] + ["0,x,0.5,0.5,1.0"] + lines[4:], "field.csv:4"),
+    (lambda lines: [lines[0].replace(" lower=", " low=")] + lines[1:], "malformed grid header"),
+    (lambda lines: [lines[0].replace("n0=4", "n0=four")] + lines[1:], "malformed grid header"),
+    (lambda lines: [lines[0] + " stray"] + lines[1:], "malformed grid header"),
+], ids=["cut short", "index past n0", "negative index", "repeated cell", "missing column",
+        "bad value", "bad index", "header without lower", "header n0 not a number",
+        "header token without ="])
+def test_read_field_csv_rejects_all_but_one_row_per_cell(tmp_path, mangle, message):
+    """A file cut short used to read back whatever np.empty held for the missing cells."""
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        read_field_csv(_mangled_field_csv(tmp_path, mangle))
+
+
+def test_read_field_csv_accepts_rows_in_any_order(tmp_path):
+    p = _mangled_field_csv(tmp_path, lambda lines: lines[:1] + lines[:0:-1])
+    np.testing.assert_array_equal(read_field_csv(p).values, np.arange(1.0, 17.0).reshape(4, 4))
 
 
 def test_inner_product_requires_same_grid():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,111 @@ species.v.ic = disk_out
     echo = tmp_path / "resolved.cfg"
     write_resolved_config(cfg, echo)
     assert parse_config(echo).params == cfg.params
+
+
+# the keys each kind requires; every other key falls back to its default
+REQUIRED_LINES = {
+    "ode_convergence": "",
+    "cauchy_convergence": "",
+    "energy_trace": "",
+    "single_run": ("species = a, b\ngrid.n0 = 4\nreaction.alpha = 1, 0\nreaction.beta = 0, 1\n"
+                   "reaction.k_plus = 1\nreaction.k_minus = 1\nrun.dt = 0.1\nrun.t_end = 0.2\n"),
+}
+
+# one non-default value for every key of every kind (required keys: another value)
+NON_DEFAULT_LINES = [
+    ("ode_convergence", "ode.alpha = 3/2"),
+    ("ode_convergence", "ode.c0 = 2, 1/3"),
+    ("ode_convergence", "ode.t_end = 0.5"),
+    ("ode_convergence", "ode.dt = 1/10, 1/30"),
+    ("cauchy_convergence", "cauchy.alpha_exp = 2"),
+    ("cauchy_convergence", "cauchy.h = 1/10, 1/15, 1/20, 1/25"),
+    ("cauchy_convergence", "cauchy.t_end = 0.1"),
+    ("cauchy_convergence", "cauchy.D_u = 0.3"),
+    ("cauchy_convergence", "cauchy.D_v = 1/7"),
+    ("cauchy_convergence", "cauchy.k_plus = 2"),
+    ("cauchy_convergence", "cauchy.k_minus = 0.2"),
+    ("energy_trace", "trace.alpha_exp = 2"),
+    ("energy_trace", "trace.h = 1/10"),
+    ("energy_trace", "trace.dt = 1/40"),
+    ("energy_trace", "trace.t_end = 0.3"),
+    ("energy_trace", "trace.snapshots = 0.1, 1/3"),
+    ("energy_trace", "trace.D_u = 0.25"),
+    ("energy_trace", "trace.D_v = 0.15"),
+    ("energy_trace", "trace.k_plus = 1.5"),
+    ("energy_trace", "trace.k_minus = 0.3"),
+    ("single_run", "species = x, y"),
+    ("single_run", "grid.dim = 1"),
+    ("single_run", "grid.n0 = 6"),
+    ("single_run", "grid.lower = -1/2"),
+    ("single_run", "grid.upper = 3/2"),
+    ("single_run", "reaction.alpha = 2, 0"),
+    ("single_run", "reaction.beta = 0, 3"),
+    ("single_run", "reaction.k_plus = 1/3"),
+    ("single_run", "reaction.k_minus = 2"),
+    ("single_run", "reaction.U = 0, 0.5"),
+    ("single_run", "run.dt = 0.05"),
+    ("single_run", "run.t_end = 0.3"),
+    ("single_run", "run.snapshots = 0, 0.1"),
+    ("single_run", "species.a.diffusion = constant\nspecies.a.D = 1/5"),
+    ("single_run", "species.a.diffusion = power\nspecies.a.D0 = 0.1\nspecies.a.alpha_exp = 5/2"),
+    ("single_run", "species.b.ic = disk_in"),
+    ("single_run", "species.b.ic = disk_out"),
+    ("single_run", "species.b.value = 0.3"),
+]
+
+LIST_KEYS = [("ode_convergence", "ode.c0"), ("ode_convergence", "ode.dt"),
+             ("cauchy_convergence", "cauchy.h"), ("energy_trace", "trace.alpha_exp"),
+             ("energy_trace", "trace.snapshots"), ("single_run", "species"),
+             ("single_run", "reaction.alpha"), ("single_run", "reaction.beta"),
+             ("single_run", "reaction.U"), ("single_run", "run.snapshots")]
+
+
+def _config_text(kind, lines=""):
+    """kind's required lines, each replaced by a line of ``lines`` with the same key."""
+    by_key = {}
+    for line in (REQUIRED_LINES[kind] + lines).splitlines():
+        by_key[line.split("=")[0].strip()] = line
+    return "\n".join([f"kind = {kind}", *by_key.values()]) + "\n"
+
+
+@pytest.mark.parametrize("kind, lines", [(kind, "") for kind in REQUIRED_LINES]
+                         + NON_DEFAULT_LINES)
+def test_every_key_survives_the_resolved_echo(tmp_path, kind, lines):
+    cfg = parse_config(_cfg(tmp_path, _config_text(kind, lines)))
+    default = parse_config(_cfg(tmp_path, _config_text(kind), name="default.cfg"))
+    for line in lines.splitlines():
+        key = line.split("=")[0].strip()
+        assert cfg[key] != default.params.get(key), f"{key} is at its default"
+    echo = tmp_path / "resolved.cfg"
+    write_resolved_config(cfg, echo)
+    again = parse_config(echo)
+    assert (again.kind, again.params) == (cfg.kind, cfg.params)
+
+
+def test_non_default_lines_cover_every_key(tmp_path):
+    """Each key, with any species name read as ``*``, has a non-default line above,
+    and each list-valued key is in LIST_KEYS."""
+    def pattern(key):
+        return re.sub(r"^species\.\w+\.", "species.*.", key)
+
+    given = {pattern(line.split("=")[0].strip()) for _, lines in NON_DEFAULT_LINES
+             for line in lines.splitlines()}
+    listed = {key for _, key in LIST_KEYS}
+    for kind, lines in [(kind, "") for kind in REQUIRED_LINES] + NON_DEFAULT_LINES:
+        params = parse_config(_cfg(tmp_path, _config_text(kind, lines))).params
+        assert {pattern(key) for key in params} <= given
+        assert {key for key, v in params.items() if isinstance(v, list)} <= listed
+    assert listed <= given
+
+
+@pytest.mark.parametrize("kind, key", LIST_KEYS)
+@pytest.mark.parametrize("value", ["", " , ,"], ids=["blank", "commas"])
+def test_empty_list_is_rejected_with_its_key(tmp_path, kind, key, value):
+    """`trace.alpha_exp =` used to parse to [] and echo as the default [1, 2]."""
+    with pytest.raises(InvalidConfig, match="empty list") as exc_info:
+        parse_config(_cfg(tmp_path, _config_text(kind, f"{key} = {value}")))
+    assert exc_info.value.key == key
 
 
 # ---------------------------------------------------------------- pieces

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from decimal import Decimal, localcontext
 
@@ -335,6 +336,32 @@ def test_stage_counts_and_validation():
     mixed = [fields[0], Field.constant(Grid(dim=1, n0=8), 0.5)]
     with pytest.raises(InvalidInput):
         reaction_stage(mixed, spec, 0.1)
+
+
+def test_null_reaction_stage_returns_copies_without_iterating():
+    rng = np.random.default_rng(61)
+    g = Grid(dim=2, n0=3)
+    spec = ReactionSpec.law_of_mass_action((1.0, 2.0), (1.0, 2.0), 1.0, 1.0)  # sigma = 0
+    fields = [Field(g, rng.uniform(0.5, 2.0, g.shape)) for _ in range(2)]
+    out, iters = reaction_stage_counted(fields, spec, 0.1)
+    assert iters == 0.0 and isinstance(iters, float)
+    for f, o in zip(fields, out):
+        assert o.grid == g and not np.shares_memory(o.values, f.values)
+        np.testing.assert_array_equal(o.values, f.values)
+
+
+@pytest.mark.parametrize("spec", [
+    ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0),
+    ReactionSpec.law_of_mass_action((1.0, 2.0), (1.0, 2.0), 1.0, 1.0),
+], ids=["exchange", "null reaction"])
+def test_stage_names_the_first_nonpositive_entry_cell(spec):
+    g = Grid(dim=2, n0=3)
+    fields = [Field.constant(g, 1.0), Field.constant(g, 0.5)]
+    fields[1].values[2, 1] = 0.0
+    fields[0].values[2, 2] = -1.0
+    with pytest.raises(PositivityViolation,
+                       match=re.escape("entering reaction stage at cell (2, 1)")):
+        reaction_stage_counted(fields, spec, 0.1)
 
 
 def test_predictor_large_dt_lands_near_equilibrium():

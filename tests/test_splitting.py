@@ -189,6 +189,29 @@ def test_strang_step_tags_failing_stage():
     assert "reaction stage 1" in str(exc_info.value)
 
 
+def test_strang_step_tags_second_reaction_stage(monkeypatch):
+    import rdsplit.splitting
+    from rdsplit import NonConvergence
+
+    stage_calls = []
+    real_stage = rdsplit.splitting.reaction_stage_counted
+
+    def fail_second_call(*args):
+        stage_calls.append(args)
+        if len(stage_calls) == 2:
+            raise NonConvergence("injected failure")
+        return real_stage(*args)
+
+    monkeypatch.setattr(rdsplit.splitting, "reaction_stage_counted", fail_second_call)
+    sysspec = _two_species_system(np.random.default_rng(33), Grid(dim=1, n0=8))
+    state = SimState(t=0.0, step_index=0, c=[s.initial for s in sysspec.species])
+    with pytest.raises(NonConvergence) as exc_info:
+        strang_step_counted(state, sysspec, 0.05)
+    assert exc_info.value.stage == "reaction stage 2"
+    assert str(exc_info.value) == "injected failure [reaction stage 2]"
+    assert len(stage_calls) == 2
+
+
 def test_run_records_and_observes():
     rng = np.random.default_rng(34)
     g = Grid(dim=1, n0=12)
