@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands map one-to-one onto the experiment runners; every invocation
-takes a config file and an output directory, echoes the resolved config to
-``<out>/config.resolved``, and writes CSV results. Exit codes: 0 on success,
+takes a config file and an output directory, writes CSV results, and echoes
+the resolved config of a run that passed its checks to ``<out>/config.resolved``
+(exit 2 leaves --out as it was). Exit codes: 0 on success,
 2 for configuration problems, 3 when a solve fails (non-convergence or loss
 of positivity).
 """
@@ -64,8 +65,6 @@ def main(argv=None) -> int:
                 f"{args.config}: kind = {cfg.kind!r} does not match "
                 f"subcommand {args.command!r} (expected {expected!r})", key="kind")
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_resolved_config(cfg, out_dir / "config.resolved")
         log.info("running %s into %s", cfg.kind, out_dir)
         if cfg.kind == "single_run":
             run_single(cfg, out_dir)
@@ -75,10 +74,13 @@ def main(argv=None) -> int:
             run_cauchy_convergence(cfg, out_dir, threads=args.threads)
         else:
             run_energy_trace(cfg, out_dir)
+        write_resolved_config(cfg, out_dir / "config.resolved")
     except (InvalidConfig, InvalidInput) as e:
         print(f"rdsplit: invalid config: {e}", file=sys.stderr)
         return 2
     except (NonConvergence, PositivityViolation) as e:
+        # a solve starts only once the runner's checks have passed and out_dir exists
+        write_resolved_config(cfg, out_dir / "config.resolved")
         print(f"rdsplit: solve failed: {e}", file=sys.stderr)
         return 3
     log.info("done")

@@ -313,6 +313,8 @@ def exact_ode_solution(t: float, alpha: float, c0) -> np.ndarray:
 
     Relaxes to ``c1_inf = (c1 + c2)/(alpha + 1)`` at rate ``alpha + 1``.
     """
+    if np.shape(c0) != (2,):
+        raise InvalidInput(f"c0 must hold two concentrations, got shape {np.shape(c0)}")
     c1_0, c2_0 = float(c0[0]), float(c0[1])
     if not (alpha > 0 and c1_0 > 0 and c2_0 > 0):
         raise InvalidInput("alpha and initial concentrations must be positive")
@@ -384,8 +386,7 @@ def write_convergence_csv(rows: list[ConvergenceRow], path) -> None:
     for r in rows:
         order = "" if r.order is None else f"{r.order:.17g}"
         lines.append(f"{r.label},{r.error:.17g},{order}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +407,13 @@ def cubic_autocatalysis_system(grid: Grid, alpha_exp: int = 1,
                                k_plus: float = 1.0, k_minus: float = 0.1
                                ) -> SystemSpec:
     """U + 2V <-> 3V with ring initial data; u diffuses by a power law when alpha_exp > 1."""
-    reaction = ReactionSpec.law_of_mass_action([1.0, 2.0], [0.0, 3.0], k_plus, k_minus)
+    reaction = ReactionSpec([1.0, 2.0], [0.0, 3.0], k_plus, k_minus)
     u0, v0 = ring_profiles(grid)
     u_law = DiffusionLaw.constant(D_u) if alpha_exp == 1 else DiffusionLaw.power(D_u, alpha_exp)
     return SystemSpec(grid=grid, species=[
         Species("u", u_law, u0),
         Species("v", DiffusionLaw.constant(D_v), v0),
     ], reaction=reaction)
-
-
-def _exchange_spec(alpha: float) -> ReactionSpec:
-    return ReactionSpec.law_of_mass_action([1.0, 0.0], [0.0, 1.0], alpha, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +443,17 @@ def run_ode_convergence(cfg: ExperimentConfig, out_dir=None) -> list[Convergence
     sub-steps per step, exactly what the full splitting does when no species
     diffuses; errors are measured against the exact solution in max norm.
     """
-    _, out_dir = _prepare(cfg, "ode_convergence", out_dir)
-    alpha = cfg["ode.alpha"]
+    def setup(out):
+        return [(dt, steps_for(cfg["ode.t_end"], dt)) for dt in cfg["ode.dt"]]
+
+    ladder, out_dir = _prepare(cfg, "ode_convergence", out_dir, setup)
+    alpha, t_end = cfg["ode.alpha"], cfg["ode.t_end"]
     c_init = np.array(cfg["ode.c0"], dtype=float)
-    t_end = cfg["ode.t_end"]
-    spec = _exchange_spec(alpha)
+    spec = ReactionSpec([1.0, 0.0], [0.0, 1.0], alpha, 1.0)
     exact = exact_ode_solution(t_end, alpha, c_init)
 
     errors = []
-    for dt in cfg["ode.dt"]:
-        n_steps = steps_for(t_end, dt)
+    for dt, n_steps in ladder:
         c = c_init.copy()
         for _ in range(n_steps):
             for _ in range(2):
@@ -489,11 +487,10 @@ def _autocatalysis_systems(cfg: ExperimentConfig, section: str, h: float, alpha_
     return [cubic_autocatalysis_system(grid, a, **rates) for a in alpha_exps]
 
 
-def _cauchy_fields(h: float, cfg: ExperimentConfig) -> tuple[Grid, list[Field]]:
-    [system] = _autocatalysis_systems(cfg, "cauchy", h, [cfg["cauchy.alpha_exp"]])
-    dt, t_end, final = system.grid.h, cfg["cauchy.t_end"], []
+def _cauchy_fields(system: SystemSpec, t_end: float) -> list[Field]:
+    dt, final = system.grid.h, []
     run(system, dt, t_end, observers={steps_for(t_end, dt): final.append})
-    return system.grid, final[0].c
+    return final[0].c
 
 
 def run_cauchy_convergence(cfg: ExperimentConfig, out_dir=None, threads: int = 1
@@ -506,22 +503,23 @@ def run_cauchy_convergence(cfg: ExperimentConfig, out_dir=None, threads: int = 1
     pollute a second-order difference); orders use the weighted formula that
     accounts for non-halved spacings.
     """
-    def check_threads(out):
+    def setup(out):
         if threads < 1:
             raise InvalidInput(f"threads must be at least 1, got {threads}")
+        alpha_exp = [cfg["cauchy.alpha_exp"]]
+        return [_autocatalysis_systems(cfg, "cauchy", h, alpha_exp)[0] for h in cfg["cauchy.h"]]
 
-    _, out_dir = _prepare(cfg, "cauchy_convergence", out_dir, check_threads)
-    hs = cfg["cauchy.h"]
+    systems, out_dir = _prepare(cfg, "cauchy_convergence", out_dir, setup)
+    hs, t_end = cfg["cauchy.h"], cfg["cauchy.t_end"]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        solutions = list(pool.map(lambda h: _cauchy_fields(h, cfg), hs))
+        solutions = list(pool.map(lambda system: _cauchy_fields(system, t_end), systems))
 
     names = ["u", "v"]
     diffs = {name: [] for name in names}
     for j in range(len(hs) - 1):
-        coarse_grid, coarse = solutions[j]
-        _, fine = solutions[j + 1]
+        coarse, fine = solutions[j], solutions[j + 1]
         for i, name in enumerate(names):
-            restricted = resample_spectral(fine[i], coarse_grid)
+            restricted = resample_spectral(fine[i], systems[j].grid)
             diffs[name].append(float(np.max(np.abs(restricted.values - coarse[i].values))))
 
     tables = {}
@@ -544,15 +542,17 @@ def _snapshot_observers(cfg: ExperimentConfig, section: str, system: SystemSpec,
                         tag: str = "") -> dict:
     """Observers writing each species to ``out/<name><tag>_t<t>.csv`` at ``<section>.snapshots``.
 
-    None without an output directory; a time after ``<section>.t_end`` raises InvalidConfig.
+    None without an output directory. Raises InvalidInput unless dt divides t_end, with or
+    without one, and InvalidConfig for a time after ``<section>.t_end``.
     """
+    dt, t_end, key = cfg[f"{section}.dt"], cfg[f"{section}.t_end"], f"{section}.snapshots"
+    n_steps = steps_for(t_end, dt)
     if out is None:
         return {}
-    dt, t_end, key = cfg[f"{section}.dt"], cfg[f"{section}.t_end"], f"{section}.snapshots"
     observers = {}
     for t_snap in cfg[key]:
         k = steps_for(t_snap, dt)
-        if k > steps_for(t_end, dt):
+        if k > n_steps:
             raise InvalidConfig(f"{key}: snapshot time {t_snap:g} is after t_end = {t_end:g}",
                                 key=key)
 
@@ -589,9 +589,8 @@ def run_energy_trace(cfg: ExperimentConfig, out_dir=None) -> dict[int, RunReport
 def _single_run_system(cfg: ExperimentConfig) -> SystemSpec:
     grid = Grid(dim=cfg["grid.dim"], n0=cfg["grid.n0"],
                 lower=cfg["grid.lower"], upper=cfg["grid.upper"])
-    args = [cfg[f"reaction.{key}"] for key in ("alpha", "beta", "k_plus", "k_minus")]
-    reaction = (ReactionSpec.law_of_mass_action(*args) if cfg["reaction.U"] is None
-                else ReactionSpec(*args, cfg["reaction.U"]))
+    reaction = ReactionSpec(*(cfg[f"reaction.{key}"]
+                              for key in ("alpha", "beta", "k_plus", "k_minus", "U")))
     species = []
     for name in cfg["species"]:
         pre = f"species.{name}"

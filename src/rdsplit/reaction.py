@@ -58,42 +58,73 @@ class ReactionSpec:
         Reactant and product sides; ``sigma = beta - alpha``.
     k_plus, k_minus : float
         Forward and backward rate constants, both positive.
-    U : array
+    U : array, optional
         Internal energy per species. Detailed balance ties it to the rates:
         ``sigma . U = ln(k_minus / k_plus)``. Arbitrary U is accepted with a
         warning when that identity fails, but the reaction then relaxes to a
         different equilibrium than mass-action kinetics would.
+
+        When omitted, U is derived so that the trajectory ODE reproduces
+        mass-action kinetics. The energies are distributed over the species
+        the reaction consumes and produces: ``U_i = ln(k_plus)/s-`` where
+        ``sigma_i < 0`` (``s- = sum of consumed stoichiometry``) and
+        ``U_i = ln(k_minus)/s+`` where ``sigma_i > 0``, which makes
+        ``sigma . U = ln(k_minus/k_plus)`` exactly. For one consumed and one
+        produced species this is ``U = (ln k_plus, ln k_minus)``. If the
+        reaction only consumes or only produces (all of sigma on one side,
+        e.g. A <-> 2A), the whole log ratio is folded onto that side instead.
+        If alpha == beta, U is zero and the rates must be equal.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     k_plus: float
     k_minus: float
-    U: np.ndarray
+    U: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         b = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        u = np.atleast_1d(np.asarray(self.U, dtype=float))
-        if a.ndim != 1 or a.shape != b.shape or a.shape != u.shape:
+        u = None if self.U is None else np.atleast_1d(np.asarray(self.U, dtype=float))
+        if a.ndim != 1 or a.shape != b.shape or (u is not None and a.shape != u.shape):
             raise InvalidInput("alpha, beta, U must be 1-D arrays of equal length")
         if a.size == 0:
             raise InvalidInput("need at least one species")
-        _check_coefficients(a, b)
-        _check_rates(self.k_plus, self.k_minus)
-        if not np.all(np.isfinite(u)):
+        if not (np.all(np.isfinite(a) & (a >= 0)) and np.all(np.isfinite(b) & (b >= 0))):
+            raise InvalidInput("stoichiometric coefficients must be finite and nonnegative")
+        if not (0 < self.k_plus < math.inf and 0 < self.k_minus < math.inf):
+            raise InvalidInput("rate constants must be positive and finite")
+        log_ratio = math.log(self.k_minus) - math.log(self.k_plus)  # k_minus / k_plus can underflow
+        if u is None:
+            sigma = b - a
+            u = np.zeros_like(sigma)
+            s_minus = -sigma[sigma < 0].sum()
+            s_plus = sigma[sigma > 0].sum()
+            if s_minus == 0 and s_plus == 0:
+                if abs(log_ratio) > 1e-12:
+                    raise InvalidInput(
+                        "alpha == beta leaves no stoichiometric change; detailed balance "
+                        "then requires k_plus == k_minus")
+            elif s_minus == 0:
+                u[sigma > 0] = log_ratio / s_plus
+            elif s_plus == 0:
+                u[sigma < 0] = -log_ratio / s_minus
+            else:
+                u[sigma < 0] = np.log(self.k_plus) / s_minus
+                u[sigma > 0] = np.log(self.k_minus) / s_plus
+        elif not np.all(np.isfinite(u)):
             raise InvalidInput("U must be finite")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "k_plus", float(self.k_plus))
         object.__setattr__(self, "k_minus", float(self.k_minus))
-        gap = float(self.sigma @ u) - (math.log(self.k_minus) - math.log(self.k_plus))
+        gap = float(self.sigma @ u) - log_ratio
         if abs(gap) > 1e-12:
             warnings.warn(
                 "internal energies break detailed balance: sigma.U - ln(k-/k+) = "
                 f"{gap:.3e}; the reaction will not relax to the mass-action equilibrium",
-                stacklevel=2)
+                stacklevel=3)  # past the generated __init__, at the caller
 
     @property
     def sigma(self) -> np.ndarray:
@@ -105,50 +136,8 @@ class ReactionSpec:
 
     @classmethod
     def law_of_mass_action(cls, alpha, beta, k_plus: float, k_minus: float) -> "ReactionSpec":
-        """Build a spec whose trajectory ODE reproduces mass-action kinetics.
-
-        Internal energies are distributed over the species the reaction
-        consumes and produces: ``U_i = ln(k_plus)/s-`` where ``sigma_i < 0``
-        (``s- = sum of consumed stoichiometry``) and ``U_i = ln(k_minus)/s+``
-        where ``sigma_i > 0``, which makes ``sigma . U = ln(k_minus/k_plus)``
-        exactly. For one consumed and one produced species this is
-        ``U = (ln k_plus, ln k_minus)``. If the reaction only consumes or only
-        produces (all of sigma on one side, e.g. A <-> 2A), the whole log
-        ratio is folded onto that side instead.
-        """
-        a = np.atleast_1d(np.asarray(alpha, dtype=float))
-        b = np.atleast_1d(np.asarray(beta, dtype=float))
-        _check_coefficients(a, b)
-        _check_rates(k_plus, k_minus)
-        sigma = b - a
-        U = np.zeros_like(sigma)
-        s_minus = -sigma[sigma < 0].sum()
-        s_plus = sigma[sigma > 0].sum()
-        log_ratio = math.log(k_minus) - math.log(k_plus)  # k_minus / k_plus can underflow
-        if s_minus == 0 and s_plus == 0:
-            if abs(log_ratio) > 1e-12:
-                raise InvalidInput(
-                    "alpha == beta leaves no stoichiometric change; detailed balance "
-                    "then requires k_plus == k_minus")
-            return cls(a, b, float(k_plus), float(k_minus), U)
-        if s_minus == 0:
-            U[sigma > 0] = log_ratio / s_plus
-        elif s_plus == 0:
-            U[sigma < 0] = -log_ratio / s_minus
-        else:
-            U[sigma < 0] = np.log(k_plus) / s_minus
-            U[sigma > 0] = np.log(k_minus) / s_plus
-        return cls(a, b, float(k_plus), float(k_minus), U)
-
-
-def _check_coefficients(a, b) -> None:
-    if not (np.all(np.isfinite(a) & (a >= 0)) and np.all(np.isfinite(b) & (b >= 0))):
-        raise InvalidInput("stoichiometric coefficients must be finite and nonnegative")
-
-
-def _check_rates(k_plus, k_minus) -> None:
-    if not (0 < k_plus < math.inf and 0 < k_minus < math.inf):
-        raise InvalidInput("rate constants must be positive and finite")
+        """The spec with U derived from the rates: ``cls(alpha, beta, k_plus, k_minus)``."""
+        return cls(alpha, beta, k_plus, k_minus)
 
 
 @dataclass
@@ -176,6 +165,7 @@ _LOG_MAX = float(np.log(np.finfo(float).max))  # an eta dt with a larger log ove
 def reaction_mobility(c, spec: ReactionSpec) -> float:
     """Mobility ``eta(c) = k_minus * prod_i c_i^beta_i`` (the backward rate)."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
+    _check_species(len(c), spec)
     if np.any(c <= 0):
         raise PositivityViolation("mobility needs strictly positive concentrations")
     return float(spec.k_minus * np.prod(c ** spec.beta))
@@ -183,17 +173,13 @@ def reaction_mobility(c, spec: ReactionSpec) -> float:
 
 def point_free_energy(R: float, st: PointState, spec: ReactionSpec) -> float:
     """Pointwise free energy F(R) along the trajectory through st.c0."""
-    c = st.c0 + spec.sigma * R
-    if np.any(c <= 0):
-        raise DomainError("trajectory value leaves the positive orthant")
+    c = _trajectory_point(R, st, spec)
     return float(np.sum(c * (np.log(c) - 1.0 + spec.U)))
 
 
 def chemical_affinity(R: float, st: PointState, spec: ReactionSpec) -> float:
     """Affinity ``F'(R) = sum_i sigma_i (ln c_i(R) + U_i)``; zero at equilibrium."""
-    c = st.c0 + spec.sigma * R
-    if np.any(c <= 0):
-        raise DomainError("trajectory value leaves the positive orthant")
+    c = _trajectory_point(R, st, spec)
     return float(np.sum(spec.sigma * (np.log(c) + spec.U)))
 
 
@@ -205,6 +191,7 @@ def admissible_interval(st: PointState, spec: ReactionSpec, eta_dt: float
     ``hi = min_{sigma_i<0} c0_i/(-sigma_i)`` (+inf when nothing is consumed);
     always ``lo < 0 < hi``.
     """
+    _check_species(len(st.c0), spec)
     if not eta_dt > 0:
         raise InvalidInput("eta_dt must be positive")
     lo, hi = -float(eta_dt), math.inf
@@ -226,15 +213,14 @@ def energy_difference_quotient(p: float, q: float, st: PointState, spec: Reactio
     (p, q).
     """
     for r, name in ((p, "p"), (q, "q")):
-        c = st.c0 + spec.sigma * r
-        if np.any(c <= 0):
-            raise DomainError(f"c({name}) leaves the positive orthant")
+        _trajectory_point(r, st, spec, name)
     return _scalar_phi(st.c0.tolist(), spec.sigma.tolist(), spec.U.tolist(),
                        float(p), float(q))
 
 
 def predictor_first_order(st: PointState, spec: ReactionSpec, dt: float) -> float:
     """First-order trajectory update used to freeze the midpoint mobility."""
+    _check_species(len(st.c0), spec)
     _check_dt(dt)
     if not spec.sigma.any():
         return 0.0
@@ -248,6 +234,7 @@ def reaction_step(st: PointState, spec: ReactionSpec, dt: float) -> float:
     The result lies strictly inside the admissible interval, so
     ``c(R) = c0 + sigma R`` is strictly positive, and F(R) <= F(0).
     """
+    _check_species(len(st.c0), spec)
     _check_dt(dt)
     if not spec.sigma.any():
         return 0.0
@@ -270,8 +257,7 @@ def reaction_stage_counted(fields: list[Field], spec: ReactionSpec, dt: float
     Cells are solved in blocks, and no cell's result depends on the split. A
     NonConvergence names the first failing cell of the first block that fails.
     """
-    if len(fields) != spec.n_species:
-        raise InvalidInput(f"expected {spec.n_species} fields, got {len(fields)}")
+    _check_species(len(fields), spec, "fields")
     grid = fields[0].grid
     for f in fields[1:]:
         if f.grid != grid:
@@ -292,6 +278,20 @@ def reaction_stage_counted(fields: list[Field], spec: ReactionSpec, dt: float
             f"reaction stage left the positive orthant at cell {_cell_label(grid, i)}")
     out = [Field(grid, c_new[i].reshape(grid.shape)) for i in range(spec.n_species)]
     return out, float(np.mean(it_pred + it_corr))
+
+
+def _check_species(n: int, spec: ReactionSpec, what: str = "concentrations") -> None:
+    if n != spec.n_species:
+        raise InvalidInput(f"expected {spec.n_species} {what}, got {n}")
+
+
+def _trajectory_point(R, st, spec, name="R"):
+    """``c(R) = c0 + sigma R`` for a state of spec's species; DomainError unless positive."""
+    _check_species(len(st.c0), spec)
+    c = st.c0 + spec.sigma * R
+    if np.any(c <= 0):
+        raise DomainError(f"c({name}) leaves the positive orthant")
+    return c
 
 
 def _check_dt(dt: float) -> None:

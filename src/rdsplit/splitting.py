@@ -86,11 +86,10 @@ def conserved_basis(spec: ReactionSpec) -> list[np.ndarray]:
     for i in range(n):
         if i == pivot:
             continue
+        e = np.zeros(n)
         if sigma[i] == 0:
-            e = np.zeros(n)
             e[i] = 1.0
         else:
-            e = np.zeros(n)
             e[i] = sigma[pivot]
             e[pivot] = -sigma[i]
             lead = e[np.flatnonzero(e)[0]]
@@ -107,10 +106,7 @@ def _integer_gcd(e: np.ndarray) -> float:
     vals = np.abs(e[e != 0])
     if not np.allclose(vals, np.round(vals)) or np.any(np.round(vals) == 0):
         return 0.0
-    g = 0
-    for v in np.round(vals).astype(int):
-        g = int(np.gcd(g, v))
-    return float(g)
+    return float(np.gcd.reduce(np.round(vals).astype(int)))
 
 
 def system_energy(state: SimState, spec: SystemSpec) -> float:

@@ -69,6 +69,27 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         code = main([command, "--config", cfg, "--out", str(tmp_path / f"out{i}")])
         assert code == 2
         assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / f"out{i}").exists()
+
+
+@pytest.mark.parametrize("command, text, why", [
+    ("energy-trace", "kind = energy_trace\ntrace.h = 0.3\n", "does not tile"),
+    ("cauchy", "kind = cauchy_convergence\ncauchy.h = 0.3, 0.2, 0.1\n", "does not tile"),
+    ("ode-convergence", "kind = ode_convergence\node.dt = 0.3\n", "integer multiple"),
+    ("run", SINGLE_CFG.replace("run.dt = 0.05", "run.dt = 0.03"), "integer multiple"),
+    ("energy-trace", "kind = energy_trace\ntrace.dt = 0.3\n", "integer multiple"),
+], ids=["trace h", "cauchy h", "ode dt", "run dt", "trace dt"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new out", "empty out"])
+def test_runner_rejection_leaves_out_untouched(tmp_path, capsys, command, text, why, existing):
+    """A runner's own checks run before --out is made or written; a rejected
+    config used to leave config.resolved behind."""
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert why in capsys.readouterr().err
+    assert list(out.iterdir()) == [] if existing else not out.exists()
 
 
 def test_snapshots_after_t_end_exit_2(tmp_path, capsys):
@@ -149,6 +170,8 @@ def test_solver_failure_exits_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "solve failed" in err
         assert stage in err
+        # the run passed its checks, so its resolved config is kept with what it wrote
+        assert (tmp_path / name / "config.resolved").read_text().startswith("kind = ")
 
 
 def test_threads_only_on_cauchy(tmp_path):

@@ -257,6 +257,10 @@ def test_exact_ode_solution_oracle():
     assert c_inf[0] == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(InvalidInput):
         exact_ode_solution(1.0, -2.0, [1.0, 0.5])
+    # one concentration used to raise a bare IndexError
+    for c0 in ([1.0], [1.0, 0.5, 0.5], [[1.0, 0.5]], 1.0):
+        with pytest.raises(InvalidInput, match="two concentrations"):
+            exact_ode_solution(1.0, 2.0, c0)
 
 
 def test_weighted_order_published_value():

@@ -38,7 +38,15 @@ def _random_spec(rng, nsp=None):
         beta[0] += 1.0
     k_plus = float(rng.uniform(0.2, 3.0))
     k_minus = float(rng.uniform(0.2, 3.0))
-    return ReactionSpec.law_of_mass_action(alpha, beta, k_plus, k_minus)
+    return _mass_action(alpha, beta, k_plus, k_minus)
+
+
+def _mass_action(alpha, beta, k_plus, k_minus):
+    """law_of_mass_action, whose U the constructor derives bit for bit when U is omitted."""
+    spec = ReactionSpec.law_of_mass_action(alpha, beta, k_plus, k_minus)
+    derived = ReactionSpec(alpha, beta, k_plus, k_minus)
+    assert spec.U.dtype == derived.U.dtype and spec.U.tobytes() == derived.U.tobytes()
+    return spec
 
 
 # ---------------------------------------------------------------- spec
@@ -54,6 +62,11 @@ def test_spec_validation():
     with pytest.raises(InvalidInput):
         ReactionSpec(alpha=(1.0, 0.0), beta=(0.0, 1.0), k_plus=1.0, k_minus=1.0,
                      U=(np.inf, 0.0))
+    # with U derived, the shapes are checked before sigma = beta - alpha is formed
+    with pytest.raises(InvalidInput, match="equal length"):
+        ReactionSpec.law_of_mass_action([1, 2], [0, 1, 2], 1, 1)
+    with pytest.raises(InvalidInput, match="at least one species"):
+        ReactionSpec([], [], 1.0, 2.0)
 
 
 @pytest.mark.parametrize("alpha, beta, k_plus, k_minus", [
@@ -67,19 +80,23 @@ def test_spec_validation():
     ((1.0, 0.0), (0.0, 1.0), 1.0, np.nan),
 ])
 def test_spec_rejects_non_finite_parameters(alpha, beta, k_plus, k_minus):
-    """Both constructors refuse at once; a NaN coefficient used to reach the stage
-    and spend 100 iterations there, an infinite rate only warned."""
+    """Every way to build a spec refuses at once; a NaN coefficient used to reach the
+    stage and spend 100 iterations there, an infinite rate only warned."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInput, match="finite"):
             ReactionSpec.law_of_mass_action(alpha, beta, k_plus, k_minus)
         with pytest.raises(InvalidInput, match="finite"):
+            ReactionSpec(alpha, beta, k_plus, k_minus)
+        with pytest.raises(InvalidInput, match="finite"):
             ReactionSpec(alpha, beta, k_plus, k_minus, U=(0.0, 0.0))
 
 
 def test_spec_warns_when_energies_break_detailed_balance():
-    with pytest.warns(UserWarning, match="detailed balance"):
+    with pytest.warns(UserWarning, match="detailed balance") as record:
         ReactionSpec(alpha=(1.0, 0.0), beta=(0.0, 1.0), k_plus=2.0, k_minus=1.0, U=(0.0, 0.0))
+    # the warning names the line that built the spec, not the dataclass __init__
+    assert record[0].filename == __file__
 
 
 def test_law_of_mass_action_balances_exactly():
@@ -91,22 +108,26 @@ def test_law_of_mass_action_balances_exactly():
 
 
 def test_law_of_mass_action_two_species_exchange():
-    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 2.0, 1.0)
+    spec = _mass_action((1.0, 0.0), (0.0, 1.0), 2.0, 1.0)
     np.testing.assert_allclose(spec.U, [math.log(2.0), 0.0])
     np.testing.assert_array_equal(spec.sigma, [-1.0, 1.0])
 
 
 def test_law_of_mass_action_one_sided():
     # A <-> 2A: everything rides on the single species
-    spec = ReactionSpec.law_of_mass_action((1.0,), (2.0,), 3.0, 0.5)
+    spec = _mass_action((1.0,), (2.0,), 3.0, 0.5)
     assert abs(float(spec.sigma @ spec.U) - math.log(0.5 / 3.0)) <= 1e-15
+    consumed = _mass_action((2.0,), (1.0,), 3.0, 0.5)  # 2A <-> A: the other side
+    assert abs(float(consumed.sigma @ consumed.U) - math.log(0.5 / 3.0)) <= 1e-15
 
 
 def test_law_of_mass_action_null_reaction():
-    spec = ReactionSpec.law_of_mass_action((1.0, 1.0), (1.0, 1.0), 0.7, 0.7)
+    spec = _mass_action((1.0, 1.0), (1.0, 1.0), 0.7, 0.7)
     assert not spec.sigma.any()
-    with pytest.raises(InvalidInput):
-        ReactionSpec.law_of_mass_action((1.0,), (1.0,), 1.0, 2.0)
+    np.testing.assert_array_equal(spec.U, [0.0, 0.0])
+    for build in (ReactionSpec.law_of_mass_action, ReactionSpec):
+        with pytest.raises(InvalidInput, match="requires k_plus == k_minus"):
+            build((1.0,), (1.0,), 1.0, 2.0)
 
 
 @pytest.mark.parametrize("alpha, beta, k_plus, k_minus", [
@@ -117,13 +138,33 @@ def test_law_of_mass_action_survives_an_underflowing_rate_ratio(alpha, beta, k_p
     """k_minus / k_plus below the smallest double must not turn U into -inf."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spec = ReactionSpec.law_of_mass_action(alpha, beta, k_plus, k_minus)
+        spec = _mass_action(alpha, beta, k_plus, k_minus)
     assert np.all(np.isfinite(spec.U))
     log_ratio = math.log(k_minus) - math.log(k_plus)
     assert abs(float(spec.sigma @ spec.U) - log_ratio) <= 1e-12 * abs(log_ratio)
 
 
 # ---------------------------------------------------------------- small pieces
+
+
+_EXCHANGE = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda st: reaction_mobility(st.c0, _EXCHANGE),
+    lambda st: point_free_energy(0.0, st, _EXCHANGE),
+    lambda st: chemical_affinity(0.0, st, _EXCHANGE),
+    lambda st: admissible_interval(st, _EXCHANGE, 0.1),
+    lambda st: energy_difference_quotient(0.0, 0.0, st, _EXCHANGE),
+    lambda st: predictor_first_order(st, _EXCHANGE, 0.1),
+    lambda st: reaction_step(st, _EXCHANGE, 0.1),
+], ids=["mobility", "free_energy", "affinity", "interval", "quotient", "predictor", "step"])
+@pytest.mark.parametrize("c0", [[1.0], [1.0, 1.0, 1.0]], ids=["too few", "too many"])
+def test_point_functions_check_the_species_count(call, c0):
+    """One concentration used to give a predictor of -0.0, an interval and a
+    'bracket collapsed'; three a bare numpy ValueError."""
+    with pytest.raises(InvalidInput, match=f"expected 2 concentrations, got {len(c0)}"):
+        call(PointState(c0))
 
 
 def test_point_state_requires_positive_concentrations():
