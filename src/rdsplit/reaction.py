@@ -29,7 +29,9 @@ solved in the log-gap variable ``y = log1p(R/(eta dt))``, where they read
 ``y + h(R(y))`` with ``R(y) = eta dt expm1(y)`` increasing, so every root
 lies in y between 0 and ``-A0``: the bracket of each solve, exact, with no
 margin. In y a root next to ``R = -eta dt``, whose gap ``R + eta dt`` is far
-below the ulp of eta dt, is an ordinary number.
+below the ulp of eta dt, is an ordinary number. The first update of each
+solve is a Halley step, which uses ``g'' = P h' + P^2 h''`` at the start
+point (``P = dR/dy``); every later one is a Newton step.
 
 Every sub-step starts from Rn = 0; callers fold the returned R into the
 concentrations and reset.
@@ -340,10 +342,38 @@ def _xlnx_slope(a, d, log_a, out=None):
     return g1, g2, L
 
 
+# The closed form of G3 loses about 6 eps/t^2 relative to cancellation and its
+# two-term series 1.8 t^2; both stay below 2e-7 on either side of this |t|.
+_G3_SERIES = 1e-4
+
+
+def _xlnx_g3(a, d, x, g2, out):
+    """``G3 = dG2/dd = (1/x - 2 G2)/d`` of the x ln x slope, and 1/x.
+
+    ``x = a + d`` and ``G2`` come from :func:`_xlnx_slope`. Where
+    ``|t| = |d/a| <= _G3_SERIES``, d = 0 included, the series
+    ``(t/2 - 1/3)/a^2`` overwrites the closed form. ``out``, three arrays of
+    the shape of d, receives ``(G3, 1/x, t)``; the last is scratch.
+    """
+    g3, q, t = out
+    small = None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(d, a, out=t)
+        if np.fmin.reduce(np.abs(t, out=q), axis=None) <= _G3_SERIES:
+            small = q <= _G3_SERIES
+        np.divide(1.0, x, out=q)
+        np.multiply(g2, 2.0, out=g3)
+        np.subtract(q, g3, out=g3)
+        np.divide(g3, d, out=g3)
+    if small is not None:
+        g3[small] = (0.5 * t[small] - 1.0 / 3.0) / a[small] / a[small]
+    return g3, q
+
+
 # The stage workspace (see _solve_stage): rows hold one entry per species and
 # cell, the other arrays one entry per cell.
 _ROWS = ("c0", "log_c0", "d", "g1", "g2", "L", "x", "t")
-_CELLS = ("eta_dt", "log_eta_dt", "A0", "a", "b", "y", "Rhat", "g", "hp", "gp", "res")
+_CELLS = ("eta_dt", "log_eta_dt", "A0", "a", "b", "y", "Rhat", "g", "hp", "gp", "h2", "res")
 _MASKS = ("todo", "fin", "m1", "m2")
 
 
@@ -390,13 +420,15 @@ def _log_eta_dt(c0, spec, dt, half, out, tmp):
 
 
 def _species_sum(coef, rows, out, tmp):
-    """``out = sum_i coef_i rows_i`` per cell, added from the first term in species order.
+    """``out = sum_i coef_i rows_i`` per cell over the nonzero coef_i, in species order.
 
     Unlike einsum, which groups a one-cell sum pairwise, the order does not
-    depend on the block width.
+    depend on the block width. As on the scalar path, a species with
+    ``coef_i = 0`` adds nothing, not even the NaN of ``0 * inf``.
     """
-    np.multiply(rows[0], coef[0], out=out)
-    for ci, row in zip(coef[1:], rows[1:]):
+    (c_first, first), *rest = [(ci, row) for ci, row in zip(coef.tolist(), rows) if ci]
+    np.multiply(first, c_first, out=out)
+    for ci, row in rest:
         np.multiply(row, ci, out=tmp)
         out += tmp
 
@@ -408,6 +440,7 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
     """
     sigma = spec.sigma
     sig_col, sig2, U_col = sigma[:, None], sigma ** 2, spec.U[:, None]
+    sig3 = sig2 * sigma
     np.copyto(w.c0, c0)
     np.log(w.c0, out=w.log_c0)
     np.add(w.log_c0, U_col, out=w.g1)
@@ -424,15 +457,19 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
         np.divide(1.0, w.x, out=w.x)
         _species_sum(sig2, w.x, w.hp, w.t[0])
 
-    # the predictor starts at R = 0, where h' = sum_i sigma_i^2 / c0_i
-    np.divide(1.0, w.c0, out=w.x)
-    _species_sum(sig2, w.x, w.hp, w.t[0])
+    # the predictor starts at R = 0, where h' = sum_i sigma_i^2 / c0_i and
+    # h'' = -sum_i sigma_i^3 / c0_i^2
+    with np.errstate(over="ignore", invalid="ignore"):  # 1/c0^2 overflows below c0 ~ 1e-154
+        np.divide(1.0, w.c0, out=w.x)
+        _species_sum(sig2, w.x, w.hp, w.t[0])
+        w.x *= w.x
+        _species_sum(-sig3, w.x, w.h2, w.t[0])
     _bracketed_newton(h_pred, w, w.Rhat, it_pred, "first-order reaction predictor", first)
     np.divide(w.Rhat, 2.0, out=w.hp)
     _log_eta_dt(c0, spec, dt, w.hp, w.log_eta_dt, w.y)
     shift = float(spec.sigma @ (spec.U - 1.0))
 
-    def h_corr(R):
+    def h_corr(R, second=False):
         # phi(R, 0) = sigma.(G1 + U - 1); the dt term sum_i sigma_i ln(c_i/c0_i) = sigma.L
         np.multiply(sig_col, R, out=w.d)
         _xlnx_slope(w.c0, w.d, w.log_c0, (w.g1, w.g2, w.L, w.x, w.t))
@@ -440,6 +477,13 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
         w.g1 += w.L
         _species_sum(sigma, w.g1, w.g, w.t[0])
         w.g += shift
+        if second:
+            # h'' = sum_i sigma_i^3 (G3_i - dt/x_i^2)
+            _, q = _xlnx_g3(w.c0, w.d, w.x, w.g2, (w.g1, w.L, w.t))
+            q *= q
+            q *= dt
+            w.g1 -= q
+            _species_sum(sig3, w.g1, w.h2, w.t[0])
         np.divide(dt, w.x, out=w.x)
         w.g2 += w.x
         _species_sum(sig2, w.g2, w.hp, w.t[0])
@@ -450,9 +494,11 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
 def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
     """Vector root solve of one reaction residual per cell, in y = log1p(R/(eta dt)).
 
-    ``h_fn(R)`` writes h into ``w.g`` and h' into ``w.hp``; the residual is
-    ``g(y) = y + h(R(y))``, ``R(y) = eta dt expm1(y)``, and
-    ``g'(y) = 1 + P h'(R)`` with ``P = eta dt e^y = dR/dy``. h increases and
+    ``h_fn(R)`` writes h into ``w.g`` and h' into ``w.hp``, and
+    ``h_fn(R, True)`` also h'' into ``w.h2``; the residual is
+    ``g(y) = y + h(R(y))``, ``R(y) = eta dt expm1(y)``, with
+    ``g'(y) = 1 + P h'(R)`` and ``g''(y) = P h' + P^2 h''``, where
+    ``P = eta dt e^y = dR/dy``. h increases and
     ``h(0) = A0`` (``w.A0``), so the root lies in ``[min(0, -A0), max(0, -A0)]``
     (module docstring). eta dt enters as its logarithm ``w.log_eta_dt`` and R
     is ``eta dt expm1(y)`` for y <= 0 and ``-P expm1(-y)`` for y > 0, so R comes
@@ -461,9 +507,12 @@ def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
     -inf where a produced species runs out, +inf where a consumed one does.
     The iteration starts at ``y(R0)`` where that lies on the bracket, else at
     0. Without R0 it starts at y = 0, whose residual is known in closed form:
-    R = -0, h = A0, P = eta dt and h' is the caller's ``w.hp``. Newton steps
-    are accepted only strictly inside the current sign-change bracket;
-    anything else falls back to bisection, so progress is guaranteed.
+    R = -0, h = A0, P = eta dt, and h' and h'' are the caller's ``w.hp`` and
+    ``w.h2``. The first update of a cell is Halley's,
+    ``y - g/(g' (1 - g g''/(2 g'^2)))``, where that is finite and strictly
+    inside the current sign-change bracket; every other update is Newton's
+    where that is strictly inside, else bisection, so progress is
+    guaranteed. h'' is evaluated at the start point only.
     Converges when ``|g| <= _TOL``; R and the iterations per cell are
     written to ``R`` and ``iters``, every other array to w. Raises
     NonConvergence after ``_MAX_ITER`` iterations, or as soon as a cell's
@@ -477,9 +526,15 @@ def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
     if over.size:
         raise NonConvergence(f"{label}: eta dt overflows in {over.size} cell(s), "
                              f"first at flat index {first + int(over[0])}", iterations=0)
-    eta_dt, y, a, b, g, gp, hp, res = w.eta_dt, w.y, w.a, w.b, w.g, w.gp, w.hp, w.res
+    eta_dt, y, a, b, g, gp, hp, h2, res = w.eta_dt, w.y, w.a, w.b, w.g, w.gp, w.hp, w.h2, w.res
     todo, fin, m1, m2 = w.todo, w.fin, w.m1, w.m2
     np.exp(w.log_eta_dt, out=eta_dt)
+
+    def curvature():
+        # h'' is in h2 and P in gp: g'' = P (h' + P h''), into h2
+        np.multiply(h2, gp, out=h2)
+        np.add(h2, hp, out=h2)
+        np.multiply(h2, gp, out=h2)
 
     def residual():
         # h is in g and P in gp
@@ -491,7 +546,7 @@ def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
         np.multiply(gp, hp, out=gp)
         np.add(gp, 1.0, out=gp)
 
-    def evaluate():
+    def evaluate(second=False):
         np.add(w.log_eta_dt, y, out=gp)
         np.exp(gp, out=gp)
         np.abs(y, out=R)
@@ -501,7 +556,11 @@ def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
         np.less_equal(y, 0.0, out=m1)
         np.copyto(g, eta_dt, where=m1)
         np.multiply(R, g, out=R)
-        h_fn(R)
+        if second:
+            h_fn(R, True)
+            curvature()
+        else:
+            h_fn(R)
         residual()
 
     np.negative(w.A0, out=b)
@@ -513,12 +572,22 @@ def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
             R.fill(-0.0)
             np.copyto(g, w.A0)
             np.copyto(gp, eta_dt)
+            curvature()
             residual()
         else:
             np.divide(R0, eta_dt, out=y)
             np.log1p(y, out=y)
             np.copyto(y, 0.0, where=~((y >= a) & (y <= b)))
-            evaluate()
+            evaluate(second=True)
+        # Halley's first update y - g/(g' (1 - g g''/(2 g'^2))), into h2
+        h2 *= g
+        h2 /= gp
+        h2 /= gp
+        h2 *= -0.5
+        h2 += 1.0
+        h2 *= gp
+        np.divide(g, h2, out=h2)
+        np.subtract(y, h2, out=h2)
         np.abs(g, out=res)
         np.greater(res, _TOL, out=todo)
         iters.fill(0)
@@ -540,7 +609,15 @@ def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
             m1 |= m2
             np.greater_equal(cand, b, out=m2)
             m1 |= m2
-            if m1.any():  # a Newton step kept lies strictly inside, so cannot collapse
+            if it == 1:
+                # the Halley step wins where it lies strictly inside the bracket
+                np.greater(h2, a, out=fin)
+                np.less(h2, b, out=m2)
+                fin &= m2
+                np.copyto(cand, h2, where=fin)
+                np.logical_not(fin, out=fin)
+                m1 &= fin
+            if m1.any():  # a Newton or Halley step kept lies strictly inside, so cannot collapse
                 np.add(a, b, out=cand, where=m1)
                 np.multiply(cand, 0.5, out=cand, where=m1)
                 np.less_equal(cand, a, out=m2)
@@ -584,6 +661,13 @@ def _scalar_xlnx_slope(a, d):
     return math.log(a) + ((a + d) / d) * L, (t - L) / (t * d), L
 
 
+def _scalar_xlnx_g3(a, d, g2):
+    t = d / a
+    if abs(t) <= _G3_SERIES:
+        return (0.5 * t - 1.0 / 3.0) / a / a
+    return (1.0 / (a + d) - g2 * 2.0) / d
+
+
 def _scalar_phi(c0, sigma, U, p, q):
     tot = 0.0
     for c, s, u in zip(c0, sigma, U):
@@ -593,27 +677,29 @@ def _scalar_phi(c0, sigma, U, p, q):
 
 
 def _scalar_solve(h_fn, log_eta_dt, A0, R0, label):
-    """Scalar counterpart of _bracketed_newton; same bracket, start and failure rules.
+    """Scalar counterpart of _bracketed_newton; same bracket, start, updates and failure rules.
 
-    ``h_fn`` returns NaN for an R outside the positive orthant.
+    ``h_fn(R, second)`` returns ``(h, h', h'')``, h'' only where ``second``
+    is true (else any number), and NaNs for an R outside the positive orthant.
     """
     if log_eta_dt > _LOG_MAX:
         raise NonConvergence(f"{label}: eta dt overflows", iterations=0)
     eta_dt = math.exp(log_eta_dt)
 
-    def evaluate(y):
+    def evaluate(y, second=False):
         # where P overflows, so does R > 0 and g = +inf, as on the vector path
         P = math.exp(log_eta_dt + y) if log_eta_dt + y <= _LOG_MAX else math.inf
         R = (-P if y > 0 else eta_dt) * math.expm1(-abs(y))
-        h, hp = h_fn(R)
+        h, hp, h2 = h_fn(R, second)
         g = y + h
-        return R, g if math.isfinite(g) else math.copysign(math.inf, R), 1.0 + P * hp
+        return (R, g if math.isfinite(g) else math.copysign(math.inf, R), 1.0 + P * hp,
+                P * (hp + P * h2))
 
     a, b = min(0.0, -A0), max(0.0, -A0)
     y = math.log1p(R0 / eta_dt) if R0 > -eta_dt and eta_dt > 0 else 0.0
     if not a <= y <= b:
         y = 0.0
-    R, g, gp = evaluate(y)
+    R, g, gp, gpp = evaluate(y, True)
     res = abs(g)
     if res <= _TOL:
         return R, 0
@@ -623,13 +709,17 @@ def _scalar_solve(h_fn, log_eta_dt, A0, R0, label):
         else:
             a = y
         cand = y - g / gp
+        if it == 1:
+            den = gp * (1.0 - g * gpp / gp / gp * 0.5)
+            if den and a < y - g / den < b:
+                cand = y - g / den
         if not (a < cand < b):
             cand = 0.5 * (a + b)
         if not (a < cand < b):
             raise NonConvergence(f"{label}: bracket collapsed to adjacent floats",
                                  residual=res, iterations=it - 1)
         y = cand
-        R, g, gp = evaluate(y)
+        R, g, gp, _ = evaluate(y)
         if math.isfinite(g):
             res = abs(g)
             if res <= _TOL:
@@ -646,15 +736,18 @@ def _scalar_predictor(c0, spec, dt):
     active = [(c, s, u) for c, s, u in zip(c0, sigma, U) if s]
     A0 = sum(s * (math.log(c) + u) for c, s, u in active)
 
-    def h_pred(R):
-        h = hp = 0.0
+    def h_pred(R, second):
+        h = hp = h2 = 0.0
         for c, s, u in active:
             ci = c + s * R
             if ci <= 0:
-                return math.nan, math.nan
+                return math.nan, math.nan, math.nan
             h += s * (math.log(ci) + u)
             hp += s * s / ci
-        return h, hp
+            if second:
+                q = 1.0 / ci
+                h2 -= s * s * s * (q * q)
+        return h, hp, h2
 
     R, it = _scalar_solve(h_pred, log_eta0_dt, A0, 0.0, "first-order reaction predictor")
     return R, it, A0
@@ -668,16 +761,19 @@ def _scalar_stage(c0, spec, dt):
     active = [(c, s) for c, s in zip(c0, sigma) if s]
     shift = sum(s * (u - 1.0) for s, u in zip(sigma, spec.U.tolist()))
 
-    def h_corr(R):
-        h, hp = shift, 0.0
+    def h_corr(R, second):
+        h, hp, h2 = shift, 0.0, 0.0
         for c, s in active:
             ci = c + s * R
             if ci <= 0:
-                return math.nan, math.nan
+                return math.nan, math.nan, math.nan
             g1, g2, L = _scalar_xlnx_slope(c, s * R)
             h += s * (g1 + dt * L)
             hp += s * s * (g2 + dt / ci)
-        return h, hp
+            if second:
+                q = 1.0 / ci
+                h2 += s * s * s * (_scalar_xlnx_g3(c, s * R, g2) - q * q * dt)
+        return h, hp, h2
 
     R, it_corr = _scalar_solve(h_corr, log_eta_star_dt, A0, Rhat, "second-order reaction step")
     return R, it_pred, it_corr

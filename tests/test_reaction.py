@@ -336,7 +336,13 @@ def test_step_rejects_bad_dt():
 
 
 def test_scalar_and_vector_paths_agree():
-    """reaction_step (scalar internals) against reaction_stage (vectorized) per cell."""
+    """reaction_step (scalar internals) against reaction_stage (vectorized) per cell.
+
+    The scalar twin runs the vector algorithm on floats, so both make the same
+    predictor and corrector iterations in every cell.
+    """
+    from rdsplit.reaction import _scalar_stage, _solve_stage
+
     rng = np.random.default_rng(17)
     g = Grid(dim=1, n0=16)
     for _ in range(10):
@@ -345,12 +351,15 @@ def test_scalar_and_vector_paths_agree():
         fields = [Field(g, vals[i]) for i in range(spec.n_species)]
         dt = float(10.0 ** rng.uniform(-3, -0.5))
         staged = reaction_stage(fields, spec, dt)
+        _, it_pred, it_corr = _solve_stage(vals, spec, dt)
         for cell in range(g.n0):
             st = PointState(c0=vals[:, cell])
             R = reaction_step(st, spec, dt)
             c_cell = np.array([staged[i].values[cell] for i in range(spec.n_species)])
             np.testing.assert_allclose(c_cell, vals[:, cell] + spec.sigma * R,
                                        rtol=1e-11, atol=1e-13)
+            _, pred, corr = _scalar_stage(vals[:, cell].tolist(), spec, dt)
+            assert (pred, corr) == (it_pred[cell], it_corr[cell])
 
 
 def test_stage_conserves_orthogonal_invariants():
@@ -460,8 +469,8 @@ def test_quench_limit_raises_instead_of_accepting_bad_residual(monkeypatch):
             solve()
         assert 1e-12 < exc_info.value.residual < math.inf
         iterations.append(exc_info.value.iterations)
-    assert iterations == [53, 53]
-    assert calls == 54
+    assert iterations == [51, 51]
+    assert calls == 52
     R = reaction_step(PointState(c0), spec, 0.01)
     assert (c0 + spec.sigma * R).min() > 0.3
 
@@ -525,7 +534,7 @@ def test_stage_failure_names_the_global_cell(monkeypatch):
     with pytest.raises(NonConvergence, match=r"1 cell\(s\) bracket collapsed to adjacent "
                        r"floats, first at flat index 7$") as exc_info:
         reaction_stage([Field(g, v) for v in vals], spec, 0.02)
-    assert exc_info.value.iterations == 53
+    assert exc_info.value.iterations == 51
 
 
 # ---------------------------------------------------------------- in-place stage oracle
@@ -722,14 +731,34 @@ def _oracle_case(rng, i):
     return spec, c0, float(10.0 ** rng.uniform(-4.0, 0.5)), int(rng.integers(16, m + 1))
 
 
-def test_in_place_stage_matches_the_reference_bitwise(monkeypatch):
-    """The workspace solver gives the reference's R bit for bit and the same
-    iterations per cell, or raises the same NonConvergence, and leaves c0 as it
-    was; on one-cell grids cut from a solved draw it gives that cell's result.
+def _recipe_case(rng):
+    """Spec, c0 of shape (nsp,) and dt of one random point step, or None.
 
-    The draws cover the cases below, counted on the reference. An iterate
-    outside the orthant has g = +-inf, so that cell's next update is a
-    bisection.
+    The recipe: 1-4 species with coefficients in {0, 1/2, 1, 2}, k+- uniform
+    in [0.2, 3], c0 log-uniform from 1e-12 to 3 and dt log-uniform from 1e-9
+    to 0.1. A draw with alpha == beta is no reaction and gives None.
+    """
+    nsp = int(rng.integers(1, 5))
+    alpha, beta = rng.choice((0.0, 0.5, 1.0, 2.0), (2, nsp))
+    k_plus, k_minus = rng.uniform(0.2, 3.0, 2)
+    c0 = 10.0 ** rng.uniform(-12.0, math.log10(3.0), nsp)
+    dt = float(10.0 ** rng.uniform(-9.0, -1.0))
+    if np.array_equal(alpha, beta):
+        return None
+    return ReactionSpec.law_of_mass_action(alpha, beta, k_plus, k_minus), c0, dt
+
+
+def test_in_place_stage_matches_the_reference_bitwise(monkeypatch):
+    """The workspace solver solves every input the reference solves, R to 1e-10
+    relative or within what the stop test resolves, in no more iterations per
+    cell on average, and leaves c0 as it was; on one-cell grids cut from a
+    solved draw it gives that cell's result bit for bit.
+
+    The reference is the solver before the Halley first update; the two round
+    R differently. The draws cover the cases below, counted on the reference.
+    An iterate outside the orthant has g = +-inf, so that cell's next update is
+    a bisection. A seeded slice of 400 random point steps (one-cell stages)
+    adds roots next to the ends of the bracket.
     """
     import rdsplit.reaction as rx
 
@@ -748,27 +777,45 @@ def test_in_place_stage_matches_the_reference_bitwise(monkeypatch):
             seen.add("series branch")
         return kernel(a, d, log_a)
 
+    def compare(spec, c0, dt, block):
+        """Our outcome and the iterations of both solvers, summed over the cells
+        the reference solves (zeros where it fails)."""
+        monkeypatch.setattr(rx, "_BLOCK", block)
+        before = c0.copy()
+        got = _stage_outcome(lambda: rx._solve_stage(c0, spec, dt))
+        np.testing.assert_array_equal(c0, before)
+        ref = _stage_outcome(lambda: _reference_stage(c0, spec, dt, block))
+        if not isinstance(ref[0], bytes):
+            return got, 0, 0
+        assert isinstance(got[0], bytes), got
+        R, R_ref = np.frombuffer(got[0]), np.frombuffer(ref[0])
+        for j in np.flatnonzero(np.abs(R - R_ref) > 1e-10 * np.abs(R_ref)):
+            # both stop at |g| <= _TOL with g' >= 1, so their y differ by at most
+            # 2 _TOL and their R by 2 _TOL P, P = eta* dt + R; near equilibrium one
+            # Newton update stops there with a truncation Halley's does not have
+            st = PointState(c0[:, j])
+            eta_dt = dt * reaction_mobility(
+                st.c0 + spec.sigma * (predictor_first_order(st, spec, dt) / 2.0), spec)
+            assert abs(R[j] - R_ref[j]) <= 2.0 * _TOL * (eta_dt + R_ref[j])
+        return got, sum(got[1]) + sum(got[2]), sum(ref[1]) + sum(ref[2])
+
     bracketed, kernel = _bracketed_newton, _xlnx_slope
     monkeypatch.setitem(globals(), "_bracketed_newton", newton)
     monkeypatch.setitem(globals(), "_xlnx_slope", slope)
     rng = np.random.default_rng(2024)
-    solved = 0
+    solved = iters = iters_ref = 0
     for i in range(60):
         spec, c0, dt, block = _oracle_case(rng, i)
         if not spec.sigma.all():
             seen.add("sigma = 0")
         if np.any(np.einsum("i,im->m", spec.sigma, np.log(c0) + spec.U[:, None]) == 0.0):
             seen.add("A0 = 0")
-        monkeypatch.setattr(rx, "_BLOCK", block)
-        before = c0.copy()
-        got = _stage_outcome(lambda: rx._solve_stage(c0, spec, dt))
-        np.testing.assert_array_equal(c0, before)
-        assert got == _stage_outcome(lambda: _reference_stage(c0, spec, dt, block))
+        got, it, it_ref = compare(spec, c0, dt, block)
+        iters, iters_ref = iters + it, iters_ref + it_ref
         if not isinstance(got[0], bytes):
             continue
         solved += 1
-        # one-cell grids give that cell of the full-width solve; the reference is
-        # no oracle there, as its einsum adds a length-1 output pairwise
+        # one-cell grids give that cell of the full-width solve
         R, it_pred, it_corr = np.frombuffer(got[0]), got[1], got[2]
         monkeypatch.setattr(rx, "_BLOCK", 1)
         for j in range(0, c0.shape[1], 3) if not spec.sigma.all() else (0, 5):
@@ -777,13 +824,31 @@ def test_in_place_stage_matches_the_reference_bitwise(monkeypatch):
                     == (R[j:j + 1].tobytes(), it_pred[j:j + 1], it_corr[j:j + 1]))
     assert seen == {"sigma = 0", "A0 = 0", "series branch", "left the orthant, then bisection"}
     assert solved >= 50
+    assert iters <= iters_ref
+    rng = np.random.default_rng(9)
+    iters = iters_ref = 0
+    for _ in range(400):
+        case = _recipe_case(rng)
+        if case is not None:
+            # a two-cell stage: the reference's einsum adds a one-cell output pairwise
+            spec, c0, dt = case
+            _, it, it_ref = compare(spec, np.repeat(c0[:, None], 2, axis=1), dt, 2)
+            iters, iters_ref = iters + it, iters_ref + it_ref
+    assert 0 < iters <= iters_ref
 
 
 @pytest.mark.parametrize("case", ["collapse", "iteration cap", "overflow"])
 def test_in_place_stage_fails_like_the_reference(monkeypatch, case):
-    """Each failure raises the reference's message, iterations and residual."""
+    """Each failure raises the reference's NonConvergence message: stage, cause,
+    cell count and first cell. The Halley first update changes the iterations
+    and the last residual of a collapse, so those are pinned (collapse: the
+    reference made 53 updates; iteration cap and overflow: as the reference).
+    """
     import rdsplit.reaction as rx
 
+    iterations, residual = {"collapse": (51, 0.8435741558143101),
+                            "iteration cap": (2, 5.112318179521676),
+                            "overflow": (0, None)}[case]
     if case == "collapse":  # the quench input at cell 7, in blocks of 3 cells
         spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
                                                0.7252, 2.4492)
@@ -800,7 +865,9 @@ def test_in_place_stage_fails_like_the_reference(monkeypatch, case):
     monkeypatch.setattr(rx, "_BLOCK", block)
     got = _stage_outcome(lambda: rx._solve_stage(c0, spec, dt))
     assert isinstance(got[0], str)
-    assert got == _stage_outcome(lambda: _reference_stage(c0, spec, dt, block))
+    assert got[0] == _stage_outcome(lambda: _reference_stage(c0, spec, dt, block))[0]
+    assert got[1] == iterations
+    assert got[2] == (None if residual is None else pytest.approx(residual, rel=1e-12))
 
 
 def _solve_three_ways(spec, c0, dt):
@@ -980,30 +1047,38 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _slope_oracle(a, d):
-    """G1, G2 of the x ln x slope at the exact binary a and d, to 40 digits."""
+    """G1, G2 and G3 = dG2/dd of the x ln x slope at the exact binary a and d, to 40 digits."""
     with localcontext() as ctx:
         ctx.prec = 40
         A, Dd = Decimal(a), Decimal(d)
         if Dd == 0:
-            return float(A.ln() + 1), float(1 / (2 * A))
-        # x ln x - a ln a and d - a ln(x/a) cancel about 2 |log10 t| digits
-        ctx.prec += 2 * max(0, -(Dd / A).adjusted())
+            return float(A.ln() + 1), float(1 / (2 * A)), float(-1 / (3 * A * A))
+        # x ln x - a ln a and d - a ln(x/a) cancel about 2 |log10 t| digits, and
+        # 1/x - 2 G2 one |log10 t| more
+        ctx.prec += 3 * max(0, -(Dd / A).adjusted())
         X = A + Dd
         g1 = (X * X.ln() - A * A.ln()) / Dd
         g2 = (Dd - A * (X / A).ln()) / (Dd * Dd)
-        return float(g1), float(g2)
+        g3 = (1 / X - 2 * g2) / Dd
+        return float(g1), float(g2), float(g3)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(a=hst.floats(1e-12, 1e3),
        t=hst.one_of(hst.floats(-1.0, 1e6, exclude_min=True), hst.floats(-1e-6, 1e-6)))
-@example(a=4e-170, t=0.5)  # d^2 underflows to 0
+@example(a=4e-170, t=0.5)  # d^2 underflows to 0, G3 ~ -1/a^2 overflows
+@example(a=0.7, t=0.0)
+@example(a=0.7, t=3e-6)  # the G3 closed form would be off by 1.5e-4 here
+@example(a=0.7, t=1e-4)  # the G3 series, at its switch
+@example(a=0.7, t=-1e-4)
+@example(a=0.7, t=1.001e-4)  # the G3 closed form, next to the switch
+@example(a=0.7, t=-1.001e-4)
 def test_xlnx_slope_kernels_match_decimal_oracle(a, t):
-    from rdsplit.reaction import _scalar_xlnx_slope, _xlnx_slope
+    from rdsplit.reaction import _scalar_xlnx_g3, _scalar_xlnx_slope, _xlnx_g3, _xlnx_slope
 
     d = a * t
     assume(d / a > -1.0)
-    ref1, ref2 = _slope_oracle(a, d)
+    ref1, ref2, ref3 = _slope_oracle(a, d)
     scalar = _scalar_xlnx_slope(a, d)
     args = np.array([a]), np.array([d]), np.log(np.array([a]))
     vector = [float(v[0]) for v in _xlnx_slope(*args)]
@@ -1024,3 +1099,15 @@ def test_xlnx_slope_kernels_match_decimal_oracle(a, t):
     for g1, g2, _ in (scalar, vector):
         assert abs(g1 - ref1) <= 1e-13 * max(1.0, abs(ref1))
         assert abs(g2 - ref2) <= (1e-8 + 4 * _EPS * cond) * ref2
+    # G3 from each path's own G2. Its closed form (1/x - 2 G2)/d cancels about
+    # 1/|t| of G2's relative error, 2 eps/|t|, so it is good to 6 eps/t^2, and
+    # the series (t/2 - 1/3)/a^2 to 1.8 t^2; at the switch |t| = 1e-4 both stay
+    # below 1.3e-7, hence 2e-7. G2's error near t = -1 passes on as cond.
+    g3_scalar = _scalar_xlnx_g3(a, d, scalar[1])
+    g3_vector = float(_xlnx_g3(args[0], args[1], out[3], out[1],
+                               tuple(np.empty(1) for _ in range(3)))[0][0])
+    for g3 in (g3_scalar, g3_vector):
+        if math.isinf(ref3):
+            assert g3 == ref3
+        else:
+            assert abs(g3 - ref3) <= (2e-7 + 4 * _EPS * cond) * abs(ref3)
