@@ -419,17 +419,19 @@ def _log_eta_dt(c0, spec, dt, half, out, tmp):
     out += math.log(spec.k_minus) + math.log(dt)
 
 
-def _species_sum(coef, rows, out, tmp):
-    """``out = sum_i coef_i rows_i`` per cell over the nonzero coef_i, in species order.
+def _species_sum(terms, rows, out, tmp):
+    """``out = sum_i c_i rows_i`` per cell over ``terms``, pairs ``(i, c_i)`` in species order.
 
     Unlike einsum, which groups a one-cell sum pairwise, the order does not
-    depend on the block width. As on the scalar path, a species with
-    ``coef_i = 0`` adds nothing, not even the NaN of ``0 * inf``.
+    depend on the block width. The terms are the species that react
+    (``sigma_i != 0``), as on the scalar path: an inert species adds nothing,
+    not even the NaN of ``0 * inf``, and a reacting one whose power of sigma
+    underflows adds its zero.
     """
-    (c_first, first), *rest = [(ci, row) for ci, row in zip(coef.tolist(), rows) if ci]
-    np.multiply(first, c_first, out=out)
-    for ci, row in rest:
-        np.multiply(row, ci, out=tmp)
+    (i, c), *rest = terms
+    np.multiply(rows[i], c, out=out)
+    for i, c in rest:
+        np.multiply(rows[i], c, out=tmp)
         out += tmp
 
 
@@ -439,12 +441,14 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
     Writes R, the predictor's R in w.Rhat, and the iterations of each solve.
     """
     sigma = spec.sigma
-    sig_col, sig2, U_col = sigma[:, None], sigma ** 2, spec.U[:, None]
-    sig3 = sig2 * sigma
+    sig_col, U_col = sigma[:, None], spec.U[:, None]
+    sig = [(i, s) for i, s in enumerate(sigma.tolist()) if s]  # the scalar path's species
+    sig2 = [(i, s * s) for i, s in sig]
+    sig3 = [(i, s * s * s) for i, s in sig]
     np.copyto(w.c0, c0)
     np.log(w.c0, out=w.log_c0)
     np.add(w.log_c0, U_col, out=w.g1)
-    _species_sum(sigma, w.g1, w.A0, w.t[0])
+    _species_sum(sig, w.g1, w.A0, w.t[0])
     w.hp.fill(0.0)
     _log_eta_dt(c0, spec, dt, w.hp, w.log_eta_dt, w.y)
 
@@ -453,7 +457,7 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
         w.x += w.c0
         np.log(w.x, out=w.g1)
         w.g1 += U_col
-        _species_sum(sigma, w.g1, w.g, w.t[0])
+        _species_sum(sig, w.g1, w.g, w.t[0])
         np.divide(1.0, w.x, out=w.x)
         _species_sum(sig2, w.x, w.hp, w.t[0])
 
@@ -463,7 +467,7 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
         np.divide(1.0, w.c0, out=w.x)
         _species_sum(sig2, w.x, w.hp, w.t[0])
         w.x *= w.x
-        _species_sum(-sig3, w.x, w.h2, w.t[0])
+        _species_sum([(i, -c) for i, c in sig3], w.x, w.h2, w.t[0])
     _bracketed_newton(h_pred, w, w.Rhat, it_pred, "first-order reaction predictor", first)
     np.divide(w.Rhat, 2.0, out=w.hp)
     _log_eta_dt(c0, spec, dt, w.hp, w.log_eta_dt, w.y)
@@ -475,7 +479,7 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
         _xlnx_slope(w.c0, w.d, w.log_c0, (w.g1, w.g2, w.L, w.x, w.t))
         w.L *= dt
         w.g1 += w.L
-        _species_sum(sigma, w.g1, w.g, w.t[0])
+        _species_sum(sig, w.g1, w.g, w.t[0])
         w.g += shift
         if second:
             # h'' = sum_i sigma_i^3 (G3_i - dt/x_i^2)
@@ -679,8 +683,9 @@ def _scalar_phi(c0, sigma, U, p, q):
 def _scalar_solve(h_fn, log_eta_dt, A0, R0, label):
     """Scalar counterpart of _bracketed_newton; same bracket, start, updates and failure rules.
 
-    ``h_fn(R, second)`` returns ``(h, h', h'')``, h'' only where ``second``
-    is true (else any number), and NaNs for an R outside the positive orthant.
+    ``h_fn(R, second)`` returns ``(h, h')``, or ``(h, h', h'')`` where
+    ``second`` is true, and NaNs for an R outside the positive orthant; only
+    the start point asks for h''.
     """
     if log_eta_dt > _LOG_MAX:
         raise NonConvergence(f"{label}: eta dt overflows", iterations=0)
@@ -690,10 +695,12 @@ def _scalar_solve(h_fn, log_eta_dt, A0, R0, label):
         # where P overflows, so does R > 0 and g = +inf, as on the vector path
         P = math.exp(log_eta_dt + y) if log_eta_dt + y <= _LOG_MAX else math.inf
         R = (-P if y > 0 else eta_dt) * math.expm1(-abs(y))
-        h, hp, h2 = h_fn(R, second)
-        g = y + h
-        return (R, g if math.isfinite(g) else math.copysign(math.inf, R), 1.0 + P * hp,
-                P * (hp + P * h2))
+        hs = h_fn(R, second)
+        g = y + hs[0]
+        g = g if math.isfinite(g) else math.copysign(math.inf, R)
+        if second:
+            return R, g, 1.0 + P * hs[1], P * (hs[1] + P * hs[2])
+        return R, g, 1.0 + P * hs[1]
 
     a, b = min(0.0, -A0), max(0.0, -A0)
     y = math.log1p(R0 / eta_dt) if R0 > -eta_dt and eta_dt > 0 else 0.0
@@ -719,7 +726,7 @@ def _scalar_solve(h_fn, log_eta_dt, A0, R0, label):
             raise NonConvergence(f"{label}: bracket collapsed to adjacent floats",
                                  residual=res, iterations=it - 1)
         y = cand
-        R, g, gp, _ = evaluate(y)
+        R, g, gp = evaluate(y)
         if math.isfinite(g):
             res = abs(g)
             if res <= _TOL:
@@ -747,7 +754,7 @@ def _scalar_predictor(c0, spec, dt):
             if second:
                 q = 1.0 / ci
                 h2 -= s * s * s * (q * q)
-        return h, hp, h2
+        return (h, hp, h2) if second else (h, hp)
 
     R, it = _scalar_solve(h_pred, log_eta0_dt, A0, 0.0, "first-order reaction predictor")
     return R, it, A0
@@ -773,7 +780,7 @@ def _scalar_stage(c0, spec, dt):
             if second:
                 q = 1.0 / ci
                 h2 += s * s * s * (_scalar_xlnx_g3(c, s * R, g2) - q * q * dt)
-        return h, hp, h2
+        return (h, hp, h2) if second else (h, hp)
 
     R, it_corr = _scalar_solve(h_corr, log_eta_star_dt, A0, Rhat, "second-order reaction step")
     return R, it_pred, it_corr
