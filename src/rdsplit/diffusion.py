@@ -29,8 +29,8 @@ discrete divergence, so the same holds for ``<rho ln rho + C rho, 1>`` with
 any constant C, which would shift mu by a constant that ``grad`` removes.
 
 Its linear systems are symmetric positive definite, solved matrix-free by
-conjugate gradients on ``weighted_divgrad``, preconditioned by the diagonally
-scaled exact FFT inverse of the mean-coefficient operator (Concus & Golub 1973).
+conjugate gradients on the array kernel ``_divgrad``, preconditioned by the
+diagonally scaled exact FFT inverse of the mean-coefficient operator (Concus & Golub 1973).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInput, NonConvergence, PositivityViolation
-from .grid import Field, FaceField, Grid, average_to_faces, weighted_divgrad
+from .grid import Field, Grid, _divgrad, average_to_faces
 from .reaction import _check_dt, _xlnx_slope
 
 __all__ = [
@@ -148,12 +148,12 @@ _CG_MAX_ITER = 1000
 _EPS = float(np.finfo(float).eps)
 
 
-def _face_sum(faces: list[FaceField]) -> np.ndarray:
+def _face_sum(faces: list[tuple[int, np.ndarray]]) -> np.ndarray:
     """Per cell, the sum over axes of its two face weights, ``w + roll(w, 1)``."""
-    return sum(w.values + np.roll(w.values, 1, axis=w.axis) for w in faces)
+    return sum(w + np.roll(w, 1, axis=ax) for ax, w in faces)
 
 
-def _spd_solve(diag, faces: list[FaceField], scale: float, b: np.ndarray) -> np.ndarray:
+def _spd_solve(grid: Grid, diag, faces, scale: float, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = (diag - scale div(faces grad)) x = b`` by preconditioned CG.
 
     ``diag`` is positive (scalar or per cell). ``K``, the operator with mean
@@ -161,12 +161,10 @@ def _spd_solve(diag, faces: list[FaceField], scale: float, b: np.ndarray) -> np.
     ``K^-1 b`` alone solves constant coefficients. The preconditioner scales
     ``K^-1`` on both sides by ``sqrt(diag(K)/diag(A))`` for degenerate weights.
     """
-    grid = faces[0].grid
-
     def apply(x):
-        return diag * x - scale * weighted_divgrad(faces, Field(grid, x)).values
+        return diag * x - scale * _divgrad(faces, x, grid.h)
 
-    mean_diag, mean_face = np.mean(diag), np.mean([w.values.mean() for w in faces])
+    mean_diag, mean_face = np.mean(diag), np.mean([w.mean() for _, w in faces])
     symbol = 1.0 / (mean_diag - scale * mean_face * _laplacian_symbol(grid))
     c = scale / grid.h ** 2
     a_diag = diag + c * _face_sum(faces)
@@ -197,15 +195,15 @@ def semi_implicit_predictor(rho_n: Field, law: DiffusionLaw, dt: float) -> Field
     is an M-matrix, so the solution is unique, cellwise positive, and
     conserves mass up to the CG residual (relative 2-norm 1e-12).
     """
-    if law.kind == "none":
-        raise InvalidInput("predictor needs a diffusing species")
     _check_dt(dt)
     if np.any(rho_n.values <= 0):
-        raise PositivityViolation("predictor needs a strictly positive field")
+        raise PositivityViolation("nonlinear diffusion needs a strictly positive field")
+    if law.kind == "none":
+        raise InvalidInput("predictor needs a diffusing species")
     grid = rho_n.grid
     coeff = Field(grid, law.coefficient(rho_n.values))
-    faces = [average_to_faces(coeff, ax) for ax in range(grid.dim)]
-    rho_hat = _spd_solve(1.0 / dt, faces, 1.0, rho_n.values / dt)
+    faces = [(ax, average_to_faces(coeff, ax).values) for ax in range(grid.dim)]
+    rho_hat = _spd_solve(grid, 1.0 / dt, faces, 1.0, rho_n.values / dt)
     if rho_hat.min() <= 0:
         raise PositivityViolation("semi-implicit predictor lost positivity")
     return Field(grid, rho_hat)
@@ -226,16 +224,13 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
     ``dt div(M grad mu)`` carries, twice eps times the largest product of a
     cell's stencil weight ``dt/h^2 sum(M)`` and the size of the terms summed
     into its mu; ``cap`` (sqrt(eps) relative) keeps that floor from excusing
-    a genuinely stalled solve.
+    a genuinely stalled solve. The predictor checks ``rho_n`` and ``dt``.
     """
-    _check_dt(dt)
-    if np.any(rho_n.values <= 0):
-        raise PositivityViolation("nonlinear step needs a strictly positive field")
     grid = rho_n.grid
     rho_hat = semi_implicit_predictor(rho_n, law, dt)
     rho_mid = 0.5 * (rho_n.values + rho_hat.values)
     mob = Field(grid, law.mobility(rho_mid))
-    faces = [average_to_faces(mob, ax) for ax in range(grid.dim)]
+    faces = [(ax, average_to_faces(mob, ax).values) for ax in range(grid.dim)]
 
     rn = rho_n.values
     log_rn = np.log(rn)
@@ -250,7 +245,7 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
         mu_prime = g2 + dt / x
         size = np.abs(g1) + dt * np.abs(L)
         floor = 2.0 * _EPS * float(np.max(reach * size))
-        r = x - rn - dt * weighted_divgrad(faces, Field(grid, mu)).values
+        r = x - rn - dt * _divgrad(faces, mu, grid.h)
         return r, mu_prime, max(tol, min(floor, cap))
 
     n_iter = 0
@@ -262,7 +257,7 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
                 f"nonlinear diffusion Newton stalled at residual {float(np.abs(r).max()):.3e}",
                 residual=float(np.abs(r).max()), iterations=_NEWTON_MAX_ITER)
         # J = (diag(1/mu') - dt L) diag(mu'): solve the SPD factor for mu' delta
-        delta = _spd_solve(1.0 / mu_prime, faces, dt, -r) / mu_prime
+        delta = _spd_solve(grid, 1.0 / mu_prime, faces, dt, -r) / mu_prime
         s = 1.0
         for _ in range(_MAX_HALVINGS):
             if (x + s * delta).min() > 0:

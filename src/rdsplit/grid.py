@@ -211,13 +211,18 @@ def weighted_divgrad(weights: list[FaceField], f: Field) -> Field:
     """
     if len(weights) != f.grid.dim or sorted(w.axis for w in weights) != list(range(f.grid.dim)):
         raise InvalidInput("weighted_divgrad needs exactly one weight field per axis")
-    v, h = f.values, f.grid.h
-    out = np.zeros(f.grid.shape)
     for w in weights:
         _check_same_grid(w, f)
-        flux = w.values * ((np.roll(v, -1, axis=w.axis) - v) / h)
-        out += (flux - np.roll(flux, 1, axis=w.axis)) / h
-    return Field(f.grid, out)
+    return Field(f.grid, _divgrad([(w.axis, w.values) for w in weights], f.values, f.grid.h))
+
+
+def _divgrad(weights, v: np.ndarray, h: float) -> np.ndarray:
+    """Unchecked :func:`weighted_divgrad` on arrays; ``(axis, face weights)`` pairs, summed in order."""
+    out = np.zeros(v.shape)
+    for axis, w in weights:
+        flux = w * ((np.roll(v, -1, axis=axis) - v) / h)
+        out += (flux - np.roll(flux, 1, axis=axis)) / h
+    return out
 
 
 def write_field_csv(f: Field, path) -> None:

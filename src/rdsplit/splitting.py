@@ -191,11 +191,17 @@ def strang_step_counted(state: SimState, spec: SystemSpec, dt: float
 
 
 def steps_for(t_end: float, dt: float) -> int:
-    """Step count; t_end must be an integer multiple of dt, up to 1 ulp of the ratio."""
+    """Step count; t_end must be an integer multiple of dt, up to 1 ulp of the ratio.
+
+    From 2^51 steps on, that ulp is at least 1/2 and the test cannot fail, so
+    such counts raise InvalidInput.
+    """
     _check_dt(dt)
     if not (t_end >= 0 and np.isfinite(t_end)):
         raise InvalidInput("t_end must be nonnegative and finite")
     ratio = t_end / dt
+    if ratio >= 2.0 ** 51:
+        raise InvalidInput(f"t_end / dt = {ratio:g} steps is too many to check")
     n = round(ratio)
     if abs(ratio - n) > np.spacing(max(abs(ratio), 1.0)):
         raise InvalidInput(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
@@ -229,10 +235,12 @@ def run(spec: SystemSpec, dt: float, t_end: float,
     it_reaction = np.zeros(n_steps + 1)
     it_diffusion = np.zeros(n_steps + 1)
 
+    ones = Field(spec.grid, np.broadcast_to(1.0, spec.grid.shape))  # a view: no n-cell array
+
     def record(k: int, st: SimState, itr: float, itd: float):
         times[k] = st.t
         energy[k] = system_energy(st, spec)
-        masses = [inner_product(f, Field.constant(spec.grid, 1.0)) for f in st.c]
+        masses = [inner_product(f, ones) for f in st.c]
         for j, e in enumerate(basis):
             conserved[k, j] = float(np.dot(e, masses))
         min_values[k] = [f.min() for f in st.c]

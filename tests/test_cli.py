@@ -78,7 +78,10 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     ("ode-convergence", "kind = ode_convergence\node.dt = 0.3\n", "integer multiple"),
     ("run", SINGLE_CFG.replace("run.dt = 0.05", "run.dt = 0.03"), "integer multiple"),
     ("energy-trace", "kind = energy_trace\ntrace.dt = 0.3\n", "integer multiple"),
-], ids=["trace h", "cauchy h", "ode dt", "run dt", "trace dt"])
+    # 1e300 steps: the multiple test cannot fail there, and the report arrays would not fit
+    ("run", SINGLE_CFG.replace("run.dt = 0.05", "run.dt = 1e-300").replace(
+        "run.t_end = 0.1", "run.t_end = 1"), "too many to check"),
+], ids=["trace h", "cauchy h", "ode dt", "run dt", "trace dt", "run dt tiny"])
 @pytest.mark.parametrize("existing", [False, True], ids=["new out", "empty out"])
 def test_runner_rejection_leaves_out_untouched(tmp_path, capsys, command, text, why, existing):
     """A runner's own checks run before --out is made or written; a rejected

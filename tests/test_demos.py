@@ -1,8 +1,10 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,3 +23,16 @@ def test_demo_exits_0(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs_and_dissipates_energy():
+    """The README's python block is the first code a user copies; it must run
+    as printed and its free energy must never increase."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    scope = {}
+    exec(compile(blocks[0], "README.md", "exec"), scope)
+    energy = scope["report"].energy
+    assert energy.size > 1
+    assert np.all(np.diff(energy) <= 0)

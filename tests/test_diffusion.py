@@ -275,6 +275,27 @@ def test_cn_respects_iteration_cap():
     assert exc_info.value.iterations == 50
 
 
+def test_cn_builds_no_field_inside_its_solver_loops(monkeypatch):
+    """CG and the Newton residual run the div-grad kernel on bare arrays: the
+    step builds only the predictor's coefficient and result, the mobility and
+    its own result (90 Fields when each operator application wrapped one)."""
+    from rdsplit.diffusion import nonlinear_cn_step_counted
+    from rdsplit.harness import ring_profiles
+
+    rho, _ = ring_profiles(Grid(dim=2, n0=16, lower=-1.0, upper=1.0))
+    built = []
+    post_init = Field.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Field, "__post_init__", counting)
+    _, n_iter = nonlinear_cn_step_counted(rho, DiffusionLaw.power(0.2, 2), 0.5)
+    assert n_iter == 3
+    assert len(built) <= 4
+
+
 def test_cn_rejects_nonpositive_input():
     g = Grid(dim=1, n0=4)
     vals = np.array([1.0, 2.0, 3.0, 4.0])

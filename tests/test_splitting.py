@@ -103,6 +103,15 @@ def test_steps_for():
         steps_for(1.0, -0.1)
     with pytest.raises(InvalidInput):
         steps_for(-1.0, 0.1)
+    # from 2^51 steps on the ratio's ulp is at least 1/2, so the multiple test
+    # passes anything; run(system, 1e-300, 1.0) used to fail in np.zeros
+    assert steps_for(2.0 ** 51 - 1, 1.0) == 2 ** 51 - 1
+    for t_end, dt in [(2.0 ** 51, 1.0), (1.0, 1e-300), (0.3, 1e-300)]:
+        with pytest.raises(InvalidInput, match="too many to check"):
+            steps_for(t_end, dt)
+    sysspec = _two_species_system(np.random.default_rng(0), Grid(dim=1, n0=4))
+    with pytest.raises(InvalidInput, match="too many to check"):
+        run(sysspec, 1e-300, 1.0)
 
 
 @pytest.mark.parametrize("t_end, dt", [(math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf)])
