@@ -1,16 +1,18 @@
 """Diffusion sub-steps: exact exponential stepping and nonlinear Crank-Nicolson.
 
-Constant-coefficient diffusion is advanced exactly through the semigroup of
-the discrete Laplacian, diagonalized by the real FFT on the periodic grid
-(eigenvalue ``-sum_axis (4/h^2) sin^2(pi k / n0)`` per mode). The propagator
-multiplies each mode by ``exp(dt D lambda_k)``, so the zero mode (total mass)
-is untouched and every other multiplier lies in (0, 1]; positivity follows
-from the maximum principle of the exact semigroup.
+Every species diffuses by one law, the flux form ``D0 Lap(rho^alpha_exp)``,
+and its exponent picks the integrator. Linear diffusion (alpha_exp = 1,
+coefficient D0) is advanced exactly through the semigroup of the discrete
+Laplacian, diagonalized by the real FFT on the periodic grid (eigenvalue
+``-sum_axis (4/h^2) sin^2(pi k / n0)`` per mode). The propagator multiplies
+each mode by ``exp(dt D0 lambda_k)``, so the zero mode (total mass) is
+untouched and every other multiplier lies in (0, 1]; positivity follows from
+the maximum principle of the exact semigroup.
 
-Density-dependent diffusion ``d rho/dt = div(D(rho) grad rho)`` with
-``D(rho) = alpha_exp D0 rho^(alpha_exp - 1)`` (the flux form
-``D0 Lap(rho^alpha_exp)``) is advanced by a mobility-form Crank-Nicolson
-step. A semi-implicit predictor freezes the coefficient at the old state,
+Nonlinear diffusion (alpha_exp > 1), ``d rho/dt = div(D(rho) grad rho)`` with
+``D(rho) = alpha_exp D0 rho^(alpha_exp - 1)``, is advanced by a mobility-form
+Crank-Nicolson step. A semi-implicit predictor freezes the coefficient at the
+old state,
 
     (rho_hat - rho_n)/dt = div( avg(D(rho_n)) grad rho_hat ),
 
@@ -42,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInput, NonConvergence, PositivityViolation
-from .grid import Field, Grid, _divgrad, average_to_faces
+from .grid import Field, Grid, _divgrad, _face_sum, average_to_faces
 from .reaction import _check_dt, _xlnx_slope
 
 __all__ = [
@@ -53,46 +55,45 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiffusionLaw:
-    """How one species diffuses: not at all, linearly, or by a power law.
+    """How one species diffuses: the flux form ``D0 Lap(rho^alpha_exp)``.
 
-    ``power(D0, alpha_exp)`` means the flux form ``D0 Lap(rho^alpha_exp)``,
-    i.e. coefficient ``D(rho) = alpha_exp D0 rho^(alpha_exp-1)`` and mobility
-    ``M(rho) = D(rho) rho = alpha_exp D0 rho^alpha_exp``.
+    The coefficient is ``D(rho) = alpha_exp D0 rho^(alpha_exp-1)`` and the
+    mobility ``M(rho) = D(rho) rho = alpha_exp D0 rho^alpha_exp``. ``D0 = 0``
+    is no diffusion and ``alpha_exp = 1`` linear diffusion with coefficient
+    D0, so ``power(D, 1) == constant(D)``; :attr:`kind` names the three cases.
     """
 
-    kind: str
-    D: float = 0.0
     D0: float = 0.0
     alpha_exp: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "constant", "power"):
-            raise InvalidInput(f"unknown diffusion kind {self.kind!r}")
-        if self.kind == "constant" and not 0 < self.D < math.inf:
-            raise InvalidInput("constant diffusion needs a finite D > 0")
-        if self.kind == "power" and not (0 < self.D0 < math.inf
-                                         and 1 <= self.alpha_exp < math.inf):
-            raise InvalidInput("power diffusion needs finite D0 > 0 and alpha_exp >= 1")
+        if not (0 <= self.D0 < math.inf and 1 <= self.alpha_exp < math.inf):
+            raise InvalidInput("diffusion needs finite D0 >= 0 and alpha_exp >= 1")
 
     @classmethod
     def none(cls) -> "DiffusionLaw":
-        return cls(kind="none")
+        return cls()
 
     @classmethod
     def constant(cls, D: float) -> "DiffusionLaw":
-        return cls(kind="constant", D=float(D))
+        if not 0 < float(D) < math.inf:
+            raise InvalidInput("constant diffusion needs a finite D > 0")
+        return cls(float(D))
 
     @classmethod
     def power(cls, D0: float, alpha_exp: float) -> "DiffusionLaw":
-        return cls(kind="power", D0=float(D0), alpha_exp=float(alpha_exp))
+        if not (0 < float(D0) < math.inf and 1 <= float(alpha_exp) < math.inf):
+            raise InvalidInput("power diffusion needs finite D0 > 0 and alpha_exp >= 1")
+        return cls(float(D0), float(alpha_exp))
+
+    @property
+    def kind(self) -> str:
+        """``"none"`` where D0 = 0, else ``"constant"`` where alpha_exp = 1, else ``"power"``."""
+        return "none" if self.D0 == 0 else "constant" if self.alpha_exp == 1 else "power"
 
     def coefficient(self, rho: np.ndarray) -> np.ndarray:
         """Diffusion coefficient D(rho), elementwise."""
-        if self.kind == "constant":
-            return np.full_like(rho, self.D)
-        if self.kind == "power":
-            return self.alpha_exp * self.D0 * rho ** (self.alpha_exp - 1.0)
-        return np.zeros_like(rho)
+        return self.alpha_exp * self.D0 * rho ** (self.alpha_exp - 1.0)
 
     def mobility(self, rho: np.ndarray) -> np.ndarray:
         """Mobility D(rho) * rho, elementwise."""
@@ -128,13 +129,13 @@ def _etd_multipliers(grid: Grid, D: float, dt: float):
 
 
 def etd_step(rho: Field, law: DiffusionLaw, dt: float) -> Field:
-    """One exact diffusion step ``exp(dt D Lap_h)`` for a constant-coefficient law."""
+    """One exact diffusion step ``exp(dt D0 Lap_h)`` for a linear law (alpha_exp = 1)."""
     if law.kind != "constant":
         raise InvalidInput("etd_step applies to constant-coefficient diffusion only")
     if np.any(rho.values <= 0):
         raise PositivityViolation("etd_step needs a strictly positive field")
     _check_dt(dt)
-    out = _fft_multiply(rho.grid, rho.values, _etd_multipliers(rho.grid, law.D, float(dt)))
+    out = _fft_multiply(rho.grid, rho.values, _etd_multipliers(rho.grid, law.D0, float(dt)))
     if out.min() <= 0:
         raise PositivityViolation("exponential step lost positivity")
     return Field(rho.grid, out)
@@ -146,11 +147,6 @@ _MAX_HALVINGS = 60  # line-search halvings allowed to keep the iterate positive
 _CG_TOL = 1e-12  # relative 2-norm residual ending each CG solve
 _CG_MAX_ITER = 1000
 _EPS = float(np.finfo(float).eps)
-
-
-def _face_sum(faces: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Per cell, the sum over axes of its two face weights, ``w + roll(w, 1)``."""
-    return sum(w + np.roll(w, 1, axis=ax) for ax, w in faces)
 
 
 def _spd_solve(grid: Grid, diag, faces, scale: float, b: np.ndarray) -> np.ndarray:

@@ -225,6 +225,11 @@ def _divgrad(weights, v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _face_sum(faces: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Per cell, the sum over axes of its two face weights, ``w + roll(w, 1)``."""
+    return sum(w + np.roll(w, 1, axis=ax) for ax, w in faces)
+
+
 def write_field_csv(f: Field, path) -> None:
     """Write a field snapshot as CSV.
 

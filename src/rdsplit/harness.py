@@ -406,12 +406,11 @@ def cubic_autocatalysis_system(grid: Grid, alpha_exp: int = 1,
                                D_u: float = 0.2, D_v: float = 0.1,
                                k_plus: float = 1.0, k_minus: float = 0.1
                                ) -> SystemSpec:
-    """U + 2V <-> 3V with ring initial data; u diffuses by a power law when alpha_exp > 1."""
+    """U + 2V <-> 3V with ring initial data; u diffuses by ``D_u Lap(u^alpha_exp)``."""
     reaction = ReactionSpec([1.0, 2.0], [0.0, 3.0], k_plus, k_minus)
     u0, v0 = ring_profiles(grid)
-    u_law = DiffusionLaw.constant(D_u) if alpha_exp == 1 else DiffusionLaw.power(D_u, alpha_exp)
     return SystemSpec(grid=grid, species=[
-        Species("u", u_law, u0),
+        Species("u", DiffusionLaw.power(D_u, alpha_exp), u0),
         Species("v", DiffusionLaw.constant(D_v), v0),
     ], reaction=reaction)
 
@@ -595,7 +594,7 @@ def _single_run_system(cfg: ExperimentConfig) -> SystemSpec:
     for name in cfg["species"]:
         pre = f"species.{name}"
         kind, ic = cfg[f"{pre}.diffusion"], cfg[f"{pre}.ic"]
-        law = DiffusionLaw(kind, **{k: cfg[f"{pre}.{k}"] for k in _DIFFUSION_LAWS[kind]})
+        law = getattr(DiffusionLaw, kind)(**{k: cfg[f"{pre}.{k}"] for k in _DIFFUSION_LAWS[kind]})
         keys, make_field = _INITIAL_CONDITIONS[ic]
         initial = make_field(grid, *(cfg[f"{pre}.{k}"] for k in keys))
         species.append(Species(name, law, initial))

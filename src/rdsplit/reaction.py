@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -83,6 +83,7 @@ class ReactionSpec:
     k_plus: float
     k_minus: float
     U: np.ndarray | None = None
+    sigma: np.ndarray = field(init=False, repr=False)  # beta - alpha, read-only
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.alpha, dtype=float))
@@ -97,8 +98,9 @@ class ReactionSpec:
         if not (0 < self.k_plus < math.inf and 0 < self.k_minus < math.inf):
             raise InvalidInput("rate constants must be positive and finite")
         log_ratio = math.log(self.k_minus) - math.log(self.k_plus)  # k_minus / k_plus can underflow
+        sigma = b - a
+        sigma.setflags(write=False)
         if u is None:
-            sigma = b - a
             u = np.zeros_like(sigma)
             s_minus = -sigma[sigma < 0].sum()
             s_plus = sigma[sigma > 0].sum()
@@ -119,18 +121,15 @@ class ReactionSpec:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "U", u)
+        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "k_plus", float(self.k_plus))
         object.__setattr__(self, "k_minus", float(self.k_minus))
-        gap = float(self.sigma @ u) - log_ratio
+        gap = float(sigma @ u) - log_ratio
         if abs(gap) > 1e-12:
             warnings.warn(
                 "internal energies break detailed balance: sigma.U - ln(k-/k+) = "
                 f"{gap:.3e}; the reaction will not relax to the mass-action equilibrium",
                 stacklevel=3)  # past the generated __init__, at the caller
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self.beta - self.alpha
 
     @property
     def n_species(self) -> int:

@@ -41,6 +41,19 @@ def test_run_subcommand_success(tmp_path):
     assert (out / "report.csv").exists()
 
 
+def test_linear_power_law_writes_the_constant_law_report(tmp_path):
+    """diffusion = power with alpha_exp = 1 is linear diffusion: the same report."""
+    constant = SINGLE_CFG + "species.u.ic = disk_in\n"  # uniform data would not diffuse
+    power = constant.replace("species.u.diffusion = constant\nspecies.u.D = 0.2\n",
+                             "species.u.diffusion = power\nspecies.u.D0 = 0.2\n"
+                             "species.u.alpha_exp = 1\n")
+    for name, text in (("constant", constant), ("power", power)):
+        cfg = _write(tmp_path, text, name=f"{name}.cfg")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    report = (tmp_path / "power" / "report.csv").read_bytes()
+    assert report == (tmp_path / "constant" / "report.csv").read_bytes()
+
+
 def test_kind_mismatch_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, ODE_CFG)
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -53,20 +54,33 @@ def _dense_laplacian(grid):
 
 def test_law_constructors_and_validation():
     assert DiffusionLaw.none().kind == "none"
-    assert DiffusionLaw.constant(0.2).D == 0.2
+    assert DiffusionLaw.constant(0.2).D0 == 0.2
     law = DiffusionLaw.power(0.1, 2)
     assert law.D0 == 0.1 and law.alpha_exp == 2
     with pytest.raises(InvalidInput):
         DiffusionLaw.constant(0.0)
     with pytest.raises(InvalidInput):
         DiffusionLaw.power(0.1, 0.5)
-    with pytest.raises(InvalidInput):
-        DiffusionLaw(kind="exotic")
     for make in (lambda: DiffusionLaw.constant(np.inf), lambda: DiffusionLaw.constant(np.nan),
                  lambda: DiffusionLaw.power(np.inf, 2), lambda: DiffusionLaw.power(np.nan, 2),
                  lambda: DiffusionLaw.power(1, np.inf), lambda: DiffusionLaw.power(1, np.nan)):
         with pytest.raises(InvalidInput, match="finite"):
             make()
+
+
+def test_law_is_the_pair_d0_alpha_exp():
+    """``D0 Lap(rho^alpha_exp)``: the kind follows from the pair, so a power law
+    of exponent 1 is the constant law."""
+    assert [f.name for f in dataclasses.fields(DiffusionLaw)] == ["D0", "alpha_exp"]
+    assert DiffusionLaw.power(0.2, 1) == DiffusionLaw.constant(0.2)
+    laws = (DiffusionLaw.none(), DiffusionLaw.constant(0.2), DiffusionLaw.power(0.2, 1),
+            DiffusionLaw.power(0.2, 2))
+    assert [law.kind for law in laws] == ["none", "constant", "constant", "power"]
+    with pytest.raises(AttributeError):
+        laws[3].kind = "constant"
+    for D0, alpha_exp in ((-0.1, 1.0), (np.nan, 1.0), (np.inf, 1.0), (0.2, 0.5), (0.2, np.nan)):
+        with pytest.raises(InvalidInput, match="finite D0 >= 0 and alpha_exp >= 1"):
+            DiffusionLaw(D0, alpha_exp)
 
 
 def test_power_law_coefficient_and_mobility():
@@ -77,6 +91,7 @@ def test_power_law_coefficient_and_mobility():
     np.testing.assert_allclose(law.mobility(rho), [0.1, 1.6])
     lin = DiffusionLaw.constant(0.3)
     np.testing.assert_allclose(lin.coefficient(rho), [0.3, 0.3])
+    np.testing.assert_array_equal(DiffusionLaw.none().coefficient(rho), [0.0, 0.0])
 
 
 # ---------------------------------------------------------------- ETD
@@ -149,6 +164,12 @@ def test_etd_step_rejects_wrong_inputs():
     for dt in BAD_DT:
         with pytest.raises(InvalidInput, match="dt must be positive and finite"):
             etd_step(rho, DiffusionLaw.constant(1.0), dt)
+
+
+def test_etd_step_takes_a_linear_power_law():
+    rho = _positive_field(np.random.default_rng(36), Grid(dim=2, n0=8))
+    np.testing.assert_array_equal(etd_step(rho, DiffusionLaw.power(0.2, 1), 0.1).values,
+                                  etd_step(rho, DiffusionLaw.constant(0.2), 0.1).values)
 
 
 def test_etd_semigroup_property():

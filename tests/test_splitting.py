@@ -245,6 +245,17 @@ def test_run_records_and_observes():
     assert np.all(report.min_values > 0)
 
 
+def test_run_with_a_linear_power_law_takes_the_exact_step():
+    """power(D, 1) is the linear law: run() takes the ETD step for it, not
+    Crank-Nicolson, and gives the constant law's report bit for bit."""
+    g = Grid(dim=2, n0=8)
+    reports = [run(_two_species_system(np.random.default_rng(37), g, u_law=law), 0.05, 0.2)
+               for law in (DiffusionLaw.power(0.2, 1), DiffusionLaw.constant(0.2))]
+    for name in ("energy", "conserved", "min_values", "reaction_iters_avg", "diffusion_iters"):
+        np.testing.assert_array_equal(getattr(reports[0], name), getattr(reports[1], name))
+    assert not reports[0].diffusion_iters.any()
+
+
 def test_run_report_csv(tmp_path):
     rng = np.random.default_rng(35)
     g = Grid(dim=1, n0=8)
