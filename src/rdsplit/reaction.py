@@ -39,14 +39,21 @@ concentrations and reset.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import math
+import os
+import pickle
+import sys
+import threading
 import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainError, InvalidInput, NonConvergence, PositivityViolation
+from .errors import (DomainError, InvalidInput, NonConvergence, PositivityViolation,
+                     RdsplitError)
 from .grid import Field
 
 
@@ -83,12 +90,13 @@ class ReactionSpec:
     k_plus: float
     k_minus: float
     U: np.ndarray | None = None
-    sigma: np.ndarray = field(init=False, repr=False)  # beta - alpha, read-only
+    sigma: np.ndarray = field(init=False, repr=False)  # beta - alpha
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        b = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        u = None if self.U is None else np.atleast_1d(np.asarray(self.U, dtype=float))
+        # copies, read-only below: a spec is a value, which the caller's arrays cannot change
+        a = np.atleast_1d(np.array(self.alpha, dtype=float))
+        b = np.atleast_1d(np.array(self.beta, dtype=float))
+        u = None if self.U is None else np.atleast_1d(np.array(self.U, dtype=float))
         if a.ndim != 1 or a.shape != b.shape or (u is not None and a.shape != u.shape):
             raise InvalidInput("alpha, beta, U must be 1-D arrays of equal length")
         if a.size == 0:
@@ -99,7 +107,6 @@ class ReactionSpec:
             raise InvalidInput("rate constants must be positive and finite")
         log_ratio = math.log(self.k_minus) - math.log(self.k_plus)  # k_minus / k_plus can underflow
         sigma = b - a
-        sigma.setflags(write=False)
         if u is None:
             u = np.zeros_like(sigma)
             s_minus = -sigma[sigma < 0].sum()
@@ -118,6 +125,8 @@ class ReactionSpec:
                 u[sigma > 0] = np.log(self.k_minus) / s_plus
         elif not np.all(np.isfinite(u)):
             raise InvalidInput("U must be finite")
+        for arr in (a, b, u, sigma):
+            arr.setflags(write=False)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "U", u)
@@ -130,6 +139,13 @@ class ReactionSpec:
                 "internal energies break detailed balance: sigma.U - ln(k-/k+) = "
                 f"{gap:.3e}; the reaction will not relax to the mass-action equilibrium",
                 stacklevel=3)  # past the generated __init__, at the caller
+
+    def __setstate__(self, state):
+        # a copy or an unpickled spec (the stage helper gets one) stays a value
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_species(self) -> int:
@@ -380,15 +396,53 @@ def _solve_stage(c0, spec, dt):
     """Predictor + second-order corrector for every column of c0, shape (nsp, m).
 
     Returns R and the predictor's and corrector's iterations per cell. The
-    cells are solved in near-equal contiguous blocks of at most _BLOCK. All
-    Newton arrays live in one workspace, allocated here at the widest block
-    and shared by both solves of every block; the solves write into it in
-    place.
+    cells are solved in near-equal contiguous blocks of at most _BLOCK. With
+    two or more blocks, the process's stage helper, where one is ready,
+    solves the upper half of the blocks while this process solves the lower
+    half; no cell's result depends on which process solved it. A failure
+    names the first failing cell of the first block that fails, as without
+    the helper.
     """
-    n, m = spec.n_species, c0.shape[1]
+    m = c0.shape[1]
     k = -(-m // _BLOCK)
     edges = [m * j // k for j in range(k + 1)]
-    width = -(-m // k)
+    helper = _claim_helper(k)
+    if helper is None:
+        return _solve_blocks(c0, spec, dt, edges)
+    j = (k + 1) // 2
+    mid = edges[j]
+    upper = (c0[:, mid:], spec, dt, [e - mid for e in edges[j:]], mid)
+    try:
+        sent = helper.send(upper)
+        try:
+            lower = _solve_blocks(c0[:, :mid], spec, dt, edges[:j + 1])
+        except RdsplitError:
+            if sent:
+                helper.receive()  # keeps the pipe in step; the lower block's failure wins
+            raise
+        except BaseException:
+            helper.close()  # its reply is not worth waiting for
+            raise
+        reply = helper.receive() if sent else None
+    finally:
+        _helper_lock.release()
+    if isinstance(reply, RdsplitError):
+        raise reply
+    if reply is None:
+        reply = _solve_blocks(*upper)
+    return tuple(np.concatenate(pair) for pair in zip(lower, reply))
+
+
+def _solve_blocks(c0, spec, dt, edges, first=0):
+    """:func:`_solve_stage` in this process over the blocks between ``edges``.
+
+    ``edges`` runs from 0 to ``c0.shape[1]``; ``first`` is the grid index of
+    column 0, for messages. All Newton arrays live in one workspace,
+    allocated here at the widest block and shared by both solves of every
+    block; the solves write into it in place.
+    """
+    n, m = spec.n_species, c0.shape[1]
+    width = max(hi - lo for lo, hi in zip(edges, edges[1:]))
     rows = np.empty((len(_ROWS), n * width))
     cells = np.empty((len(_CELLS), width))
     masks = np.empty((len(_MASKS), width), dtype=bool)
@@ -397,7 +451,8 @@ def _solve_stage(c0, spec, dt):
         mb = hi - lo
         w = SimpleNamespace(**{name: r[:n * mb].reshape(n, mb) for name, r in zip(_ROWS, rows)},
                             **{name: v[:mb] for name, v in zip(_CELLS + _MASKS, [*cells, *masks])})
-        _solve_block(c0[:, lo:hi], spec, dt, w, R[lo:hi], it_pred[lo:hi], it_corr[lo:hi], lo)
+        _solve_block(c0[:, lo:hi], spec, dt, w, R[lo:hi], it_pred[lo:hi], it_corr[lo:hi],
+                     first + lo)
     return R, it_pred, it_corr
 
 
@@ -649,6 +704,172 @@ def _raise_unconverged(label, why, failed, res, iterations, first):
     raise NonConvergence(
         f"{label}: {idx.size} cell(s) {why}, first at flat index {first + int(idx[0])}",
         residual=float(np.max(res[failed])), iterations=iterations)
+
+
+# The stage helper. One helper process per Python process solves the upper
+# half of the blocks of multi-block stages (see _solve_stage). It lives in the
+# module slot _helper, guarded by _helper_lock: the one piece of state in the
+# package that no caller passes in, because run() and the CLI have no place to
+# take it and the helper must outlive them (an interpreter that imports numpy
+# and rdsplit takes ~0.25 s to start). The slot holds None until the first
+# stage that could use a helper starts one, then the _Helper, and False for
+# good once a helper has failed or been closed. The helper is a fresh
+# interpreter (never a fork of this one), so it runs nothing of the caller's
+# __main__; it exits when its stdin closes, which happens at the latest when
+# this process ends, however it ends.
+
+_helper = None
+_helper_lock = threading.Lock()
+# "_stage_helper" in the command line is what process listings look for
+_HELPER_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from rdsplit.reaction import _stage_helper; _stage_helper()")
+
+
+class _Helper:
+    """A helper process and its two pipes; requests and replies are pickles."""
+
+    def __init__(self):
+        import subprocess
+
+        self.pid = os.getpid()  # the process that owns it; a forked child never uses it
+        src = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+        self.proc = subprocess.Popen([sys.executable, "-c", _HELPER_CODE, src],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self.ready = False
+
+    def poll_ready(self) -> bool:
+        """Whether the helper has reported ready; never waits for it.
+
+        Its ready message names the rdsplit and numpy files it imported,
+        which must be this process's. Raises where they are others or the
+        helper died booting.
+        """
+        import select
+
+        if not self.ready and select.select([self.proc.stdout], [], [], 0)[0]:
+            if pickle.load(self.proc.stdout) != _imported_files():
+                raise ImportError("the stage helper imported another rdsplit or numpy")
+            self.ready = True
+        return self.ready
+
+    def send(self, request) -> bool:
+        """Write one request; False, the helper closed, where that fails."""
+        with self._closing_on_failure():
+            pickle.dump(request, self.proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            self.proc.stdin.flush()
+            return True
+        return False
+
+    def receive(self):
+        """The reply to the last request, or None, the helper closed, where that fails."""
+        with self._closing_on_failure():
+            return pickle.load(self.proc.stdout)
+        return None
+
+    @contextlib.contextmanager
+    def _closing_on_failure(self):
+        # an EOF, a broken pipe or a bad pickle closes the helper and lets the
+        # caller solve in this process; an interrupt closes it and propagates
+        try:
+            yield
+        except BaseException as e:
+            self.close()
+            if not isinstance(e, Exception):
+                raise
+
+    def close(self, grace: float = 0.0) -> None:
+        """Close its stdin, wait ``grace`` s for it to exit, kill it if it has not.
+
+        Empties the slot for good: this process starts no other helper.
+        """
+        import subprocess
+
+        global _helper
+        _helper = False
+        with contextlib.suppress(OSError):  # a request stuck in a broken pipe
+            self.proc.stdin.close()
+        try:
+            self.proc.wait(timeout=grace)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
+
+
+def _claim_helper(n_blocks):
+    """The process's ready helper, locked for one stage, or None: solve in this process.
+
+    Only a stage of two or more blocks, with two or more CPUs usable, claims
+    it, and only one stage at a time: a stage on another thread meanwhile
+    gets None. The first such stage starts the helper; every stage gets None
+    until it has reported ready, so none waits for it to boot. A helper that
+    cannot start, or fails to report ready, is closed and never restarted.
+    """
+    global _helper
+    if (n_blocks < 2 or _helper is False or _usable_cpus() < 2
+            or not _helper_lock.acquire(blocking=False)):
+        return None
+    try:
+        if _helper is None:
+            _helper = _Helper()
+        if _helper.pid == os.getpid() and _helper.poll_ready():
+            return _helper  # the stage releases the lock
+    except Exception:
+        if _helper:
+            _helper.close()
+        _helper = False
+    _helper_lock.release()
+    return None
+
+
+def _imported_files() -> tuple[str, str]:
+    return os.path.realpath(__file__), os.path.realpath(np.__file__)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+@atexit.register
+def _close_helper() -> None:
+    if _helper and _helper.pid == os.getpid():
+        _helper.close(grace=1.0)
+
+
+def _stage_helper() -> None:
+    """The helper process: answer stage requests until stdin closes.
+
+    It reports ready with the files of rdsplit and numpy it imported. A
+    request is the argument tuple of :func:`_solve_blocks`; the reply is its
+    result, the RdsplitError it raised, or None where anything else went
+    wrong, a warning included, so that the parent solves those blocks itself,
+    under its own warning filters.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    with os.fdopen(os.dup(1), "wb") as out:
+        os.dup2(2, 1)  # a stray print goes to stderr, not into a reply
+        pickle.dump(_imported_files(), out)
+        out.flush()
+        while True:
+            try:
+                request = pickle.load(sys.stdin.buffer)
+            except EOFError:
+                return
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    reply = _solve_blocks(*request)
+            except RdsplitError as e:
+                reply = e
+            except Exception:
+                reply = None
+            pickle.dump(reply, out, protocol=pickle.HIGHEST_PROTOCOL)
+            out.flush()
 
 
 # Scalar twins of the solvers above.  Single-point callers (ODE studies,

@@ -23,6 +23,7 @@ from rdsplit import (
     semi_implicit_predictor,
     weighted_divgrad,
 )
+from rdsplit.diffusion import nonlinear_cn_step_counted
 
 
 # dt values every diffusion entry point rejects with InvalidInput
@@ -260,6 +261,27 @@ def test_cn_structure_random_sweep():
         assert diffusion_energy(out) <= diffusion_energy(rho) + 1e-12 * abs(diffusion_energy(rho))
 
 
+def test_cn_newton_stops_at_its_own_roundoff():
+    """The near-vacuum bump solves at every n0 and dt of the sweep.
+
+    At dt = 10, n0 = 256 and 384 reach a residual a little above the per-cell
+    roundoff floor and stay there to the last bit; a full step that no
+    longer lowers the residual, below the sqrt(eps) cap, ends the solve
+    there instead of running into the iteration cap.
+    """
+    for n0 in (64, 128, 192, 256, 320, 384, 512):
+        g = Grid(dim=1, n0=n0, lower=-1.0, upper=1.0)
+        rho = Field(g, 1e-6 + 3.0 * np.exp(-10.0 * g.axis_centers(0) ** 2))
+        for dt in (0.1, 10.0):
+            out, iters = nonlinear_cn_step_counted(rho, DiffusionLaw.power(0.2, 3), dt)
+            assert iters <= 10
+            assert out.min() > 0
+            rel = abs(np.sum(out.values) - np.sum(rho.values)) / np.sum(rho.values)
+            assert rel <= 1e-11
+            assert (diffusion_energy(out)
+                    <= diffusion_energy(rho) + 1e-12 * abs(diffusion_energy(rho)))
+
+
 def test_cn_linear_case_close_to_etd():
     """alpha_exp=1 CN and the exact propagator agree to the scheme's local order."""
     rng = np.random.default_rng(20)
@@ -300,7 +322,6 @@ def test_cn_builds_no_field_inside_its_solver_loops(monkeypatch):
     """CG and the Newton residual run the div-grad kernel on bare arrays: the
     step builds only the predictor's coefficient and result, the mobility and
     its own result (90 Fields when each operator application wrapped one)."""
-    from rdsplit.diffusion import nonlinear_cn_step_counted
     from rdsplit.harness import ring_profiles
 
     rho, _ = ring_profiles(Grid(dim=2, n0=16, lower=-1.0, upper=1.0))

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import warnings
 from decimal import Decimal, localcontext
@@ -115,6 +117,24 @@ def test_law_of_mass_action_two_species_exchange():
     assert spec.sigma is spec.sigma
     with pytest.raises(ValueError, match="read-only"):
         spec.sigma[0] = 1.0
+
+
+def test_spec_is_a_value():
+    """The spec copies alpha, beta and U: the caller's arrays cannot change it
+    afterwards, and none of its arrays can be written through the spec, nor
+    through a copy or an unpickled spec."""
+    a, b, u = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([math.log(2.0), 0.0])
+    built = ReactionSpec(a, b, 2.0, 1.0, U=u)
+    for spec in (built, ReactionSpec.law_of_mass_action(a, b, 2.0, 1.0), copy.deepcopy(built),
+                 pickle.loads(pickle.dumps(built))):
+        a[0], b[1], u[0] = 2.0, 3.0, 5.0
+        np.testing.assert_array_equal(spec.alpha, [1.0, 0.0])
+        np.testing.assert_array_equal(spec.beta, [0.0, 1.0])
+        np.testing.assert_array_equal(spec.U, [math.log(2.0), 0.0])
+        for arr in (spec.alpha, spec.beta, spec.U, spec.sigma):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        a[0], b[1], u[0] = 1.0, 1.0, math.log(2.0)
 
 
 def test_law_of_mass_action_one_sided():

@@ -1,0 +1,220 @@
+"""The stage helper: a second process solves the upper half of multi-block stages.
+
+Each test starts its own helper on a small block size and waits until it is
+ready, so its stages do go through the helper. References are solved with
+the helper lock held, which keeps every stage in this process. Every wait
+has a timeout.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import rdsplit.reaction as rx
+from rdsplit import (Field, Grid, NonConvergence, ReactionSpec, cubic_autocatalysis_system,
+                     reaction_stage, run)
+from rdsplit.splitting import SimState, strang_step_counted
+
+TIMEOUT_S = 60.0
+DT, T_END = 1 / 60, 0.2
+
+
+def _wait_for_helper():
+    deadline = time.monotonic() + TIMEOUT_S
+    while time.monotonic() < deadline:
+        if rx._claim_helper(2) is not None:
+            rx._helper_lock.release()
+            return
+        assert rx._helper is not False, "the helper failed to start"
+        time.sleep(0.01)
+    pytest.fail(f"the helper did not report ready within {TIMEOUT_S} s")
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """A fresh, ready helper on 64-cell blocks; the list of its requests' first cells."""
+    monkeypatch.setattr(rx, "_helper", None)
+    monkeypatch.setattr(rx, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(rx, "_BLOCK", 64)
+    firsts = []
+    send = rx._Helper.send
+    monkeypatch.setattr(rx._Helper, "send", lambda self, req: firsts.append(req[-1])
+                        or send(self, req))
+    _wait_for_helper()
+    yield firsts
+    if rx._helper:
+        rx._helper.close()
+
+
+def _system():
+    return cubic_autocatalysis_system(Grid(dim=2, n0=16, lower=-1.0, upper=1.0), alpha_exp=2)
+
+
+def _in_process(fn):
+    with rx._helper_lock:
+        return fn()
+
+
+def _assert_reports_equal(got, ref):
+    for name in ("times", "energy", "conserved", "min_values", "reaction_iters_avg",
+                 "diffusion_iters"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+
+
+def test_run_matches_the_in_process_steps_bitwise(sent):
+    system = _system()
+    assert system.grid.n_cells == 4 * rx._BLOCK
+
+    def steps():
+        state = SimState(t=0.0, step_index=0, c=[s.initial.copy() for s in system.species])
+        out = []
+        for _ in range(round(T_END / DT)):
+            state, itr, itd = strang_step_counted(state, system, DT)
+            out.append(([f.values.copy() for f in state.c], itr, itd))
+        return out
+
+    ref_steps = _in_process(steps)
+    ref = _in_process(lambda: run(system, DT, T_END))
+    states = []
+    got = run(system, DT, T_END, observers={k: (lambda st: states.append(st.c))
+                                             for k in range(1, len(ref_steps) + 1)})
+    assert sent == [128] * 2 * len(ref_steps)  # blocks 2 and 3 of every stage
+    _assert_reports_equal(got, ref)
+    for fields, (ref_fields, itr, itd), k in zip(states, ref_steps, range(1, 13)):
+        for f, v in zip(fields, ref_fields):
+            np.testing.assert_array_equal(f.values, v)
+        assert (got.reaction_iters_avg[k], got.diffusion_iters[k]) == (itr, itd)
+
+
+def _quench_stage(failing):
+    """The quench input of tests/test_reaction.py at the failing cells of a 10-cell grid."""
+    spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
+                                           0.7252, 2.4492)
+    vals = np.ones((4, 10))
+    vals[:, failing] = np.array([3.114, 2.4267, 2.7336, 2.384])[:, None]
+    g = Grid(dim=1, n0=10)
+    return lambda: reaction_stage([Field(g, v) for v in vals], spec, 0.02)
+
+
+def _failure(stage):
+    with pytest.raises(NonConvergence) as exc_info:
+        stage()
+    return str(exc_info.value), exc_info.value.residual, exc_info.value.iterations
+
+
+def test_failure_in_the_helper_half_raises_like_the_in_process_stage(sent, monkeypatch):
+    """Blocks of 3 cells: [0, 2, 5, 7, 10]; the helper solves cells 5-9."""
+    monkeypatch.setattr(rx, "_BLOCK", 3)
+    stage = _quench_stage([7])
+    ref = _in_process(lambda: _failure(stage))
+    assert ref[0].endswith("first at flat index 7") and ref[2] == 51
+    assert _failure(stage) == ref
+    assert sent == [5]
+    # both halves fail: the lower block wins, and the helper's reply is read all the same
+    stage = _quench_stage([1, 7])
+    ref = _in_process(lambda: _failure(stage))
+    assert ref[0].endswith("1 cell(s) bracket collapsed to adjacent floats, "
+                           "first at flat index 1")
+    assert _failure(stage) == ref
+    # one failing cell in each of the helper's blocks: the helper's lower block wins
+    stage = _quench_stage([6, 8])
+    ref = _in_process(lambda: _failure(stage))
+    assert ref[0].endswith("1 cell(s) bracket collapsed to adjacent floats, "
+                           "first at flat index 6")
+    assert _failure(stage) == ref
+    assert sent == [5, 5, 5]
+    assert rx._helper and rx._helper.proc.poll() is None
+
+
+def test_a_killed_helper_leaves_the_report_unchanged(sent):
+    system = _system()
+    ref = _in_process(lambda: run(system, DT, T_END))
+
+    def kill(state):
+        rx._helper.proc.kill()
+        rx._helper.proc.wait(timeout=TIMEOUT_S)
+
+    got = run(system, DT, T_END, observers={3: kill})
+    _assert_reports_equal(got, ref)
+    assert len(sent) == 7  # both stages of steps 1-3, then the send that finds it dead
+    assert rx._helper is False  # closed for good: no stage restarts it
+    _assert_reports_equal(run(system, DT, T_END), ref)
+    assert len(sent) == 7
+
+
+def test_threads_match_the_serial_run(sent):
+    """More threads than cores, switching often: one stage at a time takes the
+    helper, every other solves in its own thread, and every report is the serial one."""
+    system = _system()
+    ref = _in_process(lambda: run(system, DT, T_END))
+    n = (os.cpu_count() or 1) + 1
+    start = threading.Barrier(n, timeout=TIMEOUT_S)
+    reports = [None] * n
+
+    def work(i):
+        start.wait()
+        reports[i] = run(system, DT, T_END)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in reports:
+        _assert_reports_equal(got, ref)
+    assert sent
+
+
+def test_one_block_stages_start_no_helper(monkeypatch):
+    monkeypatch.setattr(rx, "_helper", None)
+    monkeypatch.setattr(rx, "_usable_cpus", lambda: 2)
+    system = _system()
+    assert system.grid.n_cells <= rx._BLOCK
+    run(system, DT, T_END)
+    assert rx._helper is None
+    monkeypatch.setattr(rx, "_BLOCK", 64)
+    monkeypatch.setattr(rx, "_usable_cpus", lambda: 1)
+    run(system, DT, T_END)
+    assert rx._helper is None
+
+
+def test_a_process_leaves_no_helper_behind():
+    """Under -X dev -W error: importing starts nothing, a run through the helper
+    warns about nothing, and the helper has exited when its parent has."""
+    script = textwrap.dedent(f"""
+        import sys, time
+        import rdsplit.reaction as rx
+        assert rx._helper is None and "subprocess" not in sys.modules
+        from rdsplit import Grid, cubic_autocatalysis_system, run
+        rx._BLOCK, rx._usable_cpus = 64, lambda: 2
+        system = cubic_autocatalysis_system(Grid(2, 16, -1.0, 1.0), alpha_exp=1)
+        deadline = time.monotonic() + {TIMEOUT_S}
+        while rx._claim_helper(2) is None:
+            assert rx._helper is not False and time.monotonic() < deadline
+            time.sleep(0.01)
+        rx._helper_lock.release()
+        run(system, 0.05, 0.1)
+        print(rx._helper.proc.pid)
+    """)
+    src = str(Path(rx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", script],
+                          capture_output=True, text=True, timeout=2 * TIMEOUT_S, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(proc.stdout), 0)
