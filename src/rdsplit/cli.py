@@ -54,9 +54,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    # the rdsplit logger only, and only for this call: the root logger is the caller's
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = log.level
+    log.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
+    log.addHandler(handler)
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def _run(args) -> int:
     try:
         cfg = parse_config(args.config)
         expected = _KIND_FOR_COMMAND[args.command]

@@ -156,7 +156,8 @@ _SCHEMAS = {
         **_prefixed("cauchy", _SYSTEM_KEYS),
     },
     "energy_trace": {
-        "trace.alpha_exp": (_list_of(_int_value), _each(_choice(1, 2)), [1, 2]),
+        "trace.alpha_exp": (_list_of(_int_value), _all(_each(_choice(1, 2)), _rule(
+            lambda v: len(set(v)) == len(v), "must not repeat")), [1, 2]),
         "trace.h": (_fraction, _positive, 1 / 20),
         "trace.dt": (_fraction, _positive, 1 / 20),
         "trace.t_end": (_fraction, _positive, 0.7),

@@ -397,33 +397,34 @@ def _solve_stage(c0, spec, dt):
 
     Returns R and the predictor's and corrector's iterations per cell. The
     cells are solved in near-equal contiguous blocks of at most _BLOCK. With
-    two or more blocks, the process's stage helper, where one is ready,
-    solves the upper half of the blocks while this process solves the lower
-    half; no cell's result depends on which process solved it. A failure
-    names the first failing cell of the first block that fails, as without
-    the helper.
+    two or more blocks, the process's stage helper, where one is ready and
+    not busy with another thread's stage, solves the upper half of the blocks
+    while this process solves the lower half; no cell's result depends on
+    which process solved it. A failure names the first failing cell of the
+    first block that fails, as without the helper.
     """
     m = c0.shape[1]
     k = -(-m // _BLOCK)
     edges = [m * j // k for j in range(k + 1)]
-    helper = _claim_helper(k)
-    if helper is None:
+    if k < 2 or not _helper_lock.acquire(blocking=False):
         return _solve_blocks(c0, spec, dt, edges)
-    j = (k + 1) // 2
-    mid = edges[j]
-    upper = (c0[:, mid:], spec, dt, [e - mid for e in edges[j:]], mid)
     try:
-        sent = helper.send(upper)
+        helper = _ready_helper()
+        if helper is None:
+            return _solve_blocks(c0, spec, dt, edges)
+        j = (k + 1) // 2
+        mid = edges[j]
+        upper = (c0[:, mid:], spec, dt, [e - mid for e in edges[j:]], mid)
+        helper.send(upper)
         try:
             lower = _solve_blocks(c0[:, :mid], spec, dt, edges[:j + 1])
         except RdsplitError:
-            if sent:
-                helper.receive()  # keeps the pipe in step; the lower block's failure wins
+            helper.receive()  # keeps the pipe in step; the lower block's failure wins
             raise
         except BaseException:
             helper.close()  # its reply is not worth waiting for
             raise
-        reply = helper.receive() if sent else None
+        reply = helper.receive()
     finally:
         _helper_lock.release()
     if isinstance(reply, RdsplitError):
@@ -715,14 +716,14 @@ def _raise_unconverged(label, why, failed, res, iterations, first):
 # stage that could use a helper starts one, then the _Helper, and False for
 # good once a helper has failed or been closed. The helper is a fresh
 # interpreter (never a fork of this one), so it runs nothing of the caller's
-# __main__; it exits when its stdin closes, which happens at the latest when
-# this process ends, however it ends.
+# __main__; it exits when its stdin closes, and within about a second once
+# the process that started it is gone, whatever that process forked.
 
 _helper = None
 _helper_lock = threading.Lock()
 # "_stage_helper" in the command line is what process listings look for
 _HELPER_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "from rdsplit.reaction import _stage_helper; _stage_helper()")
+                "from rdsplit.reaction import _stage_helper; _stage_helper(int(sys.argv[2]))")
 
 
 class _Helper:
@@ -733,7 +734,7 @@ class _Helper:
 
         self.pid = os.getpid()  # the process that owns it; a forked child never uses it
         src = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
-        self.proc = subprocess.Popen([sys.executable, "-c", _HELPER_CODE, src],
+        self.proc = subprocess.Popen([sys.executable, "-c", _HELPER_CODE, src, str(self.pid)],
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         self.ready = False
 
@@ -752,16 +753,14 @@ class _Helper:
             self.ready = True
         return self.ready
 
-    def send(self, request) -> bool:
-        """Write one request; False, the helper closed, where that fails."""
+    def send(self, request) -> None:
+        """Write one request; where that fails, the helper is closed."""
         with self._closing_on_failure():
             pickle.dump(request, self.proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
             self.proc.stdin.flush()
-            return True
-        return False
 
     def receive(self):
-        """The reply to the last request, or None, the helper closed, where that fails."""
+        """The reply to the last request, or None where that fails, as it does once closed."""
         with self._closing_on_failure():
             return pickle.load(self.proc.stdout)
         return None
@@ -777,48 +776,40 @@ class _Helper:
             if not isinstance(e, Exception):
                 raise
 
-    def close(self, grace: float = 0.0) -> None:
-        """Close its stdin, wait ``grace`` s for it to exit, kill it if it has not.
+    def close(self) -> None:
+        """Kill it, wait for it and close its pipes.
 
         Empties the slot for good: this process starts no other helper.
         """
-        import subprocess
-
         global _helper
         _helper = False
-        with contextlib.suppress(OSError):  # a request stuck in a broken pipe
+        self.proc.kill()
+        self.proc.wait()
+        with contextlib.suppress(OSError):  # a request left in the buffer of a broken pipe
             self.proc.stdin.close()
-        try:
-            self.proc.wait(timeout=grace)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
         self.proc.stdout.close()
 
 
-def _claim_helper(n_blocks):
-    """The process's ready helper, locked for one stage, or None: solve in this process.
+def _ready_helper():
+    """The process's stage helper once it is ready, else None: solve in this process.
 
-    Only a stage of two or more blocks, with two or more CPUs usable, claims
-    it, and only one stage at a time: a stage on another thread meanwhile
-    gets None. The first such stage starts the helper; every stage gets None
-    until it has reported ready, so none waits for it to boot. A helper that
-    cannot start, or fails to report ready, is closed and never restarted.
+    The caller holds _helper_lock. The first call starts the helper; every
+    call gets None until it has reported ready, so no stage waits for it to
+    boot. A helper that cannot start, or fails to report ready, is closed for
+    good. A forked child, or a process with fewer than two usable CPUs, gets None.
     """
     global _helper
-    if (n_blocks < 2 or _helper is False or _usable_cpus() < 2
-            or not _helper_lock.acquire(blocking=False)):
+    if _helper is False or _usable_cpus() < 2:
         return None
     try:
         if _helper is None:
             _helper = _Helper()
         if _helper.pid == os.getpid() and _helper.poll_ready():
-            return _helper  # the stage releases the lock
+            return _helper
     except Exception:
         if _helper:
             _helper.close()
         _helper = False
-    _helper_lock.release()
     return None
 
 
@@ -836,18 +827,21 @@ def _usable_cpus() -> int:
 @atexit.register
 def _close_helper() -> None:
     if _helper and _helper.pid == os.getpid():
-        _helper.close(grace=1.0)
+        _helper.close()
 
 
-def _stage_helper() -> None:
-    """The helper process: answer stage requests until stdin closes.
+def _stage_helper(parent: int) -> None:
+    """The helper process: answer stage requests until stdin closes or ``parent`` is gone.
 
     It reports ready with the files of rdsplit and numpy it imported. A
     request is the argument tuple of :func:`_solve_blocks`; the reply is its
     result, the RdsplitError it raised, or None where anything else went
     wrong, a warning included, so that the parent solves those blocks itself,
-    under its own warning filters.
+    under its own warning filters. Between requests it checks once a second
+    that ``parent`` is still its parent: a copy of the pipe in a process the
+    parent forked would keep stdin open after the parent has died.
     """
+    import select
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
@@ -856,6 +850,9 @@ def _stage_helper() -> None:
         pickle.dump(_imported_files(), out)
         out.flush()
         while True:
+            while not select.select([sys.stdin], [], [], 1.0)[0]:
+                if os.getppid() != parent:
+                    return
             try:
                 request = pickle.load(sys.stdin.buffer)
             except EOFError:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -94,11 +96,14 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     # 1e300 steps: the multiple test cannot fail there, and the report arrays would not fit
     ("run", SINGLE_CFG.replace("run.dt = 0.05", "run.dt = 1e-300").replace(
         "run.t_end = 0.1", "run.t_end = 1"), "too many to check"),
-], ids=["trace h", "cauchy h", "ode dt", "run dt", "trace dt", "run dt tiny"])
+    # the same trace solved and written three times, one report
+    ("energy-trace", "kind = energy_trace\ntrace.alpha_exp = 1, 1, 1\n",
+     "key 'trace.alpha_exp': must not repeat"),
+], ids=["trace h", "cauchy h", "ode dt", "run dt", "trace dt", "run dt tiny", "trace alpha_exp"])
 @pytest.mark.parametrize("existing", [False, True], ids=["new out", "empty out"])
 def test_runner_rejection_leaves_out_untouched(tmp_path, capsys, command, text, why, existing):
-    """A runner's own checks run before --out is made or written; a rejected
-    config used to leave config.resolved behind."""
+    """The config's checks, the runner's own among them, run before --out is
+    made or written; a rejected config used to leave config.resolved behind."""
     cfg = _write(tmp_path, text)
     out = tmp_path / "out"
     if existing:
@@ -106,6 +111,22 @@ def test_runner_rejection_leaves_out_untouched(tmp_path, capsys, command, text, 
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert why in capsys.readouterr().err
     assert list(out.iterdir()) == [] if existing else not out.exists()
+
+
+def test_verbose_applies_to_each_call_and_only_to_the_rdsplit_logger(tmp_path, capsys):
+    """logging.basicConfig used to ignore --verbose once the root logger had a
+    handler, as it has after a first call, and set the root logger's level."""
+    root = logging.getLogger()
+    handlers, level = list(root.handlers), root.level
+    cfg = _write(tmp_path, ODE_CFG)
+    for verbose in (False, True, False, True):
+        argv = ["ode-convergence", "--config", cfg, "--out", str(tmp_path / "out")]
+        assert main(argv + ["--verbose"] * verbose) == 0
+        err = capsys.readouterr().err
+        assert ("INFO rdsplit: running ode_convergence into" in err) == verbose
+        assert ("INFO rdsplit: done" in err) == verbose
+        assert (root.handlers, root.level) == (handlers, level)
+        assert logging.getLogger("rdsplit").handlers == []
 
 
 def test_snapshots_after_t_end_exit_2(tmp_path, capsys):

@@ -20,9 +20,11 @@ def test_demo_exits_0(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # -X dev -W error: a warning, or a file left open, fails the demo as it fails the tests
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_readme_quick_start_runs_and_dissipates_energy():

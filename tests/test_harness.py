@@ -66,6 +66,7 @@ ode.c0 = 2.0, 1/4
     ("kind = ode_convergence\node.alpha = 1\node.alpha = 2\n", "ode.alpha"),  # dup
     ("kind = cauchy_convergence\ncauchy.h = 1/20, 1/30\n", "cauchy.h"),  # too few
     ("kind = cauchy_convergence\ncauchy.alpha_exp = 3\n", "cauchy.alpha_exp"),
+    ("kind = energy_trace\ntrace.alpha_exp = 1, 2, 1\n", "trace.alpha_exp"),  # repeated
 ])
 def test_parse_errors_carry_offending_key(tmp_path, text, key):
     with pytest.raises(InvalidConfig) as exc_info:

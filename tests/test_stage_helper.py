@@ -6,7 +6,9 @@ the helper lock held, which keeps every stage in this process. Every wait
 has a timeout.
 """
 
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -29,9 +31,9 @@ DT, T_END = 1 / 60, 0.2
 def _wait_for_helper():
     deadline = time.monotonic() + TIMEOUT_S
     while time.monotonic() < deadline:
-        if rx._claim_helper(2) is not None:
-            rx._helper_lock.release()
-            return
+        with rx._helper_lock:
+            if rx._ready_helper() is not None:
+                return
         assert rx._helper is not False, "the helper failed to start"
         time.sleep(0.01)
     pytest.fail(f"the helper did not report ready within {TIMEOUT_S} s")
@@ -40,9 +42,7 @@ def _wait_for_helper():
 @pytest.fixture
 def sent(monkeypatch):
     """A fresh, ready helper on 64-cell blocks; the list of its requests' first cells."""
-    monkeypatch.setattr(rx, "_helper", None)
-    monkeypatch.setattr(rx, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(rx, "_BLOCK", 64)
+    _fresh_slot(monkeypatch)
     firsts = []
     send = rx._Helper.send
     monkeypatch.setattr(rx._Helper, "send", lambda self, req: firsts.append(req[-1])
@@ -178,6 +178,81 @@ def test_threads_match_the_serial_run(sent):
     assert sent
 
 
+def _fresh_slot(monkeypatch):
+    monkeypatch.setattr(rx, "_helper", None)
+    monkeypatch.setattr(rx, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(rx, "_BLOCK", 64)
+
+
+def test_a_helper_of_other_files_is_closed_for_good(monkeypatch):
+    _fresh_slot(monkeypatch)
+    system = _system()
+    ref = _in_process(lambda: run(system, DT, T_END))
+    monkeypatch.setattr(rx, "_imported_files", lambda: ("another rdsplit", "another numpy"))
+    with rx._helper_lock:
+        assert rx._ready_helper() is None
+    proc = rx._helper.proc
+    deadline = time.monotonic() + TIMEOUT_S
+    while rx._helper is not False:
+        assert time.monotonic() < deadline, "the helper's ready message was never read"
+        with rx._helper_lock:
+            assert rx._ready_helper() is None
+        time.sleep(0.01)
+    assert proc.poll() is not None
+    _assert_reports_equal(run(system, DT, T_END), ref)
+    assert rx._helper is False
+
+
+def test_an_interrupt_in_the_lower_half_closes_the_helper(sent, monkeypatch):
+    system = _system()
+    ref = _in_process(lambda: run(system, DT, T_END))
+    proc = rx._helper.proc
+    solve = rx._solve_blocks
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(rx, "_solve_blocks", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(system, DT, T_END)
+    assert sent == [128]
+    assert proc.poll() is not None and rx._helper is False
+    monkeypatch.setattr(rx, "_solve_blocks", solve)
+    _assert_reports_equal(run(system, DT, T_END), ref)
+    assert sent == [128]  # the next stages solve in this process
+
+
+def test_a_helper_killed_before_its_reply_leaves_the_stage_unchanged(sent, monkeypatch):
+    system = _system()
+    fields = [s.initial for s in system.species]
+    ref = _in_process(lambda: reaction_stage(fields, system.reaction, DT))
+    send, solve, firsts = rx._Helper.send, rx._solve_blocks, []
+
+    def send_and_kill(self, request):
+        self.proc.send_signal(signal.SIGSTOP)  # the request waits in the pipe, never answered
+        send(self, request)
+        self.proc.kill()
+        self.proc.wait(timeout=TIMEOUT_S)
+
+    monkeypatch.setattr(rx._Helper, "send", send_and_kill)
+    monkeypatch.setattr(rx, "_solve_blocks", lambda *args: firsts.append(args[4:])
+                        or solve(*args))
+    got = reaction_stage(fields, system.reaction, DT)
+    assert sent == [128] and rx._helper is False
+    assert firsts == [(), (128,)]  # the lower half, then the upper half in this process
+    for f, r in zip(got, ref):
+        np.testing.assert_array_equal(f.values, r.values)
+
+
+def test_a_helper_that_cannot_start_leaves_the_run_unchanged(monkeypatch, tmp_path):
+    _fresh_slot(monkeypatch)
+    system = _system()
+    ref = _in_process(lambda: run(system, DT, T_END))
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+    _assert_reports_equal(run(system, DT, T_END), ref)
+    assert rx._helper is False
+
+
 def test_one_block_stages_start_no_helper(monkeypatch):
     monkeypatch.setattr(rx, "_helper", None)
     monkeypatch.setattr(rx, "_usable_cpus", lambda: 2)
@@ -191,30 +266,84 @@ def test_one_block_stages_start_no_helper(monkeypatch):
     assert rx._helper is None
 
 
-def test_a_process_leaves_no_helper_behind():
-    """Under -X dev -W error: importing starts nothing, a run through the helper
-    warns about nothing, and the helper has exited when its parent has."""
-    script = textwrap.dedent(f"""
-        import sys, time
-        import rdsplit.reaction as rx
-        assert rx._helper is None and "subprocess" not in sys.modules
-        from rdsplit import Grid, cubic_autocatalysis_system, run
-        rx._BLOCK, rx._usable_cpus = 64, lambda: 2
-        system = cubic_autocatalysis_system(Grid(2, 16, -1.0, 1.0), alpha_exp=1)
-        deadline = time.monotonic() + {TIMEOUT_S}
-        while rx._claim_helper(2) is None:
-            assert rx._helper is not False and time.monotonic() < deadline
-            time.sleep(0.01)
-        rx._helper_lock.release()
-        run(system, 0.05, 0.1)
-        print(rx._helper.proc.pid)
-    """)
+# a subprocess's start: a ready helper on 64-cell blocks that one run has used
+_READY_HELPER = f"""
+import os, signal, sys, time, warnings
+import rdsplit.reaction as rx
+assert rx._helper is None and "subprocess" not in sys.modules
+from rdsplit import Grid, cubic_autocatalysis_system, run
+rx._BLOCK, rx._usable_cpus = 64, lambda: 2
+system = cubic_autocatalysis_system(Grid(2, 16, -1.0, 1.0), alpha_exp=1)
+deadline = time.monotonic() + {TIMEOUT_S}
+while True:
+    with rx._helper_lock:
+        if rx._ready_helper() is not None:
+            break
+    assert rx._helper is not False and time.monotonic() < deadline
+    time.sleep(0.01)
+run(system, 0.05, 0.1)
+print(rx._helper.proc.pid, flush=True)
+"""
+
+
+def _python(*args, **kwargs):
     src = str(Path(rx.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
         "PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", script],
-                          capture_output=True, text=True, timeout=2 * TIMEOUT_S, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    return subprocess.Popen([sys.executable, *args], env=env, text=True, **kwargs)
+
+
+def _running(pid):
+    """Whether pid is a process that has not exited; a zombie, which its new
+    parent may be slow to reap or never reap, has exited."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_a_process_leaves_no_helper_behind():
+    """Under -X dev -W error: importing starts nothing, a run through the helper
+    warns about nothing, and the helper has exited when its parent has."""
+    with _python("-X", "dev", "-W", "error", "-c", _READY_HELPER, stdout=subprocess.PIPE,
+                 stderr=subprocess.PIPE) as proc:
+        out, err = proc.communicate(timeout=2 * TIMEOUT_S)
+    assert proc.returncode == 0, err
+    assert err == ""
     with pytest.raises(ProcessLookupError):
-        os.kill(int(proc.stdout), 0)
+        os.kill(int(out), 0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat")
+def test_the_helper_ends_with_a_killed_parent_whatever_it_forked(tmp_path):
+    """A forked child holds copies of both pipe ends, so the helper's stdin
+    stays open after its parent is SIGKILLed; the helper must end anyway."""
+    script = _READY_HELPER + textwrap.dedent(f"""
+        with warnings.catch_warnings():
+            # CPython >= 3.12 warns on a fork while OpenBLAS threads run; the child only sleeps
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child = os.fork()
+        if child == 0:
+            time.sleep({TIMEOUT_S})
+            os._exit(0)
+        print(child, flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+    """)
+    pids = []
+    with open(tmp_path / "stderr", "w") as err, _python("-c", script, stdout=subprocess.PIPE,
+                                                         stderr=err) as proc:
+        try:
+            for _ in range(2):  # not read to EOF: the child holds the pipe until killed below
+                line = proc.stdout.readline()
+                assert line.strip().isdigit(), (tmp_path / "stderr").read_text()
+                pids.append(int(line))
+            assert proc.wait(timeout=2 * TIMEOUT_S) == -signal.SIGKILL
+            deadline = time.monotonic() + 5.0
+            while _running(pids[0]):
+                assert time.monotonic() < deadline, "the helper outlived its parent"
+                time.sleep(0.05)
+            assert _running(pids[1]), "the forked child ended before the helper"
+        finally:
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
