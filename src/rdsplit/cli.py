@@ -4,8 +4,9 @@ Subcommands map one-to-one onto the experiment runners; every invocation
 takes a config file and an output directory, writes CSV results, and echoes
 the resolved config of a run that passed its checks to ``<out>/config.resolved``
 (exit 2 leaves --out as it was). Exit codes: 0 on success,
-2 for configuration problems, 3 when a solve fails (non-convergence or loss
-of positivity).
+2 for configuration problems (a config file that is not UTF-8 text, or an
+--out that is a file or lies under one, included), 3 when a solve fails
+(non-convergence or loss of positivity).
 """
 
 from __future__ import annotations

@@ -215,9 +215,12 @@ def _species_schema(names: list[str], kv: dict[str, str]) -> dict:
 def _read_key_values(path) -> dict[str, str]:
     kv = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise InvalidConfig(f"{path}: cannot read config file ({e.strerror})") from e
+    except UnicodeDecodeError as e:
+        raise InvalidConfig(f"{path}: config file is not UTF-8 text "
+                            f"(byte {e.start}: {e.reason})") from e
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -302,7 +305,7 @@ def write_resolved_config(cfg: ExperimentConfig, path) -> None:
         if v is None or v == []:
             continue
         lines.append(f"{key} = {_format_value(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +390,7 @@ def write_convergence_csv(rows: list[ConvergenceRow], path) -> None:
     for r in rows:
         order = "" if r.order is None else f"{r.order:.17g}"
         lines.append(f"{r.label},{r.error:.17g},{order}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +427,9 @@ def _prepare(cfg: ExperimentConfig, kind: str, out_dir, setup=lambda out: None):
     """Check the config's kind, run ``setup(out)``, then create ``out``; return both.
 
     ``out`` is ``Path(out_dir)`` or None. ``setup`` makes the runner's own
-    checks, so no directory is created for a config that fails one.
+    checks, so no directory is created for a config that fails one. An
+    ``out`` that cannot be made a directory, such as one that is a file or
+    lies under one, raises InvalidInput.
     """
     if cfg.kind != kind:
         article = "an" if kind[0] in "aeiou" else "a"
@@ -432,7 +437,10 @@ def _prepare(cfg: ExperimentConfig, kind: str, out_dir, setup=lambda out: None):
     out = None if out_dir is None else Path(out_dir)
     prepared = setup(out)
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise InvalidInput(f"{out}: cannot create output directory ({e.strerror})") from e
     return prepared, out
 
 

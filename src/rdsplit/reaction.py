@@ -608,8 +608,7 @@ def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
     def evaluate(second=False):
         np.add(w.log_eta_dt, y, out=gp)
         np.exp(gp, out=gp)
-        np.abs(y, out=R)
-        np.negative(R, out=R)
+        np.copysign(y, -1.0, out=R)  # -|y|
         np.expm1(R, out=R)
         np.negative(gp, out=g)
         np.less_equal(y, 0.0, out=m1)
@@ -661,43 +660,38 @@ def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
             cand = gp
             np.divide(g, gp, out=cand)
             np.subtract(y, cand, out=cand)
-            # m1: the Newton step is not finite or leaves the bracket
-            np.isfinite(cand, out=m1)
-            np.logical_not(m1, out=m1)
-            np.less_equal(cand, a, out=m2)
-            m1 |= m2
-            np.greater_equal(cand, b, out=m2)
-            m1 |= m2
+            _inside(cand, a, b, m1, m2)  # m1: the Newton step is kept
             if it == 1:
                 # the Halley step wins where it lies strictly inside the bracket
-                np.greater(h2, a, out=fin)
-                np.less(h2, b, out=m2)
-                fin &= m2
+                _inside(h2, a, b, fin, m2)
                 np.copyto(cand, h2, where=fin)
-                np.logical_not(fin, out=fin)
-                m1 &= fin
+                m1 |= fin
+            np.logical_not(m1, out=m1)  # m1: no step kept, so bisect
             if m1.any():  # a Newton or Halley step kept lies strictly inside, so cannot collapse
                 np.add(a, b, out=cand, where=m1)
                 np.multiply(cand, 0.5, out=cand, where=m1)
-                np.less_equal(cand, a, out=m2)
-                np.greater_equal(cand, b, out=fin)
-                m2 |= fin
-                m2 &= todo
+                _inside(cand, a, b, m2, fin)
+                np.greater(todo, m2, out=m2)  # still active and not inside
                 if m2.any():
                     _raise_unconverged(label, "bracket collapsed to adjacent floats", m2,
                                        res, it - 1, first)
             # converged cells keep their y, so re-evaluating them changes nothing
             np.copyto(y, cand, where=todo)
             evaluate()
-            np.abs(g, out=hp)
-            np.copyto(res, hp, where=fin)
-            np.less_equal(res, _TOL, out=m1)
-            m1 &= todo
-            np.copyto(iters, it, where=m1)
-            todo ^= m1
+            np.abs(g, out=res, where=fin)
+            np.copyto(iters, it, where=todo)  # a cell keeps the count of its last update
+            np.greater(res, _TOL, out=m1)
+            todo &= m1
     if todo.any():
         _raise_unconverged(label, f"not converged after {_MAX_ITER} iterations", todo, res,
                            _MAX_ITER, first)
+
+
+def _inside(v, a, b, out, tmp):
+    """``a < v < b`` into out; a NaN v lies outside."""
+    np.greater(v, a, out=out)
+    np.less(v, b, out=tmp)
+    out &= tmp
 
 
 def _raise_unconverged(label, why, failed, res, iterations, first):

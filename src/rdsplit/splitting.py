@@ -152,7 +152,7 @@ class RunReport:
             row += [f"{v:.17g}" for v in self.min_values[k]]
             row += [f"{self.reaction_iters_avg[k]:.17g}", f"{self.diffusion_iters[k]:.17g}"]
             lines.append(",".join(row))
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
 

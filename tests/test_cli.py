@@ -1,4 +1,7 @@
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -166,6 +169,29 @@ def test_missing_config_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(ODE_CFG.encode() + b"# \xff\n")
+    code = main(["ode-convergence", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{cfg}: config file is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["a file", "under a file"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, below):
+    """--out naming a file, or a path under one, used to exit 1 with the
+    FileExistsError or NotADirectoryError of mkdir."""
+    cfg = _write(tmp_path, ODE_CFG)
+    blocker = tmp_path / "notadir"
+    blocker.write_text("kept\n")
+    out = blocker / below if below else blocker
+    assert main(["ode-convergence", "--config", cfg, "--out", str(out)]) == 2
+    assert f"{out}: cannot create output directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "notadir"]
+    assert blocker.read_text() == "kept\n"
+
+
 # the quench-limit chemistry: its first half step has no representable root
 QUENCH_CFG = """kind = single_run
 species = a, b, c, d
@@ -244,3 +270,46 @@ def test_cli_outputs_are_deterministic(tmp_path):
     assert main(["cauchy", "--config", cfg, "--out", str(two), "--threads", "2"]) == 0
     for name in ("cauchy_u.csv", "cauchy_v.csv"):
         assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+# the four subcommands on tiny configs, then a field CSV read back and written again
+_ENCODING_SCRIPT = """
+import sys
+from pathlib import Path
+from rdsplit import read_field_csv, write_field_csv
+from rdsplit.cli import main
+work = Path(sys.argv[1])
+for command in ("run", "ode-convergence", "cauchy", "energy-trace"):
+    assert main([command, "--config", str(work / (command + ".cfg")),
+                 "--out", str(work / command)]) == 0, command
+snapshot = work / "run" / "u_t0.1.csv"
+write_field_csv(read_field_csv(snapshot), work / "copy.csv")
+assert (work / "copy.csv").read_bytes() == snapshot.read_bytes()
+"""
+
+
+def test_cli_and_field_csv_name_their_text_encoding(tmp_path):
+    """Every text file is read and written as UTF-8, whatever the locale:
+    under -X warn_default_encoding a text open that leaves the encoding to the
+    locale warns, and -W error::EncodingWarning fails the run on it. Only this
+    subprocess runs so: pytest and its plugins open files that would warn too.
+    """
+    configs = {
+        "run": SINGLE_CFG + "run.snapshots = 0.1\n",
+        "ode-convergence": ODE_CFG,
+        "cauchy": "kind = cauchy_convergence\ncauchy.h = 1/10, 1/15, 1/20\n",
+        "energy-trace": "kind = energy_trace\ntrace.h = 1/10\ntrace.dt = 1/10\n"
+                        "trace.t_end = 0.2\ntrace.snapshots = 0.1\n",
+    }
+    for command, text in configs.items():
+        (tmp_path / f"{command}.cfg").write_text(text, encoding="utf-8")
+    import rdsplit
+
+    src = os.path.dirname(os.path.dirname(rdsplit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", _ENCODING_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -196,6 +196,13 @@ def test_read_field_csv_rejects_missing_header(tmp_path):
         read_field_csv(p)
 
 
+def test_read_field_csv_rejects_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"# grid dim=1 n0=1 lower=0 upper=1\n0,0.5,\xff\n")
+    with pytest.raises(InvalidInput, match=re.escape(f"{p}: not UTF-8 text")):
+        read_field_csv(p)
+
+
 def _mangled_field_csv(tmp_path, mangle):
     """A 4x4 field's CSV with its lines passed through ``mangle``."""
     g = Grid(dim=2, n0=4, lower=-1.0, upper=1.0)

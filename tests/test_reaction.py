@@ -964,6 +964,81 @@ def test_in_place_stage_fails_like_the_reference(monkeypatch, case):
     assert got[2] == residual
 
 
+@pytest.mark.parametrize("alpha_exp", [1, 2])
+def test_stock_stages_take_three_predictor_and_two_corrector_updates(monkeypatch, alpha_exp):
+    """The benchmark's U + 2V <-> 3V ring at n0 = 40, dt = 1/60, 12 steps: every
+    cell of every stage takes exactly 3 predictor and 2 corrector updates."""
+    import rdsplit.reaction as rx
+    from rdsplit import run
+    from rdsplit.harness import cubic_autocatalysis_system
+
+    stages, solve = [], rx._solve_stage
+
+    def recording(c0, spec, dt):
+        R, it_pred, it_corr = solve(c0, spec, dt)
+        stages.append((it_pred, it_corr))
+        return R, it_pred, it_corr
+
+    monkeypatch.setattr(rx, "_solve_stage", recording)
+    run(cubic_autocatalysis_system(Grid(2, 40, -1, 1), alpha_exp), dt=1 / 60, t_end=0.2)
+    assert len(stages) == 24
+    for it_pred, it_corr in stages:
+        assert it_pred.size == it_corr.size == 1600
+        assert np.all(it_pred == 3) and np.all(it_corr == 2)
+
+
+def test_reaction_newton_numpy_calls_per_update(monkeypatch):
+    """Numpy calls that _bracketed_newton makes outside its residual callbacks,
+    counted through a proxy of the module's numpy (in-place operators are not
+    calls): 528 in the 15 updates of three stages on the 64^2 benchmark ring at
+    dt = 1/120, 35.2 per update (38.8 before one kernel tested "strictly inside
+    the bracket")."""
+    import rdsplit.reaction as rx
+    from rdsplit.harness import cubic_autocatalysis_system
+
+    counting, calls, updates = [False], [0], []
+
+    class Counted:
+        def __init__(self, f):
+            self.f = f
+
+        def __call__(self, *args, **kwargs):
+            calls[0] += counting[0]
+            return self.f(*args, **kwargs)
+
+        def __getattr__(self, name):  # ufunc methods such as np.fmin.reduce
+            return getattr(self.f, name)
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            obj = getattr(np, name)
+            return Counted(obj) if callable(obj) and not isinstance(obj, type) else obj
+
+    newton = rx._bracketed_newton
+
+    def counted_newton(h_fn, w, R, iters, *args, **kwargs):
+        def h(*a):
+            counting[0] = False
+            h_fn(*a)
+            counting[0] = True
+
+        counting[0] = True
+        try:
+            newton(h, w, R, iters, *args, **kwargs)
+        finally:
+            counting[0] = False
+        updates.append(int(iters.max()))
+
+    monkeypatch.setattr(rx, "np", CountingNumpy())
+    monkeypatch.setattr(rx, "_bracketed_newton", counted_newton)
+    system = cubic_autocatalysis_system(Grid(2, 64, -1, 1))
+    fields = [s.initial for s in system.species]
+    for _ in range(3):
+        fields, _ = reaction_stage_counted(fields, system.reaction, 1 / 120)
+    assert updates == [3, 2] * 3
+    assert calls[0] <= 528
+
+
 def _solve_three_ways(spec, c0, dt):
     """Roots of reaction_step, predictor_first_order and the one-cell reaction_stage."""
     st = PointState(np.array(c0, dtype=float))
