@@ -3,10 +3,11 @@
 Subcommands map one-to-one onto the experiment runners; every invocation
 takes a config file and an output directory, writes CSV results, and echoes
 the resolved config of a run that passed its checks to ``<out>/config.resolved``
-(exit 2 leaves --out as it was). Exit codes: 0 on success,
-2 for configuration problems (a config file that is not UTF-8 text, or an
---out that is a file or lies under one, included), 3 when a solve fails
-(non-convergence or loss of positivity).
+(a config rejected with exit 2 leaves --out as it was). Exit codes: 0 on
+success, 2 for configuration problems (a config file that is not UTF-8 text,
+or an --out that is a file or lies under one, included) and for an output
+file that cannot be written, 3 when a solve fails (non-convergence or loss of
+positivity), also where its config.resolved then cannot be written.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    code = 0
     try:
         cfg = parse_config(args.config)
         expected = _KIND_FOR_COMMAND[args.command]
@@ -78,25 +80,30 @@ def _run(args) -> int:
                 f"subcommand {args.command!r} (expected {expected!r})", key="kind")
         out_dir = Path(args.out)
         log.info("running %s into %s", cfg.kind, out_dir)
-        if cfg.kind == "single_run":
-            run_single(cfg, out_dir)
-        elif cfg.kind == "ode_convergence":
-            run_ode_convergence(cfg, out_dir)
-        elif cfg.kind == "cauchy_convergence":
-            run_cauchy_convergence(cfg, out_dir, threads=args.threads)
-        else:
-            run_energy_trace(cfg, out_dir)
+        try:
+            if cfg.kind == "single_run":
+                run_single(cfg, out_dir)
+            elif cfg.kind == "ode_convergence":
+                run_ode_convergence(cfg, out_dir)
+            elif cfg.kind == "cauchy_convergence":
+                run_cauchy_convergence(cfg, out_dir, threads=args.threads)
+            else:
+                run_energy_trace(cfg, out_dir)
+        except (NonConvergence, PositivityViolation) as e:
+            # a solve starts only once the runner's checks have passed and out_dir exists
+            print(f"rdsplit: solve failed: {e}", file=sys.stderr)
+            code = 3
         write_resolved_config(cfg, out_dir / "config.resolved")
     except (InvalidConfig, InvalidInput) as e:
         print(f"rdsplit: invalid config: {e}", file=sys.stderr)
         return 2
-    except (NonConvergence, PositivityViolation) as e:
-        # a solve starts only once the runner's checks have passed and out_dir exists
-        write_resolved_config(cfg, out_dir / "config.resolved")
-        print(f"rdsplit: solve failed: {e}", file=sys.stderr)
-        return 3
-    log.info("done")
-    return 0
+    except OSError as e:
+        # an output that cannot be written; what was written before it stays
+        print(f"rdsplit: cannot write output: {e}", file=sys.stderr)
+        return code or 2
+    if not code:
+        log.info("done")
+    return code
 
 
 if __name__ == "__main__":

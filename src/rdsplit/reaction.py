@@ -52,8 +52,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (DomainError, InvalidInput, NonConvergence, PositivityViolation,
-                     RdsplitError)
+from .errors import DomainError, InvalidInput, NonConvergence, PositivityViolation
 from .grid import Field
 
 
@@ -125,6 +124,13 @@ class ReactionSpec:
                 u[sigma > 0] = np.log(self.k_minus) / s_plus
         elif not np.all(np.isfinite(u)):
             raise InvalidInput("U must be finite")
+        # |ln c| < 745 for every positive double c, so below this bound no affinity
+        # sum_i sigma_i (ln c_i + U_i) overflows, and every bracket end is finite
+        with np.errstate(over="ignore"):
+            bound = float(np.abs(sigma) @ (np.abs(u) + 750.0))
+        if not bound < sys.float_info.max:
+            raise InvalidInput("sum_i |sigma_i| (|U_i| + 750) must stay below the largest "
+                               "double, or an affinity can overflow")
         for arr in (a, b, u, sigma):
             arr.setflags(write=False)
         object.__setattr__(self, "alpha", a)
@@ -418,18 +424,16 @@ def _solve_stage(c0, spec, dt):
         helper.send(upper)
         try:
             lower = _solve_blocks(c0[:, :mid], spec, dt, edges[:j + 1])
-        except RdsplitError:
-            helper.receive()  # keeps the pipe in step; the lower block's failure wins
+        except Exception:
+            helper.receive()  # keeps the pipe in step; the lower half's failure wins
             raise
         except BaseException:
-            helper.close()  # its reply is not worth waiting for
+            helper.close()  # an interrupt: the reply is not worth waiting for
             raise
         reply = helper.receive()
     finally:
         _helper_lock.release()
-    if isinstance(reply, RdsplitError):
-        raise reply
-    if reply is None:
+    if reply is None:  # the helper failed, warned or is gone: solve its half here
         reply = _solve_blocks(*upper)
     return tuple(np.concatenate(pair) for pair in zip(lower, reply))
 
@@ -504,10 +508,9 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
     np.log(w.c0, out=w.log_c0)
     np.add(w.log_c0, U_col, out=w.g1)
     _species_sum(sig, w.g1, w.A0, w.t[0])
-    w.hp.fill(0.0)
-    _log_eta_dt(c0, spec, dt, w.hp, w.log_eta_dt, w.y)
+    _log_eta_dt(c0, spec, dt, 0.0, w.log_eta_dt, w.y)
 
-    def h_pred(R):
+    def h_pred(R, second=False):
         np.multiply(sig_col, R, out=w.x)
         w.x += w.c0
         np.log(w.x, out=w.g1)
@@ -515,14 +518,10 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
         _species_sum(sig, w.g1, w.g, w.t[0])
         np.divide(1.0, w.x, out=w.x)
         _species_sum(sig2, w.x, w.hp, w.t[0])
+        if second:  # h'' = -sum_i sigma_i^3 / x_i^2
+            w.x *= w.x
+            _species_sum([(i, -c) for i, c in sig3], w.x, w.h2, w.t[0])
 
-    # the predictor starts at R = 0, where h' = sum_i sigma_i^2 / c0_i and
-    # h'' = -sum_i sigma_i^3 / c0_i^2
-    with np.errstate(over="ignore", invalid="ignore"):  # 1/c0^2 overflows below c0 ~ 1e-154
-        np.divide(1.0, w.c0, out=w.x)
-        _species_sum(sig2, w.x, w.hp, w.t[0])
-        w.x *= w.x
-        _species_sum([(i, -c) for i, c in sig3], w.x, w.h2, w.t[0])
     _bracketed_newton(h_pred, w, w.Rhat, it_pred, "first-order reaction predictor", first)
     np.divide(w.Rhat, 2.0, out=w.hp)
     _log_eta_dt(c0, spec, dt, w.hp, w.log_eta_dt, w.y)
@@ -553,8 +552,8 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
 def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
     """Vector root solve of one reaction residual per cell, in y = log1p(R/(eta dt)).
 
-    ``h_fn(R)`` writes h into ``w.g`` and h' into ``w.hp``, and
-    ``h_fn(R, True)`` also h'' into ``w.h2``; the residual is
+    ``h_fn(R, second)`` writes h into ``w.g``, h' into ``w.hp`` and, where
+    ``second`` is true, h'' into ``w.h2``; the residual is
     ``g(y) = y + h(R(y))``, ``R(y) = eta dt expm1(y)``, with
     ``g'(y) = 1 + P h'(R)`` and ``g''(y) = P h' + P^2 h''``, where
     ``P = eta dt e^y = dR/dy``. h increases and
@@ -565,9 +564,7 @@ def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
     species to c <= 0, h is not finite and g counts as ``copysign(inf, R)``:
     -inf where a produced species runs out, +inf where a consumed one does.
     The iteration starts at ``y(R0)`` where that lies on the bracket, else at
-    0. Without R0 it starts at y = 0, whose residual is known in closed form:
-    R = -0, h = A0, P = eta dt, and h' and h'' are the caller's ``w.hp`` and
-    ``w.h2``. The first update of a cell is Halley's,
+    0, and at y = 0 without R0. The first update of a cell is Halley's,
     ``y - g/(g' (1 - g g''/(2 g'^2)))``, where that is finite and strictly
     inside the current sign-change bracket; every other update is Newton's
     where that is strictly inside, else bisection, so progress is
@@ -589,14 +586,13 @@ def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
     todo, fin, m1, m2 = w.todo, w.fin, w.m1, w.m2
     np.exp(w.log_eta_dt, out=eta_dt)
 
-    def curvature():
-        # h'' is in h2 and P in gp: g'' = P (h' + P h''), into h2
-        np.multiply(h2, gp, out=h2)
-        np.add(h2, hp, out=h2)
-        np.multiply(h2, gp, out=h2)
-
-    def residual():
-        # h is in g and P in gp
+    def residual(second):
+        # g, g' and, where second, g'' from y, R and P (in gp)
+        h_fn(R, second)
+        if second:  # g'' = P (h' + P h''), into h2
+            np.multiply(h2, gp, out=h2)
+            np.add(h2, hp, out=h2)
+            np.multiply(h2, gp, out=h2)
         np.add(g, y, out=g)
         np.isfinite(g, out=fin)
         if not fin.all():
@@ -614,24 +610,17 @@ def _bracketed_newton(h_fn, w, R, iters, label, first, R0=None):
         np.less_equal(y, 0.0, out=m1)
         np.copyto(g, eta_dt, where=m1)
         np.multiply(R, g, out=R)
-        if second:
-            h_fn(R, True)
-            curvature()
-        else:
-            h_fn(R)
-        residual()
+        residual(second)
 
     np.negative(w.A0, out=b)
     np.minimum(0.0, b, out=a)
     np.maximum(0.0, b, out=b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if R0 is None:
+        if R0 is None:  # y = 0, where R = -0 and P = eta dt, as evaluate() would give
             y.fill(0.0)
             R.fill(-0.0)
-            np.copyto(g, w.A0)
             np.copyto(gp, eta_dt)
-            curvature()
-            residual()
+            residual(True)
         else:
             np.divide(R0, eta_dt, out=y)
             np.log1p(y, out=y)
@@ -829,9 +818,9 @@ def _stage_helper(parent: int) -> None:
 
     It reports ready with the files of rdsplit and numpy it imported. A
     request is the argument tuple of :func:`_solve_blocks`; the reply is its
-    result, the RdsplitError it raised, or None where anything else went
-    wrong, a warning included, so that the parent solves those blocks itself,
-    under its own warning filters. Between requests it checks once a second
+    result, or None where it raised or warned, so that the parent solves
+    those blocks itself, raising what an in-process stage raises under its
+    own warning filters. Between requests it checks once a second
     that ``parent`` is still its parent: a copy of the pipe in a process the
     parent forked would keep stdin open after the parent has died.
     """
@@ -855,8 +844,6 @@ def _stage_helper(parent: int) -> None:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     reply = _solve_blocks(*request)
-            except RdsplitError as e:
-                reply = e
             except Exception:
                 reply = None
             pickle.dump(reply, out, protocol=pickle.HIGHEST_PROTOCOL)

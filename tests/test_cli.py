@@ -192,6 +192,23 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, below):
     assert blocker.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("blocked", ["ode_convergence.csv", "config.resolved"])
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys, blocked):
+    """An output file that is a directory used to exit 1 with IsADirectoryError;
+    what the run wrote before it stays."""
+    cfg = _write(tmp_path, ODE_CFG)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(["ode-convergence", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("rdsplit: cannot write output: ")
+    assert str(out / blocked) in err[0] and "Is a directory" in err[0]
+    assert (out / blocked).is_dir()
+    if blocked == "config.resolved":
+        assert (out / "ode_convergence.csv").read_text().startswith("label,error,order")
+
+
 # the quench-limit chemistry: its first half step has no representable root
 QUENCH_CFG = """kind = single_run
 species = a, b, c, d
@@ -235,6 +252,21 @@ def test_solver_failure_exits_3(tmp_path, capsys):
         assert stage in err
         # the run passed its checks, so its resolved config is kept with what it wrote
         assert (tmp_path / name / "config.resolved").read_text().startswith("kind = ")
+
+
+def test_solver_failure_whose_resolved_config_cannot_be_written_exits_3(tmp_path, capsys):
+    """The overflow input of the test above, with config.resolved a directory:
+    the solve failure keeps its exit code and message, plus one line for the file."""
+    cfg = _write(tmp_path, "kind = ode_convergence\node.c0 = 1, 1e300\n"
+                           "ode.t_end = 4e10\node.dt = 4e10, 2e10\n")
+    out = tmp_path / "out"
+    (out / "config.resolved").mkdir(parents=True)
+    assert main(["ode-convergence", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("rdsplit: solve failed: ") and "eta dt overflows" in err[0]
+    assert err[1].startswith("rdsplit: cannot write output: ")
+    assert str(out / "config.resolved") in err[1]
 
 
 def test_threads_only_on_cauchy(tmp_path):

@@ -94,6 +94,21 @@ def test_spec_rejects_non_finite_parameters(alpha, beta, k_plus, k_minus):
             ReactionSpec(alpha, beta, k_plus, k_minus, U=(0.0, 0.0))
 
 
+@pytest.mark.parametrize("alpha, beta, U", [
+    ((2.0, 0.0), (0.0, 2.0), (1e308, 1e308)),
+    ((1e306,), (0.0,), None),  # U derived: 0, but sigma ln c overflows below c ~ 1e-78
+])
+def test_spec_rejects_energies_whose_affinities_can_overflow(alpha, beta, U):
+    """sum_i |sigma_i| (|U_i| + 750) must stay below the largest double; the first
+    spec used to raise numpy's overflow warning in a matmul and, with warnings off,
+    gave every cell a NaN affinity and a stage that ended in NonConvergence."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="affinity can overflow"):
+            ReactionSpec(alpha, beta, 1.0, 1.0, U=U)
+        ReactionSpec((2.0, 0.0), (0.0, 2.0), 1.0, 1.0, U=(1e300, 1e300))  # 4e300 + 3000
+
+
 def test_spec_warns_when_energies_break_detailed_balance():
     with pytest.warns(UserWarning, match="detailed balance") as record:
         ReactionSpec(alpha=(1.0, 0.0), beta=(0.0, 1.0), k_plus=2.0, k_minus=1.0, U=(0.0, 0.0))
@@ -987,12 +1002,38 @@ def test_stock_stages_take_three_predictor_and_two_corrector_updates(monkeypatch
         assert np.all(it_pred == 3) and np.all(it_corr == 2)
 
 
+def test_stock_nonlinear_diffusion_work(monkeypatch):
+    """The benchmark's ring at n0 = 40 with alpha_exp = 2, dt = 1/60, 12 steps:
+    CN Newton iterations, CG solves, stencil applications and FFT round trips,
+    12 of them the exact steps of the linear species, are pinned exactly. The
+    diffusion module looks each counted name up at call time."""
+    import rdsplit.diffusion as dif
+    from rdsplit import run
+    from rdsplit.harness import cubic_autocatalysis_system
+
+    calls = {}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args)
+        return wrapper
+
+    for name in ("_spd_solve", "_divgrad", "_fft_multiply", "_etd_multipliers"):
+        monkeypatch.setattr(dif, name, counted(name, getattr(dif, name)))
+    report = run(cubic_autocatalysis_system(Grid(2, 40, -1, 1), alpha_exp=2), dt=1 / 60,
+                 t_end=0.2)
+    assert list(report.diffusion_iters) == [0, 3, 3] + [2] * 10  # 26 Newton iterations
+    assert calls == {"_spd_solve": 38, "_divgrad": 465, "_fft_multiply": 439,
+                     "_etd_multipliers": 12}
+
+
 def test_reaction_newton_numpy_calls_per_update(monkeypatch):
     """Numpy calls that _bracketed_newton makes outside its residual callbacks,
     counted through a proxy of the module's numpy (in-place operators are not
-    calls): 528 in the 15 updates of three stages on the 64^2 benchmark ring at
-    dt = 1/120, 35.2 per update (38.8 before one kernel tested "strictly inside
-    the bracket")."""
+    calls): 525 in the 15 updates of three stages on the 64^2 benchmark ring at
+    dt = 1/120, 35.0 per update (38.8 before one kernel tested "strictly inside
+    the bracket", 528 while the predictor's start was written in closed form)."""
     import rdsplit.reaction as rx
     from rdsplit.harness import cubic_autocatalysis_system
 
@@ -1036,7 +1077,7 @@ def test_reaction_newton_numpy_calls_per_update(monkeypatch):
     for _ in range(3):
         fields, _ = reaction_stage_counted(fields, system.reaction, 1 / 120)
     assert updates == [3, 2] * 3
-    assert calls[0] <= 528
+    assert calls[0] <= 525
 
 
 def _solve_three_ways(spec, c0, dt):

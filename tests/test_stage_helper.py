@@ -133,6 +133,46 @@ def test_failure_in_the_helper_half_raises_like_the_in_process_stage(sent, monke
     assert rx._helper and rx._helper.proc.poll() is None
 
 
+def test_a_failing_helper_half_is_solved_again_in_this_process(sent, monkeypatch):
+    """The helper hands back a half it cannot solve cleanly, and no exception
+    crosses the pipe: this process solves that half again and raises what the
+    in-process stage raises. Blocks of 3 cells; the helper's half fails at cell 7."""
+    monkeypatch.setattr(rx, "_BLOCK", 3)
+    stage = _quench_stage([7])
+    ref = _in_process(lambda: _failure(stage))
+    solve, firsts = rx._solve_blocks, []
+    monkeypatch.setattr(rx, "_solve_blocks", lambda *args: firsts.append(args[4:])
+                        or solve(*args))
+    assert _failure(stage) == ref
+    assert sent == [5]
+    assert firsts == [(), (5,)]  # the lower half, then the helper's half in this process
+    assert rx._helper and rx._helper.proc.poll() is None
+
+
+def test_an_error_in_the_lower_half_leaves_the_helper_running(sent, monkeypatch):
+    """Any Exception in this process's half reads the helper's reply before it
+    propagates, so the helper serves the next stage; only an interrupt closes it."""
+    system = _system()
+    fields = [s.initial for s in system.species]
+    ref = _in_process(lambda: reaction_stage(fields, system.reaction, DT))
+    proc, solve = rx._helper.proc, rx._solve_blocks
+
+    def failing(*args):
+        raise ValueError("not a solver error")
+
+    monkeypatch.setattr(rx, "_solve_blocks", failing)
+    with pytest.raises(ValueError, match="not a solver error"):
+        reaction_stage(fields, system.reaction, DT)
+    assert sent == [128]
+    assert rx._helper and proc.poll() is None
+    monkeypatch.setattr(rx, "_solve_blocks", solve)
+    got = reaction_stage(fields, system.reaction, DT)
+    assert sent == [128, 128]  # the next multi-block stage sends to the same helper
+    assert rx._helper.proc is proc and proc.poll() is None
+    for f, r in zip(got, ref):
+        np.testing.assert_array_equal(f.values, r.values)
+
+
 def test_a_killed_helper_leaves_the_report_unchanged(sent):
     system = _system()
     ref = _in_process(lambda: run(system, DT, T_END))
