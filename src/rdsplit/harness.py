@@ -551,22 +551,28 @@ def _snapshot_observers(cfg: ExperimentConfig, section: str, system: SystemSpec,
     """Observers writing each species to ``out/<name><tag>_t<t>.csv`` at ``<section>.snapshots``.
 
     None without an output directory. Raises InvalidInput unless dt divides t_end, with or
-    without one, and InvalidConfig for a time after ``<section>.t_end``.
+    without one, and InvalidConfig for a time after ``<section>.t_end`` or two times whose
+    ``<t>`` is the same (``f"{t:g}"``), where the later file would replace the earlier.
     """
     dt, t_end, key = cfg[f"{section}.dt"], cfg[f"{section}.t_end"], f"{section}.snapshots"
     n_steps = steps_for(t_end, dt)
     if out is None:
         return {}
-    observers = {}
+    observers, named = {}, {}
     for t_snap in cfg[key]:
         k = steps_for(t_snap, dt)
         if k > n_steps:
             raise InvalidConfig(f"{key}: snapshot time {t_snap:g} is after t_end = {t_end:g}",
                                 key=key)
+        label = f"{t_snap:g}"
+        if label in named:
+            raise InvalidConfig(f"{key}: snapshot times {named[label]!r} and {t_snap!r} both "
+                                f"write the files *_t{label}.csv", key=key)
+        named[label] = t_snap
 
-        def save(state, t_snap=t_snap):
+        def save(state, label=label):
             for i, name in enumerate(system.names):
-                write_field_csv(state.c[i], out / f"{name}{tag}_t{t_snap:g}.csv")
+                write_field_csv(state.c[i], out / f"{name}{tag}_t{label}.csv")
 
         observers[k] = save
     return observers

@@ -287,18 +287,12 @@ def reaction_stage_counted(fields: list[Field], spec: ReactionSpec, dt: float
             raise InvalidInput("species fields live on different grids")
     _check_dt(dt)
     c0 = np.stack([f.values.ravel() for f in fields])
-    if np.any(c0 <= 0):
-        i = int(np.argwhere(np.any(c0 <= 0, axis=0)).ravel()[0])
-        raise PositivityViolation(
-            f"nonpositive concentration entering reaction stage at cell {_cell_label(grid, i)}")
+    _check_positive(c0, grid, "nonpositive concentration entering reaction stage")
     if not spec.sigma.any():
         return [f.copy() for f in fields], 0.0
     R, it_pred, it_corr = _solve_stage(c0, spec, dt)
     c_new = c0 + spec.sigma[:, None] * R[None, :]
-    if np.any(c_new <= 0):
-        i = int(np.argwhere(np.any(c_new <= 0, axis=0)).ravel()[0])
-        raise PositivityViolation(
-            f"reaction stage left the positive orthant at cell {_cell_label(grid, i)}")
+    _check_positive(c_new, grid, "reaction stage left the positive orthant")
     out = [Field(grid, c_new[i].reshape(grid.shape)) for i in range(spec.n_species)]
     return out, float(np.mean(it_pred + it_corr))
 
@@ -322,8 +316,12 @@ def _check_dt(dt: float) -> None:
         raise InvalidInput("dt must be positive and finite")
 
 
-def _cell_label(grid, flat_index: int) -> str:
-    return str(tuple(int(k) for k in np.unravel_index(flat_index, grid.shape)))
+def _check_positive(c, grid, what: str) -> None:
+    """PositivityViolation naming the first cell of c, shape (nsp, cells), with a c_i <= 0."""
+    if np.any(c <= 0):
+        i = int(np.argwhere(np.any(c <= 0, axis=0)).ravel()[0])
+        cell = tuple(int(k) for k in np.unravel_index(i, grid.shape))
+        raise PositivityViolation(f"{what} at cell {cell}")
 
 
 def _xlnx_slope(a, d, log_a, out=None):
@@ -393,7 +391,7 @@ def _xlnx_g3(a, d, x, g2, out):
 
 # The stage workspace (see _solve_stage): rows hold one entry per species and
 # cell, the other arrays one entry per cell.
-_ROWS = ("c0", "log_c0", "d", "g1", "g2", "L", "x", "t")
+_ROWS = ("log_c0", "d", "g1", "g2", "L", "x", "t")
 _CELLS = ("eta_dt", "log_eta_dt", "A0", "a", "b", "y", "Rhat", "g", "hp", "gp", "h2", "res")
 _MASKS = ("todo", "fin", "m1", "m2")
 
@@ -420,7 +418,7 @@ def _solve_stage(c0, spec, dt):
             return _solve_blocks(c0, spec, dt, edges)
         j = (k + 1) // 2
         mid = edges[j]
-        upper = (c0[:, mid:], spec, dt, [e - mid for e in edges[j:]], mid)
+        upper = (c0[:, mid:], spec, dt, edges[j:])
         helper.send(upper)
         try:
             lower = _solve_blocks(c0[:, :mid], spec, dt, edges[:j + 1])
@@ -438,54 +436,35 @@ def _solve_stage(c0, spec, dt):
     return tuple(np.concatenate(pair) for pair in zip(lower, reply))
 
 
-def _solve_blocks(c0, spec, dt, edges, first=0):
+def _solve_blocks(c0, spec, dt, edges):
     """:func:`_solve_stage` in this process over the blocks between ``edges``.
 
-    ``edges`` runs from 0 to ``c0.shape[1]``; ``first`` is the grid index of
-    column 0, for messages. All Newton arrays live in one workspace,
-    allocated here at the widest block and shared by both solves of every
-    block; the solves write into it in place.
+    ``edges`` are grid indices, column 0 of c0 at ``edges[0]``. All Newton
+    arrays live in one workspace, allocated here at the widest block and
+    shared by both solves of every block; the solves write into it in place.
     """
-    n, m = spec.n_species, c0.shape[1]
+    n, m, e0 = spec.n_species, c0.shape[1], edges[0]
     width = max(hi - lo for lo, hi in zip(edges, edges[1:]))
     rows = np.empty((len(_ROWS), n * width))
     cells = np.empty((len(_CELLS), width))
     masks = np.empty((len(_MASKS), width), dtype=bool)
     R, it_pred, it_corr = np.empty(m), np.empty(m, dtype=int), np.empty(m, dtype=int)
     for lo, hi in zip(edges, edges[1:]):
-        mb = hi - lo
+        mb, cols = hi - lo, slice(lo - e0, hi - e0)
         w = SimpleNamespace(**{name: r[:n * mb].reshape(n, mb) for name, r in zip(_ROWS, rows)},
                             **{name: v[:mb] for name, v in zip(_CELLS + _MASKS, [*cells, *masks])})
-        _solve_block(c0[:, lo:hi], spec, dt, w, R[lo:hi], it_pred[lo:hi], it_corr[lo:hi],
-                     first + lo)
+        _solve_block(c0[:, cols], spec, dt, w, R[cols], it_pred[cols], it_corr[cols], lo)
     return R, it_pred, it_corr
-
-
-def _log_eta_dt(c0, spec, dt, half, out, tmp):
-    """``ln(k_minus dt) + sum_i beta_i ln(c0_i + sigma_i half)`` per cell, into out.
-
-    Added species by species from zero in the scalar path's order: unlike a
-    BLAS matmul, no cell's value depends on the block it is solved in.
-    """
-    out.fill(0.0)
-    for ci, si, bi in zip(c0, spec.sigma.tolist(), spec.beta.tolist()):
-        if bi:
-            np.multiply(half, si, out=tmp)
-            tmp += ci
-            np.log(tmp, out=tmp)
-            tmp *= bi
-            out += tmp
-    out += math.log(spec.k_minus) + math.log(dt)
 
 
 def _species_sum(terms, rows, out, tmp):
     """``out = sum_i c_i rows_i`` per cell over ``terms``, pairs ``(i, c_i)`` in species order.
 
     Unlike einsum, which groups a one-cell sum pairwise, the order does not
-    depend on the block width. The terms are the species that react
-    (``sigma_i != 0``), as on the scalar path: an inert species adds nothing,
-    not even the NaN of ``0 * inf``, and a reacting one whose power of sigma
-    underflows adds its zero.
+    depend on the block width. The terms are those of the scalar path's sum,
+    the species with ``c_i != 0`` for the coefficient that defines them
+    (sigma_i or beta_i): an absent species adds nothing, not even the NaN of
+    ``0 * inf``, and one whose power of sigma underflows adds its zero.
     """
     (i, c), *rest = terms
     np.multiply(rows[i], c, out=out)
@@ -504,15 +483,24 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
     sig = [(i, s) for i, s in enumerate(sigma.tolist()) if s]  # the scalar path's species
     sig2 = [(i, s * s) for i, s in sig]
     sig3 = [(i, s * s * s) for i, s in sig]
-    np.copyto(w.c0, c0)
-    np.log(w.c0, out=w.log_c0)
+    beta = [(i, b) for i, b in enumerate(spec.beta.tolist()) if b]
+    log_k_dt = math.log(spec.k_minus) + math.log(dt)
+
+    def log_eta_dt(log_c):  # ln(k_minus dt) + sum_i beta_i ln c_i, in the scalar path's order
+        if beta:
+            _species_sum(beta, log_c, w.log_eta_dt, w.t[0])
+        else:
+            w.log_eta_dt.fill(0.0)
+        w.log_eta_dt += log_k_dt
+
+    np.log(c0, out=w.log_c0)
     np.add(w.log_c0, U_col, out=w.g1)
     _species_sum(sig, w.g1, w.A0, w.t[0])
-    _log_eta_dt(c0, spec, dt, 0.0, w.log_eta_dt, w.y)
+    log_eta_dt(w.log_c0)
 
     def h_pred(R, second=False):
         np.multiply(sig_col, R, out=w.x)
-        w.x += w.c0
+        w.x += c0
         np.log(w.x, out=w.g1)
         w.g1 += U_col
         _species_sum(sig, w.g1, w.g, w.t[0])
@@ -523,21 +511,24 @@ def _solve_block(c0, spec, dt, w, R, it_pred, it_corr, first):
             _species_sum([(i, -c) for i, c in sig3], w.x, w.h2, w.t[0])
 
     _bracketed_newton(h_pred, w, w.Rhat, it_pred, "first-order reaction predictor", first)
-    np.divide(w.Rhat, 2.0, out=w.hp)
-    _log_eta_dt(c0, spec, dt, w.hp, w.log_eta_dt, w.y)
+    np.divide(w.Rhat, 2.0, out=w.hp)  # eta* at the midpoint c0 + sigma Rhat/2
+    np.multiply(sig_col, w.hp, out=w.x)
+    w.x += c0
+    np.log(w.x, out=w.x)
+    log_eta_dt(w.x)
     shift = float(spec.sigma @ (spec.U - 1.0))
 
     def h_corr(R, second=False):
         # phi(R, 0) = sigma.(G1 + U - 1); the dt term sum_i sigma_i ln(c_i/c0_i) = sigma.L
         np.multiply(sig_col, R, out=w.d)
-        _xlnx_slope(w.c0, w.d, w.log_c0, (w.g1, w.g2, w.L, w.x, w.t))
+        _xlnx_slope(c0, w.d, w.log_c0, (w.g1, w.g2, w.L, w.x, w.t))
         w.L *= dt
         w.g1 += w.L
         _species_sum(sig, w.g1, w.g, w.t[0])
         w.g += shift
         if second:
             # h'' = sum_i sigma_i^3 (G3_i - dt/x_i^2)
-            _, q = _xlnx_g3(w.c0, w.d, w.x, w.g2, (w.g1, w.L, w.t))
+            _, q = _xlnx_g3(c0, w.d, w.x, w.g2, (w.g1, w.L, w.t))
             q *= q
             q *= dt
             w.g1 -= q

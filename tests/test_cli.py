@@ -149,6 +149,27 @@ def test_snapshots_after_t_end_exit_2(tmp_path, capsys):
         assert not list(out.glob("*_t0.1.csv"))
 
 
+def test_snapshot_times_of_one_file_name_exit_2(tmp_path, capsys, monkeypatch):
+    """1 + 2**-20 prints as 1 under :g, so its files used to replace those of t = 1.
+
+    The run would take 2**20 + 1 steps: it must be refused before the first.
+    """
+    def run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("rdsplit.harness.run", run)
+    cases = [("1, 1.00000095367431640625", "1.0 and 1.0000009536743164"),
+             ("0.5, 0.5", "0.5 and 0.5")]
+    for i, (times, pair) in enumerate(cases):
+        text = SINGLE_CFG.replace("run.dt = 0.05\nrun.t_end = 0.1\n", (
+            "run.dt = 1/1048576\nrun.t_end = 1048577/1048576\n")) + f"run.snapshots = {times}\n"
+        cfg = _write(tmp_path, text, name=f"snap{i}.cfg")
+        out = tmp_path / f"out{i}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"run.snapshots: snapshot times {pair} both write" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["../xa", "x.a", "1x", "x a", "x-a"])
 def test_species_names_must_be_identifiers(tmp_path, capsys, name):
     """A species name is a dotted key segment and a file name; '../xa' wrote outside --out."""

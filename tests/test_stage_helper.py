@@ -45,7 +45,7 @@ def sent(monkeypatch):
     _fresh_slot(monkeypatch)
     firsts = []
     send = rx._Helper.send
-    monkeypatch.setattr(rx._Helper, "send", lambda self, req: firsts.append(req[-1])
+    monkeypatch.setattr(rx._Helper, "send", lambda self, req: firsts.append(req[-1][0])
                         or send(self, req))
     _wait_for_helper()
     yield firsts
@@ -91,6 +91,18 @@ def test_run_matches_the_in_process_steps_bitwise(sent):
         for f, v in zip(fields, ref_fields):
             np.testing.assert_array_equal(f.values, v)
         assert (got.reaction_iters_avg[k], got.diffusion_iters[k]) == (itr, itd)
+
+
+def test_a_reaction_without_products_matches_the_in_process_stage(sent):
+    """All of beta is 0, so ln(eta dt) is ln(k_minus dt) alone, in either process."""
+    fields = [s.initial for s in _system().species]
+    spec = ReactionSpec((1.0, 0.0), (0.0, 0.0), 1.0, 0.5)
+    ref_fields, ref_iters = _in_process(lambda: rx.reaction_stage_counted(fields, spec, DT))
+    got_fields, got_iters = rx.reaction_stage_counted(fields, spec, DT)
+    assert sent == [128]
+    assert got_iters == ref_iters
+    for f, r in zip(got_fields, ref_fields):
+        np.testing.assert_array_equal(f.values, r.values)
 
 
 def _quench_stage(failing):
@@ -141,11 +153,11 @@ def test_a_failing_helper_half_is_solved_again_in_this_process(sent, monkeypatch
     stage = _quench_stage([7])
     ref = _in_process(lambda: _failure(stage))
     solve, firsts = rx._solve_blocks, []
-    monkeypatch.setattr(rx, "_solve_blocks", lambda *args: firsts.append(args[4:])
+    monkeypatch.setattr(rx, "_solve_blocks", lambda *args: firsts.append(args[3][0])
                         or solve(*args))
     assert _failure(stage) == ref
     assert sent == [5]
-    assert firsts == [(), (5,)]  # the lower half, then the helper's half in this process
+    assert firsts == [0, 5]  # the lower half, then the helper's half in this process
     assert rx._helper and rx._helper.proc.poll() is None
 
 
@@ -275,11 +287,11 @@ def test_a_helper_killed_before_its_reply_leaves_the_stage_unchanged(sent, monke
         self.proc.wait(timeout=TIMEOUT_S)
 
     monkeypatch.setattr(rx._Helper, "send", send_and_kill)
-    monkeypatch.setattr(rx, "_solve_blocks", lambda *args: firsts.append(args[4:])
+    monkeypatch.setattr(rx, "_solve_blocks", lambda *args: firsts.append(args[3][0])
                         or solve(*args))
     got = reaction_stage(fields, system.reaction, DT)
     assert sent == [128] and rx._helper is False
-    assert firsts == [(), (128,)]  # the lower half, then the upper half in this process
+    assert firsts == [0, 128]  # the lower half, then the upper half in this process
     for f, r in zip(got, ref):
         np.testing.assert_array_equal(f.values, r.values)
 
