@@ -5,9 +5,11 @@ takes a config file and an output directory, writes CSV results, and echoes
 the resolved config of a run that passed its checks to ``<out>/config.resolved``
 (a config rejected with exit 2 leaves --out as it was). Exit codes: 0 on
 success, 2 for configuration problems (a config file that is not UTF-8 text,
-or an --out that is a file or lies under one, included) and for an output
-file that cannot be written, 3 when a solve fails (non-convergence or loss of
-positivity), also where its config.resolved then cannot be written.
+or an --out that is a file or lies under one, included), for an output file
+that cannot be written and for an experiment too large to allocate (--out may
+exist already where the run itself is what fails), 3 when a solve fails
+(non-convergence or loss of positivity), also where its config.resolved then
+cannot be written.
 """
 
 from __future__ import annotations
@@ -96,6 +98,9 @@ def _run(args) -> int:
         write_resolved_config(cfg, out_dir / "config.resolved")
     except (InvalidConfig, InvalidInput) as e:
         print(f"rdsplit: invalid config: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"rdsplit: cannot allocate: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         # an output that cannot be written; what was written before it stays

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInput, NonConvergence, PositivityViolation
-from .grid import Field, Grid, _divgrad, _face_sum, average_to_faces
+from .grid import Field, Grid, _check_positive, _divgrad, _face_sum, average_to_faces
 from .reaction import _check_dt, _xlnx_slope
 
 __all__ = [
@@ -132,12 +132,10 @@ def etd_step(rho: Field, law: DiffusionLaw, dt: float) -> Field:
     """One exact diffusion step ``exp(dt D0 Lap_h)`` for a linear law (alpha_exp = 1)."""
     if law.kind != "constant":
         raise InvalidInput("etd_step applies to constant-coefficient diffusion only")
-    if np.any(rho.values <= 0):
-        raise PositivityViolation("etd_step needs a strictly positive field")
+    _check_positive(rho.values, rho.grid, "nonpositive density entering exponential step")
     _check_dt(dt)
     out = _fft_multiply(rho.grid, rho.values, _etd_multipliers(rho.grid, law.D0, float(dt)))
-    if out.min() <= 0:
-        raise PositivityViolation("exponential step lost positivity")
+    _check_positive(out, rho.grid, "exponential step lost positivity")
     return Field(rho.grid, out)
 
 
@@ -156,9 +154,14 @@ def _spd_solve(grid: Grid, diag, faces, scale: float, b: np.ndarray) -> np.ndarr
     diagonal and mean face weight, is inverted exactly by FFT; the start guess
     ``K^-1 b`` alone solves constant coefficients. The preconditioner scales
     ``K^-1`` on both sides by ``sqrt(diag(K)/diag(A))`` for degenerate weights.
+    Inner products go through einsum, never BLAS, whose threads would split
+    the sums and make the bits depend on the CPU count.
     """
     def apply(x):
         return diag * x - scale * _divgrad(faces, x, grid.h)
+
+    def dot(u, v):
+        return np.einsum("i,i", u.ravel(), v.ravel())
 
     mean_diag, mean_face = np.mean(diag), np.mean([w.mean() for _, w in faces])
     symbol = 1.0 / (mean_diag - scale * mean_face * _laplacian_symbol(grid))
@@ -167,21 +170,21 @@ def _spd_solve(grid: Grid, diag, faces, scale: float, b: np.ndarray) -> np.ndarr
     sigma = np.sqrt((mean_diag + c * 2 * grid.dim * mean_face) / a_diag)
     x = _fft_multiply(grid, b, symbol)
     r = b - apply(x)
-    stop = _CG_TOL * np.linalg.norm(b)
+    stop = _CG_TOL * np.sqrt(dot(b, b))
     p, rz_old = np.zeros_like(b), 1.0
     for _ in range(_CG_MAX_ITER):
-        if np.linalg.norm(r) <= stop:
+        if np.sqrt(dot(r, r)) <= stop:
             return x
         z = sigma * _fft_multiply(grid, sigma * r, symbol)
-        rz = np.vdot(r, z)
+        rz = dot(r, z)
         p = z + (rz / rz_old) * p
         q = apply(p)
-        alpha = rz / np.vdot(p, q)
+        alpha = rz / dot(p, q)
         x += alpha * p
         r -= alpha * q
         rz_old = rz
     raise NonConvergence("conjugate gradients hit the iteration cap",
-                         residual=float(np.linalg.norm(r)), iterations=_CG_MAX_ITER)
+                         residual=float(np.sqrt(dot(r, r))), iterations=_CG_MAX_ITER)
 
 
 def semi_implicit_predictor(rho_n: Field, law: DiffusionLaw, dt: float) -> Field:
@@ -192,16 +195,14 @@ def semi_implicit_predictor(rho_n: Field, law: DiffusionLaw, dt: float) -> Field
     conserves mass up to the CG residual (relative 2-norm 1e-12).
     """
     _check_dt(dt)
-    if np.any(rho_n.values <= 0):
-        raise PositivityViolation("nonlinear diffusion needs a strictly positive field")
+    _check_positive(rho_n.values, rho_n.grid, "nonpositive density entering nonlinear diffusion")
     if law.kind == "none":
         raise InvalidInput("predictor needs a diffusing species")
     grid = rho_n.grid
     coeff = Field(grid, law.coefficient(rho_n.values))
     faces = [(ax, average_to_faces(coeff, ax).values) for ax in range(grid.dim)]
     rho_hat = _spd_solve(grid, 1.0 / dt, faces, 1.0, rho_n.values / dt)
-    if rho_hat.min() <= 0:
-        raise PositivityViolation("semi-implicit predictor lost positivity")
+    _check_positive(rho_hat, grid, "semi-implicit predictor lost positivity")
     return Field(grid, rho_hat)
 
 
@@ -271,14 +272,12 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
         last, res = res, float(np.abs(r).max())
         if s == 1.0 and last <= res <= cap:
             break
-    if x.min() <= 0:
-        raise PositivityViolation("nonlinear diffusion step lost positivity")
+    _check_positive(x, grid, "nonlinear diffusion step lost positivity")
     return Field(grid, x), n_iter
 
 
 def diffusion_energy(rho: Field) -> float:
     """Entropy-type energy ``<rho ln rho, 1>`` of a positive field."""
-    if np.any(rho.values <= 0):
-        raise PositivityViolation("energy needs a strictly positive field")
+    _check_positive(rho.values, rho.grid, "energy needs a strictly positive field")
     v = rho.values
     return float(rho.grid.cell_volume * np.sum(v * np.log(v)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, PositivityViolation
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,17 @@ class FaceField:
         self.values = v
 
 
-def _check_same_grid(a, b) -> None:
-    if a.grid != b.grid:
+def _check_same_grid(*operands) -> None:
+    if any(x.grid != operands[0].grid for x in operands[1:]):
         raise InvalidInput("operands live on different grids")
+
+
+def _check_positive(values: np.ndarray, grid: Grid, what: str) -> None:
+    """PositivityViolation ``<what> at cell (i, j)``, first cell <= 0 of a field or cell rows."""
+    if values.min() <= 0:
+        bad = (values.reshape(-1, grid.n_cells) <= 0).any(axis=0)
+        cell = tuple(int(k) for k in np.unravel_index(bad.argmax(), grid.shape))
+        raise PositivityViolation(f"{what} at cell {cell}")
 
 
 def inner_product(f: Field, g: Field) -> float:
@@ -186,13 +194,12 @@ def divergence(fluxes: list[FaceField]) -> Field:
     """
     if not fluxes:
         raise InvalidInput("divergence needs one flux per axis")
+    _check_same_grid(*fluxes)
     grid = fluxes[0].grid
     if len(fluxes) != grid.dim or sorted(q.axis for q in fluxes) != list(range(grid.dim)):
         raise InvalidInput("divergence needs exactly one flux per axis")
     out = np.zeros(grid.shape)
     for q in fluxes:
-        if q.grid != grid:
-            raise InvalidInput("operands live on different grids")
         out += (q.values - np.roll(q.values, 1, axis=q.axis)) / grid.h
     return Field(grid, out)
 
@@ -211,8 +218,7 @@ def weighted_divgrad(weights: list[FaceField], f: Field) -> Field:
     """
     if len(weights) != f.grid.dim or sorted(w.axis for w in weights) != list(range(f.grid.dim)):
         raise InvalidInput("weighted_divgrad needs exactly one weight field per axis")
-    for w in weights:
-        _check_same_grid(w, f)
+    _check_same_grid(f, *weights)
     return Field(f.grid, _divgrad([(w.axis, w.values) for w in weights], f.values, f.grid.h))
 
 

@@ -515,7 +515,10 @@ def run_cauchy_convergence(cfg: ExperimentConfig, out_dir=None, threads: int = 1
         if threads < 1:
             raise InvalidInput(f"threads must be at least 1, got {threads}")
         alpha_exp = [cfg["cauchy.alpha_exp"]]
-        return [_autocatalysis_systems(cfg, "cauchy", h, alpha_exp)[0] for h in cfg["cauchy.h"]]
+        systems = [_autocatalysis_systems(cfg, "cauchy", h, alpha_exp)[0] for h in cfg["cauchy.h"]]
+        for system in systems:  # the step counts of _cauchy_fields, before any level runs
+            steps_for(cfg["cauchy.t_end"], system.grid.h)
+        return systems
 
     systems, out_dir = _prepare(cfg, "cauchy_convergence", out_dir, setup)
     hs, t_end = cfg["cauchy.h"], cfg["cauchy.t_end"]

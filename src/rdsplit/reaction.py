@@ -53,7 +53,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, InvalidInput, NonConvergence, PositivityViolation
-from .grid import Field
+from .grid import Field, _check_positive, _check_same_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,10 +281,8 @@ def reaction_stage_counted(fields: list[Field], spec: ReactionSpec, dt: float
     NonConvergence names the first failing cell of the first block that fails.
     """
     _check_species(len(fields), spec, "fields")
+    _check_same_grid(*fields)
     grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise InvalidInput("species fields live on different grids")
     _check_dt(dt)
     c0 = np.stack([f.values.ravel() for f in fields])
     _check_positive(c0, grid, "nonpositive concentration entering reaction stage")
@@ -314,14 +312,6 @@ def _trajectory_point(R, st, spec, name="R"):
 def _check_dt(dt: float) -> None:
     if not (dt > 0 and math.isfinite(dt)):
         raise InvalidInput("dt must be positive and finite")
-
-
-def _check_positive(c, grid, what: str) -> None:
-    """PositivityViolation naming the first cell of c, shape (nsp, cells), with a c_i <= 0."""
-    if np.any(c <= 0):
-        i = int(np.argwhere(np.any(c <= 0, axis=0)).ravel()[0])
-        cell = tuple(int(k) for k in np.unravel_index(i, grid.shape))
-        raise PositivityViolation(f"{what} at cell {cell}")
 
 
 def _xlnx_slope(a, d, log_a, out=None):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionLaw, etd_step, nonlinear_cn_step_counted
-from .errors import InvalidInput, PositivityViolation, RdsplitError
-from .grid import Field, Grid, inner_product
+from .errors import InvalidInput, RdsplitError
+from .grid import Field, Grid, _check_positive, inner_product
 from .reaction import ReactionSpec, _check_dt, reaction_stage_counted
 
 __all__ = [
@@ -54,8 +54,7 @@ class SystemSpec:
         for s in self.species:
             if s.initial.grid != self.grid:
                 raise InvalidInput(f"initial field of {s.name!r} lives on a different grid")
-            if np.any(s.initial.values <= 0):
-                raise PositivityViolation(f"initial field of {s.name!r} must be positive")
+            _check_positive(s.initial.values, self.grid, f"initial field of {s.name!r} not positive")
 
     @property
     def names(self) -> list[str]:
@@ -114,8 +113,7 @@ def system_energy(state: SimState, spec: SystemSpec) -> float:
     total = 0.0
     for i, f in enumerate(state.c):
         v = f.values
-        if np.any(v <= 0):
-            raise PositivityViolation(f"species {spec.names[i]!r} not positive")
+        _check_positive(v, f.grid, f"species {spec.names[i]!r} not positive")
         U = spec.reaction.U[i]
         total += float(np.sum(v * (np.log(v) - 1.0 + U)))
     return spec.grid.cell_volume * total

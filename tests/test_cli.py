@@ -116,6 +116,29 @@ def test_runner_rejection_leaves_out_untouched(tmp_path, capsys, command, text, 
     assert list(out.iterdir()) == [] if existing else not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cauchy_t_end_off_a_level_step_exits_2_before_out(tmp_path, capsys, threads):
+    """Every level's dt must divide t_end: 0.25 is no multiple of 1/10. That
+    check used to run with the levels' solves, after --out was made."""
+    cfg = _write(tmp_path, "kind = cauchy_convergence\ncauchy.h = 1/10, 1/15, 1/20\n"
+                           "cauchy.t_end = 0.25\n")
+    out = tmp_path / "out"
+    assert main(["cauchy", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+    assert "t_end = 0.25 is not an integer multiple of dt = 0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_too_large_to_allocate_exits_2(tmp_path, capsys):
+    """A 400000000^2 grid needs 1.11 EiB per field, beyond any 64-bit address
+    space, so the allocation fails at once; it used to exit 1 with a traceback."""
+    cfg = _write(tmp_path, SINGLE_CFG.replace("grid.n0 = 8", "grid.n0 = 400000000"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rdsplit: cannot allocate: ")
+    assert not out.exists()
+
+
 def test_verbose_applies_to_each_call_and_only_to_the_rdsplit_logger(tmp_path, capsys):
     """logging.basicConfig used to ignore --verbose once the root logger had a
     handler, as it has after a first call, and set the root logger's level."""

@@ -5,17 +5,29 @@ import numpy as np
 import pytest
 
 from rdsplit import (
+    DiffusionLaw,
     Field,
     FaceField,
     Grid,
     InvalidInput,
+    PositivityViolation,
+    ReactionSpec,
+    SimState,
+    Species,
+    SystemSpec,
     average_to_faces,
+    diffusion_energy,
     divergence,
+    etd_step,
     face_inner_product,
     gradient,
     inner_product,
     laplacian,
+    nonlinear_cn_step,
+    reaction_stage,
     read_field_csv,
+    semi_implicit_predictor,
+    system_energy,
     weighted_divgrad,
     write_field_csv,
 )
@@ -242,3 +254,57 @@ def test_inner_product_requires_same_grid():
     g = Field.constant(Grid(dim=1, n0=8), 1.0)
     with pytest.raises(InvalidInput):
         inner_product(f, g)
+
+
+# ------------------------------------------- the gates at every stage boundary
+
+_EXCHANGE = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
+
+
+def _ones(grid):
+    return Field.constant(grid, 1.0)
+
+
+def _system(v0):
+    return SystemSpec(v0.grid, [Species("u", DiffusionLaw.none(), _ones(v0.grid)),
+                                Species("v", DiffusionLaw.none(), v0)], _EXCHANGE)
+
+
+_POSITIVITY_GATES = {
+    "etd_step": lambda f: etd_step(f, DiffusionLaw.constant(0.1), 0.1),
+    "semi_implicit_predictor": lambda f: semi_implicit_predictor(
+        f, DiffusionLaw.power(0.1, 2), 0.1),
+    "nonlinear_cn_step": lambda f: nonlinear_cn_step(f, DiffusionLaw.power(0.1, 2), 0.1),
+    "diffusion_energy": diffusion_energy,
+    "system_energy": lambda f: system_energy(SimState(0.0, 0, [_ones(f.grid), f]),
+                                             _system(_ones(f.grid))),
+    "SystemSpec": _system,
+    "reaction_stage": lambda f: reaction_stage([_ones(f.grid), f], _EXCHANGE, 0.1),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(_POSITIVITY_GATES))
+def test_every_positivity_gate_names_the_failing_cell(gate):
+    f = _ones(Grid(dim=2, n0=4))
+    f.values[2, 1] = 0.0
+    with pytest.raises(PositivityViolation, match=re.escape("at cell (2, 1)") + "$"):
+        _POSITIVITY_GATES[gate](f)
+
+
+def _faces(*grids):
+    """One face field of ones per axis, axis k on ``grids[k]``."""
+    return [FaceField(g, ax, np.ones(g.shape)) for ax, g in enumerate(grids)]
+
+
+_GRID_CHECKS = {
+    "reaction_stage": lambda a, b: reaction_stage([_ones(a), _ones(b)], _EXCHANGE, 0.1),
+    "divergence": lambda a, b: divergence(_faces(a, b)),
+    "weighted_divgrad": lambda a, b: weighted_divgrad(_faces(a, b), _ones(a)),
+}
+
+
+@pytest.mark.parametrize("operator", sorted(_GRID_CHECKS))
+def test_operands_on_two_grids_are_rejected(operator):
+    """Grids of one shape and different bounds: only the grid check can tell them apart."""
+    with pytest.raises(InvalidInput, match="different grids"):
+        _GRID_CHECKS[operator](Grid(dim=2, n0=4), Grid(dim=2, n0=4, upper=2.0))
