@@ -119,9 +119,13 @@ def _etd_multipliers(grid: Grid, D: float, dt: float):
     """Mode multipliers ``exp(dt D lambda_k)`` of the exact propagator, cached per (grid, D, dt).
 
     The zero mode's is exactly 1 and all lie in (0, 1]; heavily damped modes
-    may underflow to +0.
+    may underflow to +0, also where ``dt D lambda_k`` leaves the double range.
     """
-    mult = np.exp(dt * D * _laplacian_symbol(grid))
+    lam = _laplacian_symbol(grid)
+    # the zero mode's exponent is 0 by construction, never inf * 0 where dt D overflows;
+    # a product past the double range is -inf, whose multiplier is 0
+    with np.errstate(over="ignore"):
+        mult = np.exp(np.multiply(dt * D, lam, out=np.zeros_like(lam), where=lam < 0))
     if mult.ravel()[0] != 1.0 or mult.max() > 1.0 or mult.min() < 0.0:
         raise InvalidInput("propagator multipliers left (0, 1]")
     mult.setflags(write=False)
@@ -147,6 +151,7 @@ _CG_MAX_ITER = 1000
 _EPS = float(np.finfo(float).eps)
 
 
+@np.errstate(all="ignore")  # a value that is not finite is raised as below, never warned
 def _spd_solve(grid: Grid, diag, faces, scale: float, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = (diag - scale div(faces grad)) x = b`` by preconditioned CG.
 
@@ -155,7 +160,9 @@ def _spd_solve(grid: Grid, diag, faces, scale: float, b: np.ndarray) -> np.ndarr
     ``K^-1 b`` alone solves constant coefficients. The preconditioner scales
     ``K^-1`` on both sides by ``sqrt(diag(K)/diag(A))`` for degenerate weights.
     Inner products go through einsum, never BLAS, whose threads would split
-    the sums and make the bits depend on the CPU count.
+    the sums and make the bits depend on the CPU count. A residual that is not
+    finite raises NonConvergence, as does an iterate that is not finite once
+    the residual meets the tolerance.
     """
     def apply(x):
         return diag * x - scale * _divgrad(faces, x, grid.h)
@@ -172,8 +179,12 @@ def _spd_solve(grid: Grid, diag, faces, scale: float, b: np.ndarray) -> np.ndarr
     r = b - apply(x)
     stop = _CG_TOL * np.sqrt(dot(b, b))
     p, rz_old = np.zeros_like(b), 1.0
-    for _ in range(_CG_MAX_ITER):
-        if np.sqrt(dot(r, r)) <= stop:
+    for it in range(_CG_MAX_ITER):
+        res = np.sqrt(dot(r, r))
+        if not np.isfinite(res) or res <= stop and not np.isfinite(x).all():
+            raise NonConvergence("conjugate gradients reached a value that is not finite",
+                                 residual=float(res), iterations=it)
+        if res <= stop:
             return x
         z = sigma * _fft_multiply(grid, sigma * r, symbol)
         rz = dot(r, z)
@@ -185,6 +196,21 @@ def _spd_solve(grid: Grid, diag, faces, scale: float, b: np.ndarray) -> np.ndarr
         rz_old = rz
     raise NonConvergence("conjugate gradients hit the iteration cap",
                          residual=float(np.sqrt(dot(r, r))), iterations=_CG_MAX_ITER)
+
+
+@np.errstate(over="ignore")  # an overflow is raised as below, never warned
+def _face_weights(grid: Grid, weight, rho: np.ndarray, what: str):
+    """``(axis, face average)`` pairs of ``weight(rho)``, the law's D or M.
+
+    Raises NonConvergence where a value or a face average overflows.
+    """
+    v = weight(rho)
+    if np.isfinite(v).all():
+        f = Field(grid, v)
+        faces = [(ax, average_to_faces(f, ax).values) for ax in range(grid.dim)]
+        if all(np.isfinite(w).all() for _, w in faces):
+            return faces
+    raise NonConvergence(f"nonlinear diffusion {what} overflows", iterations=0)
 
 
 def semi_implicit_predictor(rho_n: Field, law: DiffusionLaw, dt: float) -> Field:
@@ -199,8 +225,7 @@ def semi_implicit_predictor(rho_n: Field, law: DiffusionLaw, dt: float) -> Field
     if law.kind == "none":
         raise InvalidInput("predictor needs a diffusing species")
     grid = rho_n.grid
-    coeff = Field(grid, law.coefficient(rho_n.values))
-    faces = [(ax, average_to_faces(coeff, ax).values) for ax in range(grid.dim)]
+    faces = _face_weights(grid, law.coefficient, rho_n.values, "coefficient")
     rho_hat = _spd_solve(grid, 1.0 / dt, faces, 1.0, rho_n.values / dt)
     _check_positive(rho_hat, grid, "semi-implicit predictor lost positivity")
     return Field(grid, rho_hat)
@@ -229,8 +254,7 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
     grid = rho_n.grid
     rho_hat = semi_implicit_predictor(rho_n, law, dt)
     rho_mid = 0.5 * (rho_n.values + rho_hat.values)
-    mob = Field(grid, law.mobility(rho_mid))
-    faces = [(ax, average_to_faces(mob, ax).values) for ax in range(grid.dim)]
+    faces = _face_weights(grid, law.mobility, rho_mid, "mobility")
 
     rn = rho_n.values
     log_rn = np.log(rn)

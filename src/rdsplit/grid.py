@@ -54,6 +54,12 @@ class Grid:
         for s in spans[1:]:
             if abs(s / self.n0 - h0) > 1e-12 * max(1.0, abs(h0)):
                 raise InvalidInput("all axes must share the same cell spacing")
+        try:  # the cell volume and the Laplacian's 4/h^2 must be normal doubles
+            normal = all(np.finfo(float).tiny <= x < np.inf for x in (h0 ** self.dim, 4 / h0 ** 2))
+        except (OverflowError, ZeroDivisionError):
+            normal = False
+        if not normal:
+            raise InvalidInput(f"cell spacing {h0:g} leaves the double range")
 
     def _as_axis_tuple(self, v) -> tuple[float, ...]:
         if np.isscalar(v):

@@ -43,7 +43,6 @@ import atexit
 import contextlib
 import math
 import os
-import pickle
 import sys
 import threading
 import warnings
@@ -680,26 +679,31 @@ def _raise_unconverged(label, why, failed, res, iterations, first):
 # stage that could use a helper starts one, then the _Helper, and False for
 # good once a helper has failed or been closed. The helper is a fresh
 # interpreter (never a fork of this one), so it runs nothing of the caller's
-# __main__; it exits when its stdin closes, and within about a second once
-# the process that started it is gone, whatever that process forked.
+# __main__. Its ready message, requests and replies travel on one duplex connection
+# passed as a file descriptor. It exits when that closes, and within about a second
+# once the process that started it is gone, whatever that process forked.
 
 _helper = None
 _helper_lock = threading.Lock()
 # "_stage_helper" in the command line is what process listings look for
-_HELPER_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "from rdsplit.reaction import _stage_helper; _stage_helper(int(sys.argv[2]))")
+_HELPER_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); from rdsplit.reaction import "
+                "_stage_helper; _stage_helper(int(sys.argv[2]), int(sys.argv[3]))")
 
 
 class _Helper:
-    """A helper process and its two pipes; requests and replies are pickles."""
+    """A helper process and a duplex connection to it; its stdout is this process's stderr."""
 
     def __init__(self):
         import subprocess
+        from multiprocessing import Pipe
 
         self.pid = os.getpid()  # the process that owns it; a forked child never uses it
         src = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
-        self.proc = subprocess.Popen([sys.executable, "-c", _HELPER_CODE, src, str(self.pid)],
-                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self.conn, theirs = Pipe()
+        with theirs:  # closed here once the helper holds its copy
+            self.proc = subprocess.Popen([sys.executable, "-c", _HELPER_CODE, src, str(self.pid),
+                                          str(theirs.fileno())], stdin=subprocess.DEVNULL,
+                                         stdout=2, pass_fds=(theirs.fileno(),))
         self.ready = False
 
     def poll_ready(self) -> bool:
@@ -709,24 +713,21 @@ class _Helper:
         which must be this process's. Raises where they are others or the
         helper died booting.
         """
-        import select
-
-        if not self.ready and select.select([self.proc.stdout], [], [], 0)[0]:
-            if pickle.load(self.proc.stdout) != _imported_files():
+        if not self.ready and self.conn.poll():
+            if self.conn.recv() != _imported_files():
                 raise ImportError("the stage helper imported another rdsplit or numpy")
             self.ready = True
         return self.ready
 
     def send(self, request) -> None:
-        """Write one request; where that fails, the helper is closed."""
+        """Send one request; where that fails, the helper is closed."""
         with self._closing_on_failure():
-            pickle.dump(request, self.proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-            self.proc.stdin.flush()
+            self.conn.send(request)
 
     def receive(self):
         """The reply to the last request, or None where that fails, as it does once closed."""
         with self._closing_on_failure():
-            return pickle.load(self.proc.stdout)
+            return self.conn.recv()
         return None
 
     @contextlib.contextmanager
@@ -741,17 +742,12 @@ class _Helper:
                 raise
 
     def close(self) -> None:
-        """Kill it, wait for it and close its pipes.
-
-        Empties the slot for good: this process starts no other helper.
-        """
+        """Kill it, wait for it and close the connection; this process starts no other helper."""
         global _helper
         _helper = False
         self.proc.kill()
         self.proc.wait()
-        with contextlib.suppress(OSError):  # a request left in the buffer of a broken pipe
-            self.proc.stdin.close()
-        self.proc.stdout.close()
+        self.conn.close()
 
 
 def _ready_helper():
@@ -794,41 +790,40 @@ def _close_helper() -> None:
         _helper.close()
 
 
-def _stage_helper(parent: int) -> None:
-    """The helper process: answer stage requests until stdin closes or ``parent`` is gone.
+def _stage_helper(parent: int, fd: int) -> None:
+    """The helper: answer requests on connection ``fd`` until it closes or ``parent`` is gone.
 
     It reports ready with the files of rdsplit and numpy it imported. A
     request is the argument tuple of :func:`_solve_blocks`; the reply is its
-    result, or None where it raised or warned, so that the parent solves
-    those blocks itself, raising what an in-process stage raises under its
-    own warning filters. Between requests it checks once a second
-    that ``parent`` is still its parent: a copy of the pipe in a process the
-    parent forked would keep stdin open after the parent has died.
+    result, the iteration counts in the smallest type that holds _MAX_ITER,
+    or None where it raised or warned, so that the parent solves those
+    blocks itself, raising what an in-process stage raises under its own
+    warning filters. Between requests it checks once a second that
+    ``parent`` is still its parent: a copy of the connection in a process
+    the parent forked would keep it open after the parent has died.
     """
-    import select
     import signal
+    from multiprocessing.connection import Connection
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
-    with os.fdopen(os.dup(1), "wb") as out:
-        os.dup2(2, 1)  # a stray print goes to stderr, not into a reply
-        pickle.dump(_imported_files(), out)
-        out.flush()
+    with Connection(fd) as conn:
+        conn.send(_imported_files())
         while True:
-            while not select.select([sys.stdin], [], [], 1.0)[0]:
+            while not conn.poll(1.0):
                 if os.getppid() != parent:
                     return
             try:
-                request = pickle.load(sys.stdin.buffer)
+                request = conn.recv()
             except EOFError:
                 return
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    reply = _solve_blocks(*request)
+                    R, *iters = _solve_blocks(*request)
+                reply = R, *(it.astype(np.min_scalar_type(_MAX_ITER)) for it in iters)
             except Exception:
                 reply = None
-            pickle.dump(reply, out, protocol=pickle.HIGHEST_PROTOCOL)
-            out.flush()
+            conn.send(reply)
 
 
 # Scalar twins of the solvers above.  Single-point callers (ODE studies,

@@ -313,6 +313,57 @@ def test_solver_failure_whose_resolved_config_cannot_be_written_exits_3(tmp_path
     assert str(out / "config.resolved") in err[1]
 
 
+def _diffusion_cfg(dt, law):
+    """u <-> v with k+ = k- = 1 on 8 x 8 cells, one step of ``dt``; u diffuses by ``law``."""
+    return SINGLE_CFG.replace("run.dt = 0.05\nrun.t_end = 0.1\n",
+                              f"run.dt = {dt}\nrun.t_end = {dt}\n").replace(
+        "species.u.diffusion = constant\nspecies.u.D = 0.2\n", law)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt, law, why", [
+    # D(10) = 10^999 overflows
+    ("1/10", "species.u.diffusion = power\nspecies.u.D0 = 1\nspecies.u.alpha_exp = 1000\n"
+             "species.u.ic = uniform\nspecies.u.value = 10\n",
+     "nonlinear diffusion coefficient overflows"),
+    # face weights near 1e300: the CG inner products break down to 0/0
+    ("10", "species.u.diffusion = power\nspecies.u.D0 = 1e300\nspecies.u.alpha_exp = 2\n"
+           "species.v.ic = disk_in\n",
+     "conjugate gradients reached a value that is not finite"),
+], ids=["coefficient", "cg"])
+def test_overflow_in_a_diffusion_stage_exits_3(tmp_path, capsys, dt, law, why):
+    """Both used to print a numpy RuntimeWarning. The coefficient then exited 2
+    as an invalid config with an empty --out, and CG ran on to its iteration cap."""
+    cfg = _write(tmp_path, _diffusion_cfg(dt, law))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"rdsplit: solve failed: {why} [diffusion stage, species 'u']"]
+    assert (out / "config.resolved").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_diffusion_whose_dt_d_overflows_completes(tmp_path, capsys):
+    """dt D = 1e309: inf * 0 at the zero mode used to give NaN, a numpy warning
+    and exit 2. The exact propagator keeps the mean and damps every other mode to 0."""
+    cfg = _write(tmp_path, _diffusion_cfg("10", "species.u.diffusion = constant\n"
+                                                "species.u.D = 1e308\nspecies.u.ic = disk_in\n"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "report.csv").exists()
+
+
+def test_a_spacing_outside_the_double_range_exits_2_before_out(tmp_path, capsys):
+    """h = 2.5e-301: 4/h^2 used to divide by zero, a traceback and exit 1 with an empty --out."""
+    cfg = _write(tmp_path, SINGLE_CFG + "grid.lower = -1e-300\ngrid.upper = 1e-300\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "rdsplit: invalid config: cell spacing 2.5e-301 leaves the double range"]
+    assert not out.exists()
+
+
 def test_threads_only_on_cauchy(tmp_path):
     cfg = _write(tmp_path, SINGLE_CFG)
     for argv in (["run", "--threads", "2"], ["cauchy", "--threads", "0"],

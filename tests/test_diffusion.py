@@ -13,6 +13,7 @@ from rdsplit import (
     Field,
     Grid,
     InvalidInput,
+    NonConvergence,
     PositivityViolation,
     average_to_faces,
     diffusion_energy,
@@ -150,6 +151,21 @@ def test_etd_underflowed_modes_are_tolerated():
     rho = Field(g, 1.0 + 0.5 * np.sin(2 * np.pi * g.axis_centers(0)))
     out = etd_step(rho, DiffusionLaw.constant(1.0), 50.0)
     np.testing.assert_allclose(out.values, 1.0, rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_etd_whose_dt_d_overflows_gives_the_mean_field():
+    """dt D = 1e309 is past the double range: the zero mode's multiplier stays
+    exactly 1 (inf * 0 used to make it NaN) and every other one is 0."""
+    from rdsplit.diffusion import _etd_multipliers
+    from rdsplit.harness import ring_profiles
+
+    g = Grid(dim=2, n0=8, lower=-1.0, upper=1.0)
+    mult = _etd_multipliers(g, 1e308, 10.0)
+    assert mult.ravel()[0] == 1.0 and not mult.ravel()[1:].any()
+    rho, _ = ring_profiles(g)
+    out = etd_step(rho, DiffusionLaw.constant(1e308), 10.0)
+    np.testing.assert_allclose(out.values, rho.values.mean(), rtol=1e-15)
 
 
 def test_etd_step_rejects_wrong_inputs():
@@ -316,6 +332,15 @@ def test_cn_respects_iteration_cap():
     with pytest.raises(NonConvergence) as exc_info:
         nonlinear_cn_step(rho, DiffusionLaw.power(1e6, 4), 1e8)
     assert exc_info.value.iterations == 50
+
+
+@pytest.mark.filterwarnings("error")
+def test_cn_whose_mobility_overflows_raises_nonconvergence():
+    """D(1e200) = 2e200 is finite, M = D rho is not: a numpy warning used to come
+    first, then InvalidInput for a field that is not finite."""
+    rho = Field.constant(Grid(dim=1, n0=8), 1e200)
+    with pytest.raises(NonConvergence, match="nonlinear diffusion mobility overflows"):
+        nonlinear_cn_step(rho, DiffusionLaw.power(1.0, 2), 0.1)
 
 
 def test_cn_builds_no_field_inside_its_solver_loops(monkeypatch):

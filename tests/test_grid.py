@@ -71,6 +71,17 @@ def test_grid_rejects_bad_input():
         Grid(dim=2, n0=4, lower=(0.0,), upper=(1.0,))
 
 
+@pytest.mark.parametrize("span", [1e-300, 1e300])
+def test_grid_rejects_a_spacing_outside_the_double_range(span):
+    """h^dim and 4/h^2 must be normal doubles: h = 2.5e-301 made 4/h^2 divide by
+    zero, and h = 2.5e299 made h^2 raise OverflowError in cell_volume."""
+    for dim in (1, 2):
+        with pytest.raises(InvalidInput, match="leaves the double range"):
+            Grid(dim=dim, n0=8, lower=-span, upper=span)
+        inside = Grid(dim=dim, n0=8, lower=-span ** 0.5, upper=span ** 0.5)
+        assert 0 < inside.cell_volume < math.inf
+
+
 def test_field_validation():
     g = Grid(dim=1, n0=4)
     f = Field(g, [1.0, 2.0, 3.0, 4.0])

@@ -274,6 +274,16 @@ def test_an_interrupt_in_the_lower_half_closes_the_helper(sent, monkeypatch):
     assert sent == [128]  # the next stages solve in this process
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/fd")
+def test_the_helper_reads_no_stdin_and_prints_to_stderr(sent):
+    """Requests and replies travel on their own connection: the helper's stdin
+    is /dev/null and its stdout is where this process's stderr points, so
+    nothing it prints can reach a reply or the caller's stdout."""
+    fds = Path(f"/proc/{rx._helper.proc.pid}/fd")
+    assert os.path.samestat(os.stat(fds / "0"), os.stat(os.devnull))
+    assert os.path.samestat(os.stat(fds / "1"), os.fstat(2))
+
+
 def test_a_helper_killed_before_its_reply_leaves_the_stage_unchanged(sent, monkeypatch):
     system = _system()
     fields = [s.initial for s in system.species]
