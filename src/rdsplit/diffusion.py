@@ -161,8 +161,8 @@ def _spd_solve(grid: Grid, diag, faces, scale: float, b: np.ndarray) -> np.ndarr
     ``K^-1`` on both sides by ``sqrt(diag(K)/diag(A))`` for degenerate weights.
     Inner products go through einsum, never BLAS, whose threads would split
     the sums and make the bits depend on the CPU count. A residual that is not
-    finite raises NonConvergence, as does an iterate that is not finite once
-    the residual meets the tolerance.
+    finite raises NonConvergence, as do an iterate that is not finite once
+    the residual meets the tolerance and a breakdown, ``<r, z>`` not positive.
     """
     def apply(x):
         return diag * x - scale * _divgrad(faces, x, grid.h)
@@ -188,6 +188,9 @@ def _spd_solve(grid: Grid, diag, faces, scale: float, b: np.ndarray) -> np.ndarr
             return x
         z = sigma * _fft_multiply(grid, sigma * r, symbol)
         rz = dot(r, z)
+        if not rz > 0:  # positive in exact arithmetic while r is not 0
+            raise NonConvergence("conjugate gradients broke down: <r, z> is not positive",
+                                 residual=float(res), iterations=it)
         p = z + (rz / rz_old) * p
         q = apply(p)
         alpha = rz / dot(p, q)

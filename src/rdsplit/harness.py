@@ -161,7 +161,7 @@ _SCHEMAS = {
         "trace.h": (_fraction, _positive, 1 / 20),
         "trace.dt": (_fraction, _positive, 1 / 20),
         "trace.t_end": (_fraction, _positive, 0.7),
-        "trace.snapshots": (_list_of(_fraction), _each(_positive), [0.2, 0.5, 0.7]),
+        "trace.snapshots": (_list_of(_fraction), _each(_nonnegative), [0.2, 0.5, 0.7]),
         **_prefixed("trace", _SYSTEM_KEYS),
     },
     "single_run": {

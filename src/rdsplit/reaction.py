@@ -428,16 +428,16 @@ def _solve_stage(c0, spec, dt):
 def _solve_blocks(c0, spec, dt, edges):
     """:func:`_solve_stage` in this process over the blocks between ``edges``.
 
-    ``edges`` are grid indices, column 0 of c0 at ``edges[0]``. All Newton
-    arrays live in one workspace, allocated here at the widest block and
-    shared by both solves of every block; the solves write into it in place.
+    ``edges`` are grid indices, column 0 of c0 at ``edges[0]``. R and the
+    iteration counts, two rows of a type that holds their sum, outlive the
+    workspace that every solve works in, so are allocated before it.
     """
     n, m, e0 = spec.n_species, c0.shape[1], edges[0]
+    R, (it_pred, it_corr) = np.empty(m), np.empty((2, m), dtype=np.min_scalar_type(2 * _MAX_ITER))
     width = max(hi - lo for lo, hi in zip(edges, edges[1:]))
     rows = np.empty((len(_ROWS), n * width))
     cells = np.empty((len(_CELLS), width))
     masks = np.empty((len(_MASKS), width), dtype=bool)
-    R, it_pred, it_corr = np.empty(m), np.empty(m, dtype=int), np.empty(m, dtype=int)
     for lo, hi in zip(edges, edges[1:]):
         mb, cols = hi - lo, slice(lo - e0, hi - e0)
         w = SimpleNamespace(**{name: r[:n * mb].reshape(n, mb) for name, r in zip(_ROWS, rows)},
@@ -793,19 +793,19 @@ def _close_helper() -> None:
 def _stage_helper(parent: int, fd: int) -> None:
     """The helper: answer requests on connection ``fd`` until it closes or ``parent`` is gone.
 
-    It reports ready with the files of rdsplit and numpy it imported. A
-    request is the argument tuple of :func:`_solve_blocks`; the reply is its
-    result, the iteration counts in the smallest type that holds _MAX_ITER,
-    or None where it raised or warned, so that the parent solves those
-    blocks itself, raising what an in-process stage raises under its own
-    warning filters. Between requests it checks once a second that
-    ``parent`` is still its parent: a copy of the connection in a process
-    the parent forked would keep it open after the parent has died.
+    It reports ready with the files of rdsplit and numpy it imported. A request
+    is the argument tuple of :func:`_solve_blocks`; the reply is its result as
+    is, or None where it raised or warned (any warning is an error here), and
+    the parent solves those blocks itself, raising what an in-process stage
+    raises under its own warning filters. Between requests it checks once a
+    second that ``parent`` is still its parent: a copy of the connection in a
+    process the parent forked would keep it open after the parent has died.
     """
     import signal
     from multiprocessing.connection import Connection
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    warnings.simplefilter("error")
     with Connection(fd) as conn:
         conn.send(_imported_files())
         while True:
@@ -817,10 +817,7 @@ def _stage_helper(parent: int, fd: int) -> None:
             except EOFError:
                 return
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    R, *iters = _solve_blocks(*request)
-                reply = R, *(it.astype(np.min_scalar_type(_MAX_ITER)) for it in iters)
+                reply = _solve_blocks(*request)
             except Exception:
                 reply = None
             conn.send(reply)

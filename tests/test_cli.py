@@ -193,6 +193,22 @@ def test_snapshot_times_of_one_file_name_exit_2(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_a_trace_snapshot_at_time_0_writes_the_initial_field(tmp_path, capsys):
+    """trace.snapshots took only positive times, unlike run.snapshots: 0 exited 2."""
+    from rdsplit import Grid, read_field_csv
+    from rdsplit.harness import ring_profiles
+
+    cfg = _write(tmp_path, "kind = energy_trace\ntrace.alpha_exp = 1\ntrace.h = 1/10\n"
+                           "trace.dt = 1/10\ntrace.t_end = 0.2\ntrace.snapshots = 0, 0.2\n")
+    out = tmp_path / "out"
+    assert main(["energy-trace", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    u0 = read_field_csv(out / "u_alpha1_t0.csv")
+    grid = Grid(dim=2, n0=20, lower=-1.0, upper=1.0)
+    assert u0.grid == grid
+    np.testing.assert_array_equal(u0.values, ring_profiles(grid)[0].values)
+
+
 @pytest.mark.parametrize("name", ["../xa", "x.a", "1x", "x a", "x-a"])
 def test_species_names_must_be_identifiers(tmp_path, capsys, name):
     """A species name is a dotted key segment and a file name; '../xa' wrote outside --out."""
@@ -326,14 +342,20 @@ def _diffusion_cfg(dt, law):
     ("1/10", "species.u.diffusion = power\nspecies.u.D0 = 1\nspecies.u.alpha_exp = 1000\n"
              "species.u.ic = uniform\nspecies.u.value = 10\n",
      "nonlinear diffusion coefficient overflows"),
-    # face weights near 1e300: the CG inner products break down to 0/0
+    # face weights near 1e300: <r, z> turns negative at CG iteration 3, before a 0/0 at 20
     ("10", "species.u.diffusion = power\nspecies.u.D0 = 1e300\nspecies.u.alpha_exp = 2\n"
            "species.v.ic = disk_in\n",
-     "conjugate gradients reached a value that is not finite"),
-], ids=["coefficient", "cg"])
+     "conjugate gradients broke down: <r, z> is not positive"),
+    # the same on disk data: <r, z> = -1.1e-40 at iteration 11, every value finite
+    ("10", "species.u.diffusion = power\nspecies.u.D0 = 1e300\nspecies.u.alpha_exp = 2\n"
+           "species.u.ic = disk_in\n",
+     "conjugate gradients broke down: <r, z> is not positive"),
+], ids=["coefficient", "cg", "cg_disk_in"])
 def test_overflow_in_a_diffusion_stage_exits_3(tmp_path, capsys, dt, law, why):
-    """Both used to print a numpy RuntimeWarning. The coefficient then exited 2
-    as an invalid config with an empty --out, and CG ran on to its iteration cap."""
+    """The first two used to print a numpy RuntimeWarning. The coefficient then
+    exited 2 as an invalid config with an empty --out, and CG ran on to its
+    iteration cap. The breakdown stalled at a residual of 8.7e-4 and hit the cap
+    after 1001 FFT applications."""
     cfg = _write(tmp_path, _diffusion_cfg(dt, law))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3

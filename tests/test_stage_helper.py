@@ -105,6 +105,23 @@ def test_a_reaction_without_products_matches_the_in_process_stage(sent):
         np.testing.assert_array_equal(f.values, r.values)
 
 
+def test_both_halves_of_a_stage_return_one_count_type(sent, monkeypatch):
+    """The helper replies with what _solve_blocks returns: R and the iteration
+    counts in the type that holds their sum, as the in-process stage has them."""
+    system = _system()
+    c0 = np.stack([s.initial.values.ravel() for s in system.species])
+    ref = _in_process(lambda: rx._solve_stage(c0, system.reaction, DT))
+    solve, firsts = rx._solve_blocks, []
+    monkeypatch.setattr(rx, "_solve_blocks", lambda *args: firsts.append(args[3][0])
+                        or solve(*args))
+    got = rx._solve_stage(c0, system.reaction, DT)
+    assert sent == [128] and firsts == [0]  # the upper half came back from the helper
+    assert got[0].tobytes() == ref[0].tobytes()
+    for counts, ref_counts in zip(got[1:], ref[1:]):
+        assert counts.dtype == ref_counts.dtype == np.min_scalar_type(2 * rx._MAX_ITER)
+        np.testing.assert_array_equal(counts, ref_counts)
+
+
 def _quench_stage(failing):
     """The quench input of tests/test_reaction.py at the failing cells of a 10-cell grid."""
     spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
