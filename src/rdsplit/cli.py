@@ -33,13 +33,6 @@ _KIND_FOR_COMMAND = {
 }
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdsplit",
@@ -51,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory (created if absent)")
         p.add_argument("--verbose", action="store_true", help="log progress to stderr")
         if command == "cauchy":
-            p.add_argument("--threads", type=_positive_int, default=1,
+            p.add_argument("--threads", type=int, default=1,
                            help="independent resolutions solved concurrently")
     return parser
 
@@ -75,19 +68,15 @@ def _run(args) -> int:
     code = 0
     try:
         cfg = parse_config(args.config)
-        expected = _KIND_FOR_COMMAND[args.command]
-        if cfg.kind != expected:
-            raise InvalidConfig(
-                f"{args.config}: kind = {cfg.kind!r} does not match "
-                f"subcommand {args.command!r} (expected {expected!r})", key="kind")
         out_dir = Path(args.out)
         log.info("running %s into %s", cfg.kind, out_dir)
         try:
-            if cfg.kind == "single_run":
+            # each runner checks the config's kind, and the threads, before --out exists
+            if args.command == "run":
                 run_single(cfg, out_dir)
-            elif cfg.kind == "ode_convergence":
+            elif args.command == "ode-convergence":
                 run_ode_convergence(cfg, out_dir)
-            elif cfg.kind == "cauchy_convergence":
+            elif args.command == "cauchy":
                 run_cauchy_convergence(cfg, out_dir, threads=args.threads)
             else:
                 run_energy_trace(cfg, out_dir)

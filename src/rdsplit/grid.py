@@ -174,10 +174,9 @@ def inner_product(f: Field, g: Field) -> float:
 
 def face_inner_product(p: FaceField, q: FaceField) -> float:
     """Face analogue of :func:`inner_product`, same axis required."""
-    _check_same_grid(p, q)
     if p.axis != q.axis:
         raise InvalidInput("face fields live on different face sets")
-    return p.grid.cell_volume * float(np.sum(p.values * q.values))
+    return inner_product(p, q)
 
 
 def average_to_faces(f: Field, axis: int) -> FaceField:
@@ -222,10 +221,9 @@ def weighted_divgrad(weights: list[FaceField], f: Field) -> Field:
     equals ``-sum_ax face_inner_product(m * grad f, grad f)`` and is therefore
     nonpositive whenever all weights are nonnegative.
     """
-    if len(weights) != f.grid.dim or sorted(w.axis for w in weights) != list(range(f.grid.dim)):
-        raise InvalidInput("weighted_divgrad needs exactly one weight field per axis")
     _check_same_grid(f, *weights)
-    return Field(f.grid, _divgrad([(w.axis, w.values) for w in weights], f.values, f.grid.h))
+    return divergence([FaceField(f.grid, w.axis, w.values * gradient(f, w.axis).values)
+                       for w in weights])
 
 
 def _divgrad(weights, v: np.ndarray, h: float) -> np.ndarray:

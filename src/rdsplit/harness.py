@@ -432,8 +432,7 @@ def _prepare(cfg: ExperimentConfig, kind: str, out_dir, setup=lambda out: None):
     lies under one, raises InvalidInput.
     """
     if cfg.kind != kind:
-        article = "an" if kind[0] in "aeiou" else "a"
-        raise InvalidInput(f"expected {article} {kind} config, got {cfg.kind!r}")
+        raise InvalidInput(f"kind = {cfg.kind!r} does not match {kind!r}")
     out = None if out_dir is None else Path(out_dir)
     prepared = setup(out)
     if out is not None:

@@ -13,6 +13,7 @@ accuracy in time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,14 +110,18 @@ def _integer_gcd(e: np.ndarray) -> float:
 
 
 def system_energy(state: SimState, spec: SystemSpec) -> float:
-    """Discrete free energy ``< sum_i c_i (ln c_i - 1 + U_i), 1 >``."""
+    """Discrete free energy ``< sum_i c_i (ln c_i - 1 + U_i), 1 >``; InvalidInput if not finite."""
     total = 0.0
     for i, f in enumerate(state.c):
         v = f.values
         _check_positive(v, f.grid, f"species {spec.names[i]!r} not positive")
         U = spec.reaction.U[i]
-        total += float(np.sum(v * (np.log(v) - 1.0 + U)))
-    return spec.grid.cell_volume * total
+        with np.errstate(over="ignore"):  # an overflow shows as an inf in F, checked below
+            total += float(np.sum(v * (np.log(v) - 1.0 + U)))
+    energy = spec.grid.cell_volume * total
+    if not math.isfinite(energy):
+        raise InvalidInput(f"free energy overflows to {energy}")
+    return energy
 
 
 @dataclass

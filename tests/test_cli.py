@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -61,9 +62,13 @@ def test_linear_power_law_writes_the_constant_law_report(tmp_path):
 
 def test_kind_mismatch_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, ODE_CFG)
-    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main(["run", "--config", cfg, "--out", str(out)])
     assert code == 2
-    assert "does not match" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "does not match" in err[0]
+    assert not out.exists()
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
@@ -329,6 +334,21 @@ def test_solver_failure_whose_resolved_config_cannot_be_written_exits_3(tmp_path
     assert str(out / "config.resolved") in err[1]
 
 
+def test_free_energy_that_overflows_exits_2(tmp_path, capsys):
+    """F = u (ln u - 1 + U) h^2 with u = 1e300, U = 1e10 is past the largest double:
+    system_energy used to print numpy's overflow warning, then the reaction failed (exit 3)."""
+    cfg = _write(tmp_path, "kind = single_run\nspecies = u, v\ngrid.n0 = 2\n"
+                           "reaction.alpha = 1, 0\nreaction.beta = 0, 1\n"
+                           "reaction.k_plus = 1\nreaction.k_minus = 1\n"
+                           "reaction.U = 1e10, 1e10\nrun.dt = 0.1\nrun.t_end = 0.1\n"
+                           "species.u.value = 1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "rdsplit: invalid config: free energy overflows to inf"]
+
+
 def _diffusion_cfg(dt, law):
     """u <-> v with k+ = k- = 1 on 8 x 8 cells, one step of ``dt``; u diffuses by ``law``."""
     return SINGLE_CFG.replace("run.dt = 0.05\nrun.t_end = 0.1\n",
@@ -386,13 +406,21 @@ def test_a_spacing_outside_the_double_range_exits_2_before_out(tmp_path, capsys)
     assert not out.exists()
 
 
-def test_threads_only_on_cauchy(tmp_path):
-    cfg = _write(tmp_path, SINGLE_CFG)
-    for argv in (["run", "--threads", "2"], ["cauchy", "--threads", "0"],
-                 ["cauchy", "--threads", "-3"]):
-        with pytest.raises(SystemExit) as exc_info:
-            main(argv + ["--config", cfg, "--out", str(tmp_path / "out")])
-        assert exc_info.value.code == 2
+def test_threads_only_on_cauchy(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "--threads", "2", "--config", _write(tmp_path, SINGLE_CFG),
+              "--out", str(out)])
+    assert exc_info.value.code == 2
+    capsys.readouterr()
+    # a thread count below 1 is the runner's config check: one line, --out untouched
+    cfg = _write(tmp_path, "kind = cauchy_convergence\ncauchy.h = 1/10, 1/15, 1/20\n",
+                 name="cauchy.cfg")
+    for threads in ("0", "-3"):
+        assert main(["cauchy", "--threads", threads, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"rdsplit: invalid config: threads must be at least 1, got {threads}"]
+        assert not out.exists()
 
 
 def test_resolved_config_matches_cli_kind(tmp_path):

@@ -31,6 +31,7 @@ from rdsplit import (
     weighted_divgrad,
     write_field_csv,
 )
+from rdsplit.grid import _divgrad
 
 
 def test_grid_basics():
@@ -193,6 +194,18 @@ def test_weighted_divgrad_is_divergence_of_weighted_gradient_bitwise():
         composed = divergence([FaceField(g, w.axis, w.values * gradient(f, w.axis).values)
                                for w in ws])
         np.testing.assert_array_equal(weighted_divgrad(ws, f).values, composed.values)
+
+
+def test_weighted_divgrad_matches_the_cg_kernel_bitwise():
+    """The public operator, the dense oracle of the diffusion tests, is the CG's kernel."""
+    rng = np.random.default_rng(17)
+    for dim, n0 in [(1, 1), (1, 2), (1, 7), (1, 64), (2, 1), (2, 2), (2, 7), (2, 64)]:
+        g = Grid(dim=dim, n0=n0, lower=-1.0, upper=1.0)
+        f = Field(g, rng.standard_normal(g.shape))
+        faces = [FaceField(g, ax, rng.uniform(0.1, 2.0, g.shape)) for ax in range(dim)]
+        for ws in (faces, faces[::-1]):
+            kernel = _divgrad([(w.axis, w.values) for w in ws], f.values, g.h)
+            assert weighted_divgrad(ws, f).values.tobytes() == kernel.tobytes()
 
 
 def test_field_csv_roundtrip_bitwise(tmp_path):
