@@ -8,8 +8,8 @@ dissipates the discrete free energy.
 
 from .diffusion import (DiffusionLaw, diffusion_energy, etd_step,
                         nonlinear_cn_step, semi_implicit_predictor)
-from .errors import (DomainError, InvalidConfig, InvalidInput, NonConvergence,
-                     PositivityViolation, RdsplitError)
+from .errors import (InvalidConfig, InvalidInput, NonConvergence, PositivityViolation,
+                     RdsplitError)
 from .grid import (FaceField, Field, Grid, average_to_faces, divergence,
                    face_inner_product, gradient, inner_product, laplacian,
                    read_field_csv, weighted_divgrad, write_field_csv)

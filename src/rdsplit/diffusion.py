@@ -76,14 +76,12 @@ class DiffusionLaw:
 
     @classmethod
     def constant(cls, D: float) -> "DiffusionLaw":
-        if not 0 < float(D) < math.inf:
-            raise InvalidInput("constant diffusion needs a finite D > 0")
-        return cls(float(D))
+        return cls.power(D, 1.0)
 
     @classmethod
     def power(cls, D0: float, alpha_exp: float) -> "DiffusionLaw":
-        if not (0 < float(D0) < math.inf and 1 <= float(alpha_exp) < math.inf):
-            raise InvalidInput("power diffusion needs finite D0 > 0 and alpha_exp >= 1")
+        if not float(D0) > 0:  # the rest is __post_init__'s
+            raise InvalidInput("diffusion needs a finite D0 > 0")
         return cls(float(D0), float(alpha_exp))
 
     @property
@@ -269,7 +267,8 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
     def residual(x):
         g1, g2, L = _xlnx_slope(rn, x - rn, log_rn)
         mu = g1 + dt * L
-        mu_prime = g2 + dt / x
+        with np.errstate(over="ignore"):  # a subnormal x: mu' = inf holds that cell still
+            mu_prime = g2 + dt / x
         size = np.abs(g1) + dt * np.abs(L)
         floor = 2.0 * _EPS * float(np.max(reach * size))
         r = x - rn - dt * _divgrad(faces, mu, grid.h)
@@ -278,12 +277,12 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
     n_iter = 0
     r, mu_prime, stop = residual(x)
     res = float(np.abs(r).max())
-    while res > stop:
+    while not res <= stop:  # a residual that is not finite never converges
         n_iter += 1
-        if n_iter > _NEWTON_MAX_ITER:
+        if n_iter > _NEWTON_MAX_ITER or not math.isfinite(res):
             raise NonConvergence(
                 f"nonlinear diffusion Newton stalled at residual {res:.3e}",
-                residual=res, iterations=_NEWTON_MAX_ITER)
+                residual=res, iterations=n_iter - 1)
         # J = (diag(1/mu') - dt L) diag(mu'): solve the SPD factor for mu' delta
         delta = _spd_solve(grid, 1.0 / mu_prime, faces, dt, -r) / mu_prime
         s = 1.0

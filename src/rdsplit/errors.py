@@ -21,10 +21,6 @@ class InvalidInput(RdsplitError):
     """An argument violates a documented precondition."""
 
 
-class DomainError(RdsplitError):
-    """A state left the admissible domain (e.g. log of a non-positive value)."""
-
-
 class PositivityViolation(RdsplitError):
     """A field or concentration that must stay positive did not."""
 

@@ -43,6 +43,8 @@ class Grid:
             raise InvalidInput(f"dim must be 1 or 2, got {self.dim}")
         if not isinstance(self.n0, (int, np.integer)) or self.n0 < 1:
             raise InvalidInput(f"n0 must be a positive integer, got {self.n0}")
+        if 8 * int(self.n0) ** self.dim > np.iinfo(np.intp).max:  # float64 bytes of one field
+            raise InvalidInput(f"{self.n0}^{self.dim} cells do not fit in one array")
         lo = self._as_axis_tuple(self.lower)
         hi = self._as_axis_tuple(self.upper)
         object.__setattr__(self, "lower", lo)
@@ -159,11 +161,19 @@ def _check_same_grid(*operands) -> None:
 
 
 def _check_positive(values: np.ndarray, grid: Grid, what: str) -> None:
-    """PositivityViolation ``<what> at cell (i, j)``, first cell <= 0 of a field or cell rows."""
-    if values.min() <= 0:
-        bad = (values.reshape(-1, grid.n_cells) <= 0).any(axis=0)
+    """PositivityViolation ``<what> at cell (i, j)``, first cell <= 0 or NaN of a field or rows."""
+    if not values.min() > 0:  # min() propagates a NaN
+        bad = ~(values.reshape(-1, grid.n_cells) > 0).all(axis=0)
         cell = tuple(int(k) for k in np.unravel_index(bad.argmax(), grid.shape))
         raise PositivityViolation(f"{what} at cell {cell}")
+
+
+def _check_point(c, what: str) -> np.ndarray:
+    """``c`` as a 1-D float array; PositivityViolation unless every entry has ``0 < c < inf``."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if c.ndim != 1 or not ((0 < c) & (c < np.inf)).all():
+        raise PositivityViolation(f"{what} must be finite and strictly positive")
+    return c
 
 
 def inner_product(f: Field, g: Field) -> float:

@@ -51,8 +51,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainError, InvalidInput, NonConvergence, PositivityViolation
-from .grid import Field, _check_positive, _check_same_grid
+from .errors import InvalidInput, NonConvergence
+from .grid import Field, _check_point, _check_positive, _check_same_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,10 +169,7 @@ class PointState:
     c0: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c0, dtype=float))
-        if c.ndim != 1 or not np.all(np.isfinite(c)) or np.any(c <= 0):
-            raise PositivityViolation("concentrations must be finite and strictly positive")
-        self.c0 = c
+        self.c0 = _check_point(self.c0, "concentrations")
 
 
 # Every Newton solve stops at |residual| <= _TOL or raises NonConvergence after
@@ -185,18 +182,20 @@ _LOG_MAX = float(np.log(np.finfo(float).max))  # an eta dt with a larger log ove
 
 
 def reaction_mobility(c, spec: ReactionSpec) -> float:
-    """Mobility ``eta(c) = k_minus * prod_i c_i^beta_i`` (the backward rate)."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
+    """Mobility ``eta(c) = k_minus prod_i c_i^beta_i``; InvalidInput where not finite."""
+    c = _check_point(c, "concentrations")
     _check_species(len(c), spec)
-    if np.any(c <= 0):
-        raise PositivityViolation("mobility needs strictly positive concentrations")
-    return float(spec.k_minus * np.prod(c ** spec.beta))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf: checked below
+        eta = float(spec.k_minus * np.prod(c ** spec.beta))
+    return _finite(eta, "mobility")
 
 
 def point_free_energy(R: float, st: PointState, spec: ReactionSpec) -> float:
-    """Pointwise free energy F(R) along the trajectory through st.c0."""
+    """Pointwise free energy F(R) along the trajectory; InvalidInput where not finite."""
     c = _trajectory_point(R, st, spec)
-    return float(np.sum(c * (np.log(c) - 1.0 + spec.U)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf: checked below
+        F = float(np.sum(c * (np.log(c) - 1.0 + spec.U)))
+    return _finite(F, "free energy")
 
 
 def chemical_affinity(R: float, st: PointState, spec: ReactionSpec) -> float:
@@ -214,8 +213,8 @@ def admissible_interval(st: PointState, spec: ReactionSpec, eta_dt: float
     always ``lo < 0 < hi``.
     """
     _check_species(len(st.c0), spec)
-    if not eta_dt > 0:
-        raise InvalidInput("eta_dt must be positive")
+    if not 0 < eta_dt < math.inf:
+        raise InvalidInput("eta_dt must be positive and finite")
     lo, hi = -float(eta_dt), math.inf
     for c, s in zip(st.c0.tolist(), spec.sigma.tolist()):
         if s > 0:
@@ -232,12 +231,12 @@ def energy_difference_quotient(p: float, q: float, st: PointState, spec: Reactio
     Evaluated species-wise through the slope of x ln x, the kernel the
     solvers use, which keeps full precision for nearby arguments at any
     concentration; at ``p = q`` it is the affinity ``F'(p)``. Symmetric in
-    (p, q).
+    (p, q). InvalidInput where the double evaluation is not finite.
     """
     for r, name in ((p, "p"), (q, "q")):
         _trajectory_point(r, st, spec, name)
-    return _scalar_phi(st.c0.tolist(), spec.sigma.tolist(), spec.U.tolist(),
-                       float(p), float(q))
+    return _finite(_scalar_phi(st.c0.tolist(), spec.sigma.tolist(), spec.U.tolist(),
+                               float(p), float(q)), "difference quotient")
 
 
 def predictor_first_order(st: PointState, spec: ReactionSpec, dt: float) -> float:
@@ -261,8 +260,7 @@ def reaction_step(st: PointState, spec: ReactionSpec, dt: float) -> float:
     if not spec.sigma.any():
         return 0.0
     R, _, _ = _scalar_stage(st.c0.tolist(), spec, dt)
-    if np.any(st.c0 + spec.sigma * R <= 0):
-        raise PositivityViolation("reaction step left the positive orthant")
+    _trajectory_point(R, st, spec)
     return R
 
 
@@ -300,12 +298,17 @@ def _check_species(n: int, spec: ReactionSpec, what: str = "concentrations") -> 
 
 
 def _trajectory_point(R, st, spec, name="R"):
-    """``c(R) = c0 + sigma R`` for a state of spec's species; DomainError unless positive."""
+    """``c(R) = c0 + sigma R`` for a state of spec's species, through the point gate."""
     _check_species(len(st.c0), spec)
-    c = st.c0 + spec.sigma * R
-    if np.any(c <= 0):
-        raise DomainError(f"c({name}) leaves the positive orthant")
-    return c
+    if not math.isfinite(R):  # before 0 * inf can warn
+        raise InvalidInput(f"{name} must be finite")
+    return _check_point(st.c0 + spec.sigma * R, f"c({name})")
+
+
+def _finite(v: float, what: str) -> float:
+    if not math.isfinite(v):
+        raise InvalidInput(f"{what} is not finite in double precision: {v}")
+    return v
 
 
 def _check_dt(dt: float) -> None:
@@ -329,10 +332,10 @@ def _xlnx_slope(a, d, log_a, out=None):
     series, where it applies, then allocates. Without ``out`` all five are new.
     """
     g1, g2, L, x, t = out if out is not None else [np.empty_like(d) for _ in range(5)]
-    np.divide(d, a, out=t)
-    np.log1p(t, out=L)
     small = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(d, a, out=t)
+        np.log1p(t, out=L)
         np.add(a, d, out=x)
         np.divide(x, d, out=g1)
         g1 *= L
@@ -344,9 +347,9 @@ def _xlnx_slope(a, d, log_a, out=None):
         np.multiply(t, d, out=g2)
         np.subtract(t, L, out=t)
         np.divide(t, g2, out=g2)
-    if small is not None:
-        g1[small] = log_a[small] + 1.0 + ts * (0.5 - ts / 6.0)
-        g2[small] = (0.5 - ts * (1.0 / 3.0 - 0.25 * ts)) / a[small]
+        if small is not None:  # G2 of a subnormal a can overflow here too
+            g1[small] = log_a[small] + 1.0 + ts * (0.5 - ts / 6.0)
+            g2[small] = (0.5 - ts * (1.0 / 3.0 - 0.25 * ts)) / a[small]
     return g1, g2, L
 
 
@@ -828,12 +831,14 @@ def _stage_helper(parent: int, fd: int) -> None:
 # length-1 arrays, so these run the identical algorithm on plain floats.
 
 def _scalar_xlnx_slope(a, d):
+    # inf or NaN where the vector kernel gives them: t rounded to -1, or t d underflowed
     t = d / a
-    L = math.log1p(t)
+    L = math.log1p(t) if t > -1 else -math.inf
     if abs(t) <= 1e-6:
         return (math.log(a) + 1.0 + t * (0.5 - t / 6.0),
                 (0.5 - t * (1.0 / 3.0 - 0.25 * t)) / a, L)
-    return math.log(a) + ((a + d) / d) * L, (t - L) / (t * d), L
+    td = t * d
+    return math.log(a) + ((a + d) / d) * L, (t - L) / td if td else math.inf, L
 
 
 def _scalar_xlnx_g3(a, d, g2):

@@ -144,6 +144,17 @@ def test_experiment_too_large_to_allocate_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_grid_too_large_for_one_array_exits_2_before_out(tmp_path, capsys):
+    """10^20 float64 cells exceed numpy's largest array: the uniform initial
+    field used to fail with numpy's 'array is too big' ValueError, exit 1."""
+    cfg = _write(tmp_path, SINGLE_CFG.replace("grid.n0 = 8", "grid.n0 = 10000000000"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "rdsplit: invalid config: 10000000000^2 cells do not fit in one array"]
+    assert not out.exists()
+
+
 def test_verbose_applies_to_each_call_and_only_to_the_rdsplit_logger(tmp_path, capsys):
     """logging.basicConfig used to ignore --verbose once the root logger had a
     handler, as it has after a first call, and set the root logger's level."""
@@ -347,6 +358,23 @@ def test_free_energy_that_overflows_exits_2(tmp_path, capsys):
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "rdsplit: invalid config: free energy overflows to inf"]
+
+
+def test_subnormal_concentration_runs_without_overflow(tmp_path, capsys):
+    """b = 1e-320 makes G2 of the x ln x slope and the CN residual's dt/x
+    overflow: both used to print numpy's 'overflow encountered in divide'."""
+    cfg = _write(tmp_path, "kind = single_run\nspecies = a, b\ngrid.dim = 1\ngrid.n0 = 2\n"
+                           "reaction.alpha = 1, 1\nreaction.beta = 2, 1\n"
+                           "reaction.k_plus = 0.5\nreaction.k_minus = 1e12\n"
+                           "run.dt = 1e-9\nrun.t_end = 1e-9\nspecies.a.value = 2\n"
+                           "species.b.diffusion = power\nspecies.b.D0 = 7.3\n"
+                           "species.b.alpha_exp = 1.5\nspecies.b.value = 1e-320\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "report.csv").exists()
 
 
 def _diffusion_cfg(dt, law):

@@ -343,6 +343,19 @@ def test_cn_whose_mobility_overflows_raises_nonconvergence():
         nonlinear_cn_step(rho, DiffusionLaw.power(1.0, 2), 0.1)
 
 
+@pytest.mark.filterwarnings("error")
+def test_cn_residual_that_is_not_finite_raises_instead_of_converging():
+    """At the 27th iterate one cell is 1e-16 of its start, so t = d/a of the x ln x
+    slope rounds to -1, L = log1p(t) is -inf and the residual NaN: numpy warned,
+    then ``res > stop`` was false and Newton returned that iterate as converged."""
+    rho = Field(Grid(dim=2, n0=2), [6.769870521921267e-06, 29.86002700386774,
+                                    5.289780128509679e-10, 33901.19331098336])
+    with pytest.raises(NonConvergence, match="stalled at residual nan") as exc_info:
+        nonlinear_cn_step(rho, DiffusionLaw.power(0.004506263758377781, 4.0),
+                          0.012214399511025625)
+    assert exc_info.value.iterations == 27
+
+
 def test_cn_builds_no_field_inside_its_solver_loops(monkeypatch):
     """CG and the Newton residual run the div-grad kernel on bare arrays: the
     step builds only the predictor's coefficient and result, the mobility and

@@ -83,6 +83,16 @@ def test_grid_rejects_a_spacing_outside_the_double_range(span):
         assert 0 < inside.cell_volume < math.inf
 
 
+def test_grid_refuses_more_cells_than_one_array_holds():
+    """A field is one float64 array, whose size numpy caps at the largest intp in bytes."""
+    for n0 in (2 ** 30, np.int64(10 ** 10)):
+        with pytest.raises(InvalidInput, match=f"{n0}\\^2 cells do not fit in one array"):
+            Grid(dim=2, n0=n0)
+    with pytest.raises(InvalidInput, match="do not fit"):
+        Grid(dim=1, n0=2 ** 60)
+    assert Grid(dim=2, n0=2 ** 30 - 1).n_cells == (2 ** 30 - 1) ** 2
+
+
 def test_field_validation():
     g = Grid(dim=1, n0=4)
     f = Field(g, [1.0, 2.0, 3.0, 4.0])
@@ -311,6 +321,15 @@ _POSITIVITY_GATES = {
 def test_every_positivity_gate_names_the_failing_cell(gate):
     f = _ones(Grid(dim=2, n0=4))
     f.values[2, 1] = 0.0
+    with pytest.raises(PositivityViolation, match=re.escape("at cell (2, 1)") + "$"):
+        _POSITIVITY_GATES[gate](f)
+
+
+@pytest.mark.parametrize("gate", sorted(_POSITIVITY_GATES))
+def test_every_positivity_gate_names_a_nan_cell(gate):
+    """A NaN is refused where it is, not passed on: ``nan <= 0`` is false."""
+    f = _ones(Grid(dim=2, n0=4))
+    f.values[2, 1] = np.nan
     with pytest.raises(PositivityViolation, match=re.escape("at cell (2, 1)") + "$"):
         _POSITIVITY_GATES[gate](f)
 

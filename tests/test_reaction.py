@@ -7,11 +7,10 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as hst
 
 from rdsplit import (
-    DomainError,
     Field,
     Grid,
     InvalidInput,
@@ -295,8 +294,54 @@ def test_difference_quotient_coincidence_limit():
 def test_difference_quotient_rejects_outside_points():
     spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
     st = PointState(c0=np.array([0.3, 0.7]))
-    with pytest.raises(DomainError):
+    with pytest.raises(PositivityViolation):
         energy_difference_quotient(0.5, 0.0, st, spec)  # c1(0.5) < 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PointState([math.nan, 1.0]),
+    lambda: PointState([1.0, math.inf]),
+    lambda: reaction_mobility([math.nan, 1.0], _EXCHANGE),
+    lambda: reaction_mobility([1.0, -0.0], _EXCHANGE),
+    lambda: point_free_energy(math.nan, PointState([1.0, 1.0]), _EXCHANGE),
+    lambda: chemical_affinity(2.0, PointState([1.0, 1.0]), _EXCHANGE),
+], ids=["state_nan", "state_inf", "mobility_nan", "mobility_zero", "free_energy_nan_R",
+        "affinity_outside"])
+def test_point_functions_refuse_points_outside_the_open_orthant(call):
+    """One rule for every point, NaN included: reaction_mobility([nan, 1]) used to
+    return 1.0, point_free_energy(nan) NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RdsplitError, match="must be (finite and strictly positive|finite)"):
+            call()
+
+
+def test_difference_quotient_that_rounds_away_a_concentration_raises():
+    """c(q) = 8.5e8 absorbs c0 = 2.4e-10, so d/c(q) rounds to -1 and the kernel
+    sees c(p) = 0: math.log1p used to raise ValueError. In doubles the quotient
+    is NaN, which is raised as InvalidInput."""
+    st = PointState([1.7e308, 2.3638417300521637e-10])
+    spec = ReactionSpec([1, 0], [0, 1], 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="difference quotient is not finite"):
+            energy_difference_quotient(9.344771704734177e-10, 854265525.439752, st, spec)
+
+
+def test_free_energy_that_overflows_raises_invalid_input():
+    """c (ln c - 1 + U) at c = 1.7e308 overflows; numpy used to warn and return inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="free energy is not finite"):
+            point_free_energy(0.0, PointState([1.7e308, 1.0]), ReactionSpec([1, 0], [0, 1], 2, 1))
+
+
+def test_mobility_that_overflows_raises_invalid_input():
+    """(1.7e308)^3 overflows; numpy used to warn and return inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="mobility is not finite"):
+            reaction_mobility([1.0, 1.7e308], ReactionSpec([1, 2], [0, 3], 1, 0.1))
 
 
 # ---------------------------------------------------------------- stepping
@@ -437,6 +482,24 @@ def test_scalar_and_vector_paths_agree_on_extreme_point_steps():
         solved += 1
         assert scalar[0] == pytest.approx(vector[0][0], rel=1e-10, abs=1e-300), (spec, c0, dt)
     assert solved > 300 and raised > 0
+
+
+def test_point_step_whose_slope_denominator_underflows_fails_like_the_stage():
+    """The corrector's iterates R ~ 1e-322 give the c0 = 1e-320 species t = d/a
+    near 0.03 and a product t d that underflows to 0: the scalar x ln x slope
+    used to raise ZeroDivisionError there, where the vector kernel's G2 is inf
+    and the one-cell stage raises NonConvergence."""
+    from rdsplit.reaction import _scalar_stage, _solve_stage
+
+    spec = ReactionSpec([0.5, 0, 1], [0, 2, 0], 1.3, 0.7)
+    c0 = [467655416019.09296, 1e-320, 4570542224.10495]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (lambda: reaction_step(PointState(c0), spec, 1e3),
+                      lambda: _scalar_stage(c0, spec, 1e3),
+                      lambda: _solve_stage(np.array(c0)[:, None], spec, 1e3)):
+            with pytest.raises(NonConvergence):
+                solve()
 
 
 @pytest.mark.parametrize("tiny", [1e-110, 1e-170])
@@ -1321,3 +1384,55 @@ def test_xlnx_slope_kernels_match_decimal_oracle(a, t):
             assert g3 == ref3
         else:
             assert abs(g3 - ref3) <= (2e-7 + 4 * _EPS * cond) * abs(ref3)
+
+
+# ---------------------------------------------------------------- point gate
+
+
+_MAGNITUDE = hst.floats(1e-6, 1e6)
+_SPECIAL = hst.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0))
+_ENTRY = hst.one_of(_MAGNITUDE, _SPECIAL)
+_SIGNED = hst.one_of(_MAGNITUDE, _MAGNITUDE.map(lambda v: -v), _SPECIAL)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(species=hst.lists(hst.tuples(_COEF, _COEF, _ENTRY), min_size=1, max_size=4),
+       rates=hst.tuples(_MAGNITUDE, _MAGNITUDE), R=_SIGNED, p=_SIGNED, q=_SIGNED,
+       dt=hst.one_of(hst.floats(1e-6, 10.0), _SPECIAL))
+def test_point_api_returns_finite_values_or_raises_typed_errors(species, rates, R, p, q, dt):
+    """Every point function returns a finite value or raises an RdsplitError,
+    never a Python exception or a numpy warning; admissible_interval's upper
+    end alone may be +inf, where nothing is consumed."""
+    alpha, beta, c0 = zip(*species)
+    inside = all(0 < c < math.inf for c in c0)
+
+    def finite(call):
+        try:
+            value = call()
+        except RdsplitError:
+            return
+        assert math.isfinite(value), value
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            spec = ReactionSpec.law_of_mass_action(alpha, beta, *rates)
+        except InvalidInput:
+            reject()  # alpha == beta with unequal rates
+        if not inside:
+            for make in (lambda: PointState(c0), lambda: reaction_mobility(c0, spec)):
+                with pytest.raises(PositivityViolation):
+                    make()
+            return
+        st = PointState(c0)
+        finite(lambda: reaction_mobility(c0, spec))
+        finite(lambda: point_free_energy(R, st, spec))
+        finite(lambda: chemical_affinity(R, st, spec))
+        finite(lambda: energy_difference_quotient(p, q, st, spec))
+        finite(lambda: predictor_first_order(st, spec, dt))
+        finite(lambda: reaction_step(st, spec, dt))
+        try:
+            lo, hi = admissible_interval(st, spec, dt)
+        except RdsplitError:
+            return
+        assert math.isfinite(lo) and lo < 0 < hi  # hi may be +inf
