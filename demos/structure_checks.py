@@ -6,13 +6,15 @@
 #   reaction step:  strict positivity, pointwise free-energy decrease,
 #                   linear invariants conserved to the last bit
 #   linear diffusion (exponential integrator):  exact mass conservation
-#   nonlinear diffusion (mobility-form CN):     mass, positivity, entropy
+#   nonlinear diffusion (mobility-form CN):     mass, positivity, entropy,
+#                   and on near-vacuum fields a solution or a typed error
 
 import numpy as np
 
-from rdsplit import (DiffusionLaw, Field, Grid, PointState, ReactionSpec,
+from rdsplit import (DiffusionLaw, Field, Grid, PointState, RdsplitError, ReactionSpec,
                      diffusion_energy, etd_step, nonlinear_cn_step,
                      point_free_energy, reaction_step)
+from rdsplit.diffusion import nonlinear_cn_step_counted
 
 rng = np.random.default_rng(7)
 trials = 300
@@ -72,3 +74,21 @@ print(f"nonlinear diffusion, {trials} random fields:")
 print(f"  positivity violations        0")
 print(f"  worst relative mass drift    {worst_mass:.3e}")
 print(f"  worst entropy rise           {worst_entropy_rise:.3e}  (<= 0 up to roundoff)")
+
+# near vacuum: cells log-uniform from 1e-20 to 1, twenty decades in one field
+near_vacuum = 50
+updates, typed_errors = [], 0
+for _ in range(near_vacuum):
+    law = DiffusionLaw.power(float(10.0 ** rng.uniform(-3, 3)), float(rng.uniform(1.5, 4.0)))
+    rho = Field(grid1, 10.0 ** rng.uniform(-20, 0, grid1.shape))
+    try:
+        new, n_iter = nonlinear_cn_step_counted(rho, law, float(10.0 ** rng.uniform(-6, 2)))
+    except RdsplitError:
+        typed_errors += 1
+        continue
+    assert new.values.min() > 0.0
+    updates.append(n_iter)
+print(f"nonlinear diffusion, {near_vacuum} near-vacuum fields (1e-20 to 1):")
+print(f"  solved                       {len(updates)}")
+print(f"  typed errors                 {typed_errors}")
+print(f"  Newton updates, mean / max   {np.mean(updates):.2f} / {max(updates)}")

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInput, NonConvergence, PositivityViolation
+from .errors import InvalidInput, NonConvergence
 from .grid import Field, Grid, _check_positive, _divgrad, _face_sum, average_to_faces
 from .reaction import _check_dt, _xlnx_slope
 
@@ -143,7 +143,6 @@ def etd_step(rho: Field, law: DiffusionLaw, dt: float) -> Field:
 
 _NEWTON_TOL = 1e-10  # max-norm residual, relative to max(1, max rho_n)
 _NEWTON_MAX_ITER = 50
-_MAX_HALVINGS = 60  # line-search halvings allowed to keep the iterate positive
 _CG_TOL = 1e-12  # relative 2-norm residual ending each CG solve
 _CG_MAX_ITER = 1000
 _EPS = float(np.finfo(float).eps)
@@ -219,7 +218,9 @@ def semi_implicit_predictor(rho_n: Field, law: DiffusionLaw, dt: float) -> Field
 
     Solves ``(I/dt - div(avg(D(rho_n)) grad)) rho_hat = rho_n/dt``. The matrix
     is an M-matrix, so the solution is unique, cellwise positive, and
-    conserves mass up to the CG residual (relative 2-norm 1e-12).
+    conserves mass up to the CG residual (relative 2-norm 1e-12). Where CG's
+    iterate, short of that, has a cell <= 0, one Jacobi sweep of the same
+    matrix from ``max(x, 0)``, a sum of positive terms only, replaces it.
     """
     _check_dt(dt)
     _check_positive(rho_n.values, rho_n.grid, "nonpositive density entering nonlinear diffusion")
@@ -227,8 +228,13 @@ def semi_implicit_predictor(rho_n: Field, law: DiffusionLaw, dt: float) -> Field
         raise InvalidInput("predictor needs a diffusing species")
     grid = rho_n.grid
     faces = _face_weights(grid, law.coefficient, rho_n.values, "coefficient")
-    rho_hat = _spd_solve(grid, 1.0 / dt, faces, 1.0, rho_n.values / dt)
-    _check_positive(rho_hat, grid, "semi-implicit predictor lost positivity")
+    b = rho_n.values / dt
+    rho_hat = _spd_solve(grid, 1.0 / dt, faces, 1.0, b)
+    if not rho_hat.min() > 0:  # neighbours summed by rolls: _divgrad would cancel
+        x, c = np.maximum(rho_hat, 0.0), 1.0 / grid.h ** 2
+        nb = sum(w * np.roll(x, -1, axis=ax) + np.roll(w * x, 1, axis=ax) for ax, w in faces)
+        rho_hat = (b + c * nb) / (1.0 / dt + c * _face_sum(faces))
+        _check_positive(rho_hat, grid, "semi-implicit predictor lost positivity")
     return Field(grid, rho_hat)
 
 
@@ -247,7 +253,7 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
     ``dt div(M grad mu)`` carries, twice eps times the largest product of a
     cell's stencil weight ``dt/h^2 sum(M)`` and the size of the terms summed
     into its mu; ``cap`` (sqrt(eps) relative) keeps that floor from excusing
-    a genuinely stalled solve. A full step (s = 1) that does not lower
+    a genuinely stalled solve. A plain Newton update that does not lower
     ``max|r|`` once ``max|r| <= cap`` also counts as converged: the iteration
     has reached its own roundoff, which the floor estimates only from each
     cell's own terms. The predictor checks ``rho_n`` and ``dt``.
@@ -274,10 +280,10 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
         r = x - rn - dt * _divgrad(faces, mu, grid.h)
         return r, mu_prime, max(tol, min(floor, cap))
 
-    n_iter = 0
+    n_iter, newton = 0, True
     r, mu_prime, stop = residual(x)
     res = float(np.abs(r).max())
-    while not res <= stop:  # a residual that is not finite never converges
+    while not (res <= stop and newton):  # NaN never converges; a mapped update may move mass
         n_iter += 1
         if n_iter > _NEWTON_MAX_ITER or not math.isfinite(res):
             raise NonConvergence(
@@ -285,20 +291,18 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
                 residual=res, iterations=n_iter - 1)
         # J = (diag(1/mu') - dt L) diag(mu'): solve the SPD factor for mu' delta
         delta = _spd_solve(grid, 1.0 / mu_prime, faces, dt, -r) / mu_prime
-        s = 1.0
-        for _ in range(_MAX_HALVINGS):
-            if (x + s * delta).min() > 0:
-                break
-            s *= 0.5
-        else:
-            raise PositivityViolation(
-                "nonlinear diffusion line search could not restore positivity")
-        x = x + s * delta
+        # plain Newton where delta >= -x/4: it keeps sum(x), as r sums to sum(x - rn);
+        # past it x w (1/2 + w/4), C1 there, positive, and far out a Newton step in ln x
+        far = delta < -0.25 * x
+        x_far, x, newton = x[far], x + delta, not far.any()
+        if not newton:  # exp only where taken: elsewhere it can overflow
+            w = np.exp(delta[far] / x_far + 0.25)
+            x[far] = x_far * w * (0.5 + 0.25 * w)
+        _check_positive(x, grid, "nonlinear diffusion Newton drove a cell below the doubles")
         r, mu_prime, stop = residual(x)
         last, res = res, float(np.abs(r).max())
-        if s == 1.0 and last <= res <= cap:
+        if newton and last <= res <= cap:
             break
-    _check_positive(x, grid, "nonlinear diffusion step lost positivity")
     return Field(grid, x), n_iter
 
 
