@@ -27,9 +27,7 @@ for _ in range(trials):
     beta = rng.integers(0, 3, nsp).astype(float)
     if np.array_equal(alpha, beta):
         beta[0] += 1.0
-    spec = ReactionSpec.law_of_mass_action(alpha, beta,
-                                           float(rng.uniform(0.2, 3.0)),
-                                           float(rng.uniform(0.2, 3.0)))
+    spec = ReactionSpec(alpha, beta, float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0)))
     c0 = rng.uniform(0.1, 4.0, nsp)
     st = PointState(c0)
     R = reaction_step(st, spec, float(10.0 ** rng.uniform(-3, 0.5)))

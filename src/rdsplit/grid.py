@@ -12,6 +12,7 @@ standard 3-point (1D) or 5-point (2D) periodic Laplacian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import InvalidInput, PositivityViolation
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic cell-centered grid.
+    """Uniform periodic cell-centered grid on the box ``[lower, upper]^dim``.
 
     Parameters
     ----------
@@ -28,9 +29,10 @@ class Grid:
         Spatial dimension, 1 or 2.
     n0 : int
         Number of cells per axis (>= 1; every axis has the same count).
-    lower, upper : float or tuple of float
-        Domain bounds per axis. Scalars are broadcast to every axis. The
-        spacing ``(upper - lower) / n0`` must be identical on all axes.
+    lower, upper : real number
+        The box's bounds, the same on every axis, so every axis has the one
+        spacing ``h = (upper - lower) / n0``. Stored as per-axis tuples
+        ``(lower,) * dim`` and ``(upper,) * dim``.
     """
 
     dim: int
@@ -45,31 +47,21 @@ class Grid:
             raise InvalidInput(f"n0 must be a positive integer, got {self.n0}")
         if 8 * int(self.n0) ** self.dim > np.iinfo(np.intp).max:  # float64 bytes of one field
             raise InvalidInput(f"{self.n0}^{self.dim} cells do not fit in one array")
-        lo = self._as_axis_tuple(self.lower)
-        hi = self._as_axis_tuple(self.upper)
+        if not all(isinstance(b, Real) for b in (self.lower, self.upper)):
+            raise InvalidInput(f"lower and upper must be real numbers, got {self.lower!r} "
+                               f"and {self.upper!r}")
+        lo, hi = (float(self.lower),) * self.dim, (float(self.upper),) * self.dim
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        spans = [hi[a] - lo[a] for a in range(self.dim)]
-        if not all(0 < s < np.inf for s in spans):
+        if not 0 < hi[0] - lo[0] < np.inf:
             raise InvalidInput(f"upper must exceed lower by a finite span, got {lo} .. {hi}")
-        h0 = spans[0] / self.n0
-        for s in spans[1:]:
-            if abs(s / self.n0 - h0) > 1e-12 * max(1.0, abs(h0)):
-                raise InvalidInput("all axes must share the same cell spacing")
+        h0 = self.h
         try:  # the cell volume and the Laplacian's 4/h^2 must be normal doubles
             normal = all(np.finfo(float).tiny <= x < np.inf for x in (h0 ** self.dim, 4 / h0 ** 2))
         except (OverflowError, ZeroDivisionError):
             normal = False
         if not normal:
             raise InvalidInput(f"cell spacing {h0:g} leaves the double range")
-
-    def _as_axis_tuple(self, v) -> tuple[float, ...]:
-        if np.isscalar(v):
-            return tuple(float(v) for _ in range(self.dim))
-        t = tuple(float(x) for x in v)
-        if len(t) != self.dim:
-            raise InvalidInput(f"expected {self.dim} bounds, got {len(t)}")
-        return t
 
     @property
     def h(self) -> float:
@@ -104,7 +96,7 @@ class Grid:
 
 @dataclass
 class Field:
-    """Scalar field sampled at cell centers; values must all be finite."""
+    """Scalar field sampled at cell centers: ``values.shape == grid.shape``, all finite."""
 
     grid: Grid
     values: np.ndarray
@@ -112,11 +104,7 @@ class Field:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
-            if v.size == self.grid.n_cells:
-                v = v.reshape(self.grid.shape)
-            else:
-                raise InvalidInput(
-                    f"field shape {v.shape} incompatible with grid shape {self.grid.shape}")
+            raise InvalidInput(f"field shape {v.shape} must match grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             raise InvalidInput("field values must be finite")
         self.values = v
@@ -273,9 +261,12 @@ def write_field_csv(f: Field, path) -> None:
 def read_field_csv(path) -> Field:
     """Inverse of :func:`write_field_csv`; values round-trip bitwise.
 
-    Every cell needs exactly one row. A file that is not UTF-8 text, a
-    malformed header or row, an index outside the grid, a repeated cell or a
-    missing one raises InvalidInput.
+    The header's ``lower`` and ``upper`` each list ``dim`` equal values, the
+    box ``[lower, upper]^dim`` of a :class:`Grid`. Every cell needs exactly one
+    row with a finite value. A file that is not UTF-8 text, a malformed header
+    or row, a grid that :class:`Grid` refuses, an index outside the grid, a
+    repeated cell or a missing one raises InvalidInput, whose message starts
+    with ``<path>:``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -285,11 +276,16 @@ def read_field_csv(path) -> Field:
             try:
                 meta = dict(tok.split("=", 1) for tok in header[len("# grid "):].split())
                 dim, n0 = int(meta["dim"]), int(meta["n0"])
-                lower = tuple(float(x) for x in meta["lower"].split(","))
-                upper = tuple(float(x) for x in meta["upper"].split(","))
+                bounds = [[float(x) for x in meta[key].split(",")] for key in ("lower", "upper")]
+                if any(len(b) != dim or b != b[:1] * dim for b in bounds):
+                    raise ValueError("lower and upper must each list dim equal values")
+                (lower, *_), (upper, *_) = bounds
             except (KeyError, ValueError) as e:
                 raise InvalidInput(f"{path}: malformed grid header {header!r}") from e
-            grid = Grid(dim=dim, n0=n0, lower=lower, upper=upper)
+            try:
+                grid = Grid(dim=dim, n0=n0, lower=lower, upper=upper)
+            except InvalidInput as e:
+                raise InvalidInput(f"{path}: {e}") from e
             values = np.empty(grid.shape)
             seen = np.zeros(grid.shape, dtype=bool)
             for lineno, line in enumerate(fh, start=2):
@@ -302,7 +298,10 @@ def read_field_csv(path) -> Field:
                     idx = tuple(int(i) for i in parts[:dim])
                     if not all(0 <= i < n0 for i in idx) or seen[idx]:
                         raise ValueError(f"cell {idx} is outside the grid or repeated")
-                    values[idx] = float(parts[-1])
+                    value = float(parts[-1])
+                    if not np.isfinite(value):
+                        raise ValueError(f"value {parts[-1].strip()!r} is not finite")
+                    values[idx] = value
                 except ValueError as e:
                     raise InvalidInput(f"{path}:{lineno}: {e}") from e
                 seen[idx] = True

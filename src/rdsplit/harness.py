@@ -379,8 +379,8 @@ def resample_spectral(f: Field, target: Grid) -> Field:
     if gs.lower != target.lower or gs.upper != target.upper:
         raise InvalidInput("grids must cover the same box")
     values = f.values
+    mat = _trig_eval_matrix(gs.n0, target.n0, gs.lower[0], gs.upper[0] - gs.lower[0])
     for ax in range(gs.dim):
-        mat = _trig_eval_matrix(gs.n0, target.n0, gs.lower[ax], gs.upper[ax] - gs.lower[ax])
         values = np.moveaxis(np.tensordot(mat, values, axes=(1, ax)), 0, ax)
     return Field(target, values)
 

@@ -156,11 +156,6 @@ class ReactionSpec:
     def n_species(self) -> int:
         return self.alpha.size
 
-    @classmethod
-    def law_of_mass_action(cls, alpha, beta, k_plus: float, k_minus: float) -> "ReactionSpec":
-        """The spec with U derived from the rates: ``cls(alpha, beta, k_plus, k_minus)``."""
-        return cls(alpha, beta, k_plus, k_minus)
-
 
 @dataclass
 class PointState:

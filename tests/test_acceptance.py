@@ -76,7 +76,7 @@ def _random_spec(rng):
         beta[0] += 1.0
     k_plus = float(rng.uniform(0.2, 3.0))
     k_minus = float(rng.uniform(0.2, 3.0))
-    return ReactionSpec.law_of_mass_action(alpha, beta, k_plus, k_minus)
+    return ReactionSpec(alpha, beta, k_plus, k_minus)
 
 
 def _corrector_residual(R, st, spec, dt):

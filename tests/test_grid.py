@@ -1,8 +1,11 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from rdsplit import (
     DiffusionLaw,
@@ -35,7 +38,7 @@ from rdsplit.grid import _divgrad
 
 
 def test_grid_basics():
-    g = Grid(dim=2, n0=8, lower=(-1.0, -1.0), upper=(1.0, 1.0))
+    g = Grid(dim=2, n0=8, lower=-1.0, upper=1.0)
     assert g.h == 0.25
     assert g.shape == (8, 8)
     assert g.n_cells == 64
@@ -54,6 +57,10 @@ def test_grid_scalar_bounds_broadcast():
     g = Grid(dim=2, n0=4, lower=0.0, upper=2.0)
     assert g.lower == (0.0, 0.0)
     assert g.upper == (2.0, 2.0)
+    for lower, upper in ((0, 2), (np.float64(0.0), np.int64(2)), (np.float32(0.0), 2.0)):
+        g = Grid(dim=2, n0=4, lower=lower, upper=upper)  # any numbers.Real, stored as floats
+        assert g.lower == (0.0, 0.0) and g.upper == (2.0, 2.0)
+        assert all(type(b) is float for b in g.lower + g.upper)
 
 
 def test_grid_rejects_bad_input():
@@ -67,9 +74,24 @@ def test_grid_rejects_bad_input():
         with pytest.raises(InvalidInput):  # not a finite span
             Grid(dim=1, n0=4, lower=lower, upper=upper)
     with pytest.raises(InvalidInput):
-        Grid(dim=2, n0=4, lower=(0.0, 0.0), upper=(1.0, 2.0))  # unequal spacing
+        Grid(dim=2, n0=4, lower=(0.0, 0.0), upper=(1.0, 2.0))  # per-axis bounds
     with pytest.raises(InvalidInput):
         Grid(dim=2, n0=4, lower=(0.0,), upper=(1.0,))
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ((0, 0), (1, 1 + 1e-13)),  # two spacings the old 1e-12 tolerance let through
+    ((0, 5), (1, 6)),  # a shifted box, one spacing
+    ([0.0], [1.0]),
+    (np.array(0.0), 1.0),  # a 0-d array is not a number
+    ("a", 1.0),
+    (0.0, "1"),
+    (None, 1.0),
+], ids=["two spacings", "shifted box", "lists", "0-d array", "string", "string upper", "None"])
+def test_grid_bounds_are_real_numbers(lower, upper):
+    """The grid is the box [lower, upper]^dim: one spacing on every axis by construction."""
+    with pytest.raises(InvalidInput, match="lower and upper must be real numbers"):
+        Grid(dim=2, n0=4, lower=lower, upper=upper)
 
 
 @pytest.mark.parametrize("span", [1e-300, 1e300])
@@ -101,8 +123,9 @@ def test_field_validation():
         Field(g, [1.0, 2.0])
     with pytest.raises(InvalidInput):
         Field(g, [1.0, 2.0, np.nan, 4.0])
-    f2 = Field(Grid(dim=2, n0=2), np.arange(4.0))  # flat input reshapes
-    assert f2.values.shape == (2, 2)
+    for shape in ((4,), (4, 1), (1, 4), (2, 2, 1)):  # no reshape to the grid's (2, 2)
+        with pytest.raises(InvalidInput, match=re.escape(f"field shape {shape} must match")):
+            Field(Grid(dim=2, n0=2), np.ones(shape))
 
 
 def test_laplacian_1d_hand_computed():
@@ -137,7 +160,7 @@ def test_divergence_checks_flux_set():
 
 def test_laplacian_annihilates_constants_and_conserves_mass():
     rng = np.random.default_rng(11)
-    g = Grid(dim=2, n0=16, lower=(-1.0, -1.0), upper=(1.0, 1.0))
+    g = Grid(dim=2, n0=16, lower=-1.0, upper=1.0)
     assert np.all(laplacian(Field.constant(g, 3.7)).values == 0.0)
     f = Field(g, rng.uniform(0.1, 2.0, g.shape))
     assert abs(np.sum(laplacian(f).values)) <= 1e-12 * np.sum(np.abs(f.values)) / g.h ** 2
@@ -258,6 +281,12 @@ def _mangled_field_csv(tmp_path, mangle):
     return p
 
 
+def _header(lines, **tokens):
+    """``lines`` with the header's ``key=value`` tokens replaced by ``tokens``."""
+    meta = dict(tok.split("=", 1) for tok in lines[0][len("# grid "):].split())
+    return ["# grid " + " ".join(f"{k}={v}" for k, v in {**meta, **tokens}.items())] + lines[1:]
+
+
 @pytest.mark.parametrize("mangle, message", [
     (lambda lines: lines[:-5], "5 cells have no row, first (2, 3)"),
     (lambda lines: lines[:3] + ["4,0,0.5,0.5,1.0"] + lines[4:], "outside the grid"),
@@ -269,18 +298,129 @@ def _mangled_field_csv(tmp_path, mangle):
     (lambda lines: [lines[0].replace(" lower=", " low=")] + lines[1:], "malformed grid header"),
     (lambda lines: [lines[0].replace("n0=4", "n0=four")] + lines[1:], "malformed grid header"),
     (lambda lines: [lines[0] + " stray"] + lines[1:], "malformed grid header"),
+    (lambda lines: _header(lines, lower="-1,0"), "malformed grid header"),
+    (lambda lines: _header(lines, upper="1"), "malformed grid header"),
+    (lambda lines: _header(lines, upper="1,1,1"), "malformed grid header"),
+    (lambda lines: _header(lines, dim=3, lower="-1,-1,-1", upper="1,1,1"),
+     "field.csv: dim must be 1 or 2, got 3"),
+    (lambda lines: _header(lines, n0=0), "field.csv: n0 must be a positive integer, got 0"),
+    (lambda lines: _header(lines, lower="1,1"), "field.csv: upper must exceed lower"),
+    (lambda lines: _header(lines, n0=2 ** 31), "field.csv: 2147483648^2 cells do not fit"),
+    (lambda lines: lines[:3] + ["0,2,0.5,0.5,nan"] + lines[4:],
+     "field.csv:4: value 'nan' is not finite"),
+    (lambda lines: lines[:3] + ["0,2,0.5,0.5,1e400"] + lines[4:],
+     "field.csv:4: value '1e400' is not finite"),
+    (lambda lines: lines[:3] + ["0,2,0.5,0.5,-inf"] + lines[4:],
+     "field.csv:4: value '-inf' is not finite"),
 ], ids=["cut short", "index past n0", "negative index", "repeated cell", "missing column",
         "bad value", "bad index", "header without lower", "header n0 not a number",
-        "header token without ="])
+        "header token without =", "header with two boxes", "header with one bound",
+        "header with three bounds", "header dim 3", "header n0 0", "header empty box",
+        "header too many cells", "nan value", "overflowing value", "infinite value"])
 def test_read_field_csv_rejects_all_but_one_row_per_cell(tmp_path, mangle, message):
-    """A file cut short used to read back whatever np.empty held for the missing cells."""
-    with pytest.raises(InvalidInput, match=re.escape(message)):
-        read_field_csv(_mangled_field_csv(tmp_path, mangle))
+    """A file cut short used to read back whatever np.empty held for the missing cells.
+    Every refusal names the file: the grid's own and a non-finite value's included."""
+    p = _mangled_field_csv(tmp_path, mangle)
+    with pytest.raises(InvalidInput, match=re.escape(message)) as info:
+        read_field_csv(p)
+    assert str(info.value).startswith(f"{p}:")
 
 
 def test_read_field_csv_accepts_rows_in_any_order(tmp_path):
     p = _mangled_field_csv(tmp_path, lambda lines: lines[:1] + lines[:0:-1])
     np.testing.assert_array_equal(read_field_csv(p).values, np.arange(1.0, 17.0).reshape(4, 4))
+
+
+def test_read_field_csv_header_lists_each_bound_once_per_axis(tmp_path):
+    """The header format is unchanged: equal per-axis bounds, written and read back."""
+    p = _mangled_field_csv(tmp_path, lambda lines: lines)
+    assert p.read_text().splitlines()[0] == "# grid dim=2 n0=4 lower=-1,-1 upper=1,1"
+    back = read_field_csv(_mangled_field_csv(tmp_path, lambda lines: _header(
+        lines, lower="-1.0,-1", upper="1e0,1.00")))
+    assert back.grid == Grid(dim=2, n0=4, lower=-1.0, upper=1.0)
+
+
+_NOT_FINITE = hst.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e999"])
+
+
+def _row_mangle(lines, data):
+    """Mangle one data row of ``lines``, or the rows as a whole."""
+    i = data.draw(hst.integers(1, len(lines) - 1))
+    cols = lines[i].split(",")
+    kind = data.draw(hst.sampled_from(["extra column", "dropped column", "not finite",
+                                       "repeated", "missing", "shuffled", "bad index"]))
+    if kind == "extra column":
+        return lines[:i] + [lines[i] + ",0"] + lines[i + 1:]
+    if kind == "dropped column":
+        return lines[:i] + [",".join(cols[:-1])] + lines[i + 1:]
+    if kind == "not finite":
+        return lines[:i] + [",".join(cols[:-1] + [data.draw(_NOT_FINITE)])] + lines[i + 1:]
+    if kind == "repeated":
+        return lines + [lines[i]]
+    if kind == "missing":
+        return lines[:i] + lines[i + 1:]
+    if kind == "shuffled":  # a valid file: rows may come in any order
+        return lines[:1] + data.draw(hst.permutations(lines[1:]))
+    cols[0] = data.draw(hst.sampled_from(["-1", "x", "1.5", str(10 ** 20), ""]))
+    return lines[:i] + [",".join(cols)] + lines[i + 1:]
+
+
+def _header_mangle(lines, dim, data):
+    """One header token given a wrong count or value, or the header cut or extended.
+
+    Each mangle leaves the header as written or makes it one the reader must refuse.
+    """
+    key = data.draw(hst.sampled_from(["dim", "n0", "lower", "upper", "cut", "stray"]))
+    if key == "dim":
+        return _header(lines, dim=data.draw(hst.sampled_from(["0", "3", "-1", "x", "1.0"])))
+    if key == "n0":
+        return _header(lines, n0=data.draw(hst.sampled_from(
+            ["0", "-2", "x", "2.0", str(2 ** 61)] + [str(n) for n in range(1, 7)])))
+    if key in ("lower", "upper"):
+        meta = dict(tok.split("=", 1) for tok in lines[0][len("# grid "):].split())
+        v, other = meta[key].split(",")[0], meta["upper" if key == "lower" else "lower"]
+        return _header(lines, **{key: data.draw(hst.sampled_from([
+            ",".join([v] * (dim + 1)), ",".join([v] * (dim - 1)),  # a bound too many, too few
+            ",".join([v] + [v + "1"] * (dim - 1)),  # unequal bounds in 2-D
+            ",".join(["nan"] * dim), ",".join(["inf"] * dim), other,  # no finite box
+            "x", ";".join([v] * dim)]))})
+    if key == "cut":  # the cut ends at or before the value of upper, the last token
+        return [lines[0][:data.draw(hst.integers(0, lines[0].index(" upper=") + 7))]] + lines[1:]
+    return [lines[0] + data.draw(hst.sampled_from([" stray", " note=1", " =", " dim"]))] + lines[1:]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(dim=hst.sampled_from([1, 2]), n0=hst.integers(1, 4),
+       box=hst.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-1.25, 0.75), (1e-3, 2.5e3)]),
+       values=hst.lists(hst.floats(allow_nan=False, allow_infinity=False), min_size=16,
+                        max_size=16),
+       part=hst.sampled_from(["header", "rows", "bytes"]), data=hst.data())
+def test_read_field_csv_returns_the_written_field_or_names_the_file(
+        tmp_path_factory, dim, n0, box, values, part, data):
+    """A written CSV, mangled, reads back bit for bit or raises InvalidInput that
+    starts with the path; no other exception and no warning."""
+    g = Grid(dim=dim, n0=n0, lower=box[0], upper=box[1])
+    f = Field(g, np.array(values[:g.n_cells]).reshape(g.shape))
+    p = tmp_path_factory.mktemp("csv") / "field.csv"
+    write_field_csv(f, p)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    if part == "bytes":
+        raw = "\n".join(lines).encode() + b"\n"
+        at = data.draw(hst.integers(0, len(raw)))
+        bad = data.draw(hst.sampled_from([b"\xff", b"\xc3\x28", b"\x80", b"\xed\xa0\x80"]))
+        p.write_bytes(raw[:at] + bad + raw[at:])
+    else:
+        lines = (_header_mangle(lines, dim, data) if part == "header"
+                 else _row_mangle(lines, data))
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            back = read_field_csv(p)
+        except InvalidInput as e:
+            assert str(e).startswith(f"{p}:"), str(e)
+        else:
+            assert back.grid == g and back.values.tobytes() == f.values.tobytes()
 
 
 def test_inner_product_requires_same_grid():
@@ -292,7 +432,7 @@ def test_inner_product_requires_same_grid():
 
 # ------------------------------------------- the gates at every stage boundary
 
-_EXCHANGE = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
+_EXCHANGE = ReactionSpec((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
 
 
 def _ones(grid):

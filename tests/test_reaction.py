@@ -39,15 +39,7 @@ def _random_spec(rng, nsp=None):
         beta[0] += 1.0
     k_plus = float(rng.uniform(0.2, 3.0))
     k_minus = float(rng.uniform(0.2, 3.0))
-    return _mass_action(alpha, beta, k_plus, k_minus)
-
-
-def _mass_action(alpha, beta, k_plus, k_minus):
-    """law_of_mass_action, whose U the constructor derives bit for bit when U is omitted."""
-    spec = ReactionSpec.law_of_mass_action(alpha, beta, k_plus, k_minus)
-    derived = ReactionSpec(alpha, beta, k_plus, k_minus)
-    assert spec.U.dtype == derived.U.dtype and spec.U.tobytes() == derived.U.tobytes()
-    return spec
+    return ReactionSpec(alpha, beta, k_plus, k_minus)
 
 
 # ---------------------------------------------------------------- spec
@@ -65,7 +57,7 @@ def test_spec_validation():
                      U=(np.inf, 0.0))
     # with U derived, the shapes are checked before sigma = beta - alpha is formed
     with pytest.raises(InvalidInput, match="equal length"):
-        ReactionSpec.law_of_mass_action([1, 2], [0, 1, 2], 1, 1)
+        ReactionSpec([1, 2], [0, 1, 2], 1, 1)
     with pytest.raises(InvalidInput, match="at least one species"):
         ReactionSpec([], [], 1.0, 2.0)
 
@@ -86,7 +78,7 @@ def test_spec_rejects_non_finite_parameters(alpha, beta, k_plus, k_minus):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInput, match="finite"):
-            ReactionSpec.law_of_mass_action(alpha, beta, k_plus, k_minus)
+            ReactionSpec(alpha, beta, k_plus, k_minus)
         with pytest.raises(InvalidInput, match="finite"):
             ReactionSpec(alpha, beta, k_plus, k_minus)
         with pytest.raises(InvalidInput, match="finite"):
@@ -115,7 +107,7 @@ def test_spec_warns_when_energies_break_detailed_balance():
     assert record[0].filename == __file__
 
 
-def test_law_of_mass_action_balances_exactly():
+def test_reaction_spec_balances_exactly():
     rng = np.random.default_rng(0)
     for _ in range(50):
         spec = _random_spec(rng)
@@ -123,8 +115,8 @@ def test_law_of_mass_action_balances_exactly():
         assert abs(gap) <= 1e-12
 
 
-def test_law_of_mass_action_two_species_exchange():
-    spec = _mass_action((1.0, 0.0), (0.0, 1.0), 2.0, 1.0)
+def test_reaction_spec_two_species_exchange():
+    spec = ReactionSpec((1.0, 0.0), (0.0, 1.0), 2.0, 1.0)
     np.testing.assert_allclose(spec.U, [math.log(2.0), 0.0])
     np.testing.assert_array_equal(spec.sigma, [-1.0, 1.0])
     # sigma is formed once, read-only
@@ -139,7 +131,7 @@ def test_spec_is_a_value():
     through a copy or an unpickled spec."""
     a, b, u = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([math.log(2.0), 0.0])
     built = ReactionSpec(a, b, 2.0, 1.0, U=u)
-    for spec in (built, ReactionSpec.law_of_mass_action(a, b, 2.0, 1.0), copy.deepcopy(built),
+    for spec in (built, ReactionSpec(a, b, 2.0, 1.0), copy.deepcopy(built),
                  pickle.loads(pickle.dumps(built))):
         a[0], b[1], u[0] = 2.0, 3.0, 5.0
         np.testing.assert_array_equal(spec.alpha, [1.0, 0.0])
@@ -151,32 +143,31 @@ def test_spec_is_a_value():
         a[0], b[1], u[0] = 1.0, 1.0, math.log(2.0)
 
 
-def test_law_of_mass_action_one_sided():
+def test_reaction_spec_one_sided():
     # A <-> 2A: everything rides on the single species
-    spec = _mass_action((1.0,), (2.0,), 3.0, 0.5)
+    spec = ReactionSpec((1.0,), (2.0,), 3.0, 0.5)
     assert abs(float(spec.sigma @ spec.U) - math.log(0.5 / 3.0)) <= 1e-15
-    consumed = _mass_action((2.0,), (1.0,), 3.0, 0.5)  # 2A <-> A: the other side
+    consumed = ReactionSpec((2.0,), (1.0,), 3.0, 0.5)  # 2A <-> A: the other side
     assert abs(float(consumed.sigma @ consumed.U) - math.log(0.5 / 3.0)) <= 1e-15
 
 
-def test_law_of_mass_action_null_reaction():
-    spec = _mass_action((1.0, 1.0), (1.0, 1.0), 0.7, 0.7)
+def test_reaction_spec_null_reaction():
+    spec = ReactionSpec((1.0, 1.0), (1.0, 1.0), 0.7, 0.7)
     assert not spec.sigma.any()
     np.testing.assert_array_equal(spec.U, [0.0, 0.0])
-    for build in (ReactionSpec.law_of_mass_action, ReactionSpec):
-        with pytest.raises(InvalidInput, match="requires k_plus == k_minus"):
-            build((1.0,), (1.0,), 1.0, 2.0)
+    with pytest.raises(InvalidInput, match="requires k_plus == k_minus"):
+        ReactionSpec((1.0,), (1.0,), 1.0, 2.0)
 
 
 @pytest.mark.parametrize("alpha, beta, k_plus, k_minus", [
     ((1.0, 0.0), (0.0, 2.0), 5e211, 3e-165),
     ((1.0,), (2.0,), 1e200, 1e-200),  # one-sided: the whole log ratio on one species
 ])
-def test_law_of_mass_action_survives_an_underflowing_rate_ratio(alpha, beta, k_plus, k_minus):
+def test_reaction_spec_survives_an_underflowing_rate_ratio(alpha, beta, k_plus, k_minus):
     """k_minus / k_plus below the smallest double must not turn U into -inf."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spec = _mass_action(alpha, beta, k_plus, k_minus)
+        spec = ReactionSpec(alpha, beta, k_plus, k_minus)
     assert np.all(np.isfinite(spec.U))
     log_ratio = math.log(k_minus) - math.log(k_plus)
     assert abs(float(spec.sigma @ spec.U) - log_ratio) <= 1e-12 * abs(log_ratio)
@@ -185,7 +176,7 @@ def test_law_of_mass_action_survives_an_underflowing_rate_ratio(alpha, beta, k_p
 # ---------------------------------------------------------------- small pieces
 
 
-_EXCHANGE = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
+_EXCHANGE = ReactionSpec((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -213,7 +204,7 @@ def test_point_state_requires_positive_concentrations():
 
 
 def test_mobility_value():
-    spec = ReactionSpec.law_of_mass_action((1.0, 2.0), (0.0, 3.0), 1.0, 0.1)
+    spec = ReactionSpec((1.0, 2.0), (0.0, 3.0), 1.0, 0.1)
     # eta = k_minus * u^0 * v^3
     assert reaction_mobility([1.0, 2.0], spec) == pytest.approx(0.8, rel=1e-15)
     with pytest.raises(PositivityViolation):
@@ -221,7 +212,7 @@ def test_mobility_value():
 
 
 def test_admissible_interval_values():
-    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
+    spec = ReactionSpec((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
     st = PointState(c0=np.array([0.3, 0.7]))
     lo, hi = admissible_interval(st, spec, eta_dt=0.05)
     # sigma = (-1, 1): hi caps at c0[0], lo at max(-eta_dt, -c0[1])
@@ -232,7 +223,7 @@ def test_admissible_interval_values():
 
 
 def test_admissible_interval_unbounded_above():
-    spec = ReactionSpec.law_of_mass_action((1.0,), (2.0,), 1.0, 1.0)  # sigma = (+1)
+    spec = ReactionSpec((1.0,), (2.0,), 1.0, 1.0)  # sigma = (+1)
     lo, hi = admissible_interval(PointState(c0=np.array([2.0])), spec, eta_dt=0.1)
     assert hi == math.inf
     assert lo == pytest.approx(-0.1)
@@ -251,7 +242,7 @@ def test_affinity_is_free_energy_derivative():
 
 def test_difference_quotient_oracle_value():
     """phi(p, 0) against 50-digit references, sigma = (-1, 1) and (-1/2, 1/2), U = 0."""
-    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
+    spec = ReactionSpec((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
     st = PointState(c0=np.array([1.0, 1.0]))
     val = energy_difference_quotient(0.2, 0.0, st, spec)
     assert val == pytest.approx(0.20135513550688873, abs=1e-15)
@@ -259,7 +250,7 @@ def test_difference_quotient_oracle_value():
     st = PointState(c0=np.array([1.0, 1e-12]))
     assert energy_difference_quotient(1e-9, 0.0, st, spec) == pytest.approx(
         -21.71535758133401, rel=1e-14)
-    half = ReactionSpec.law_of_mass_action((0.5, 0.0), (0.0, 0.5), 1.0, 1.0)
+    half = ReactionSpec((0.5, 0.0), (0.0, 0.5), 1.0, 1.0)
     assert energy_difference_quotient(1.5e-8, 0.0, st, half) == pytest.approx(
         -9.853519891329524, rel=1e-14)
 
@@ -280,7 +271,7 @@ def test_difference_quotient_matches_raw_quotient():
 
 
 def test_difference_quotient_coincidence_limit():
-    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
+    spec = ReactionSpec((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
     st = PointState(c0=np.array([1.0, 0.5]))
     p = 0.1
     assert energy_difference_quotient(p, p, st, spec) == pytest.approx(
@@ -292,7 +283,7 @@ def test_difference_quotient_coincidence_limit():
 
 
 def test_difference_quotient_rejects_outside_points():
-    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
+    spec = ReactionSpec((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
     st = PointState(c0=np.array([0.3, 0.7]))
     with pytest.raises(PositivityViolation):
         energy_difference_quotient(0.5, 0.0, st, spec)  # c1(0.5) < 0
@@ -349,7 +340,7 @@ def test_mobility_that_overflows_raises_invalid_input():
 
 def test_frozen_step_oracles():
     """Predictor and corrector against 50-digit references, cubic chemistry at (1,1)."""
-    spec = ReactionSpec.law_of_mass_action((1.0, 2.0), (0.0, 3.0), 1.0, 0.1)
+    spec = ReactionSpec((1.0, 2.0), (0.0, 3.0), 1.0, 0.1)
     st = PointState(c0=np.array([1.0, 1.0]))
     assert predictor_first_order(st, spec, 0.1) == pytest.approx(
         0.075892225344392717, abs=1e-14)
@@ -358,7 +349,7 @@ def test_frozen_step_oracles():
 
 
 def test_step_null_reaction_returns_zero():
-    spec = ReactionSpec.law_of_mass_action((1.0,), (1.0,), 1.0, 1.0)
+    spec = ReactionSpec((1.0,), (1.0,), 1.0, 1.0)
     st = PointState(c0=np.array([0.4]))
     assert reaction_step(st, spec, 0.3) == 0.0
     assert predictor_first_order(st, spec, 0.3) == 0.0
@@ -385,15 +376,15 @@ def test_step_properties_random_sweep():
 
 def test_equilibrium_is_a_fixed_point():
     # exchange with k+ = k- = 1 and U = 0 equilibrates at c1 == c2
-    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
+    spec = ReactionSpec((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
     st = PointState(c0=np.array([0.8, 0.8]))
     assert abs(reaction_step(st, spec, 0.5)) <= 1e-13
 
 
 def test_step_respects_tight_tolerance():
-    cases = [(ReactionSpec.law_of_mass_action((1.0, 2.0), (0.0, 3.0), 1.0, 0.1), (1.0, 1.0), 0.1)]
+    cases = [(ReactionSpec((1.0, 2.0), (0.0, 3.0), 1.0, 0.1), (1.0, 1.0), 0.1)]
     # fractional stoichiometry on a trace species: the root sits at |sigma R| >> c0[1]
-    half = ReactionSpec.law_of_mass_action((0.5, 0.0), (0.0, 0.5), 1.0, 1.0)
+    half = ReactionSpec((0.5, 0.0), (0.0, 0.5), 1.0, 1.0)
     cases += [(half, (1.0, 1e-12), dt) for dt in (3e-8, 1e-6)]
     for spec, c0, dt in cases:
         st = PointState(c0=np.array(c0))
@@ -409,7 +400,7 @@ def test_step_respects_tight_tolerance():
 
 
 def test_step_rejects_bad_dt():
-    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
+    spec = ReactionSpec((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
     st = PointState(c0=np.array([1.0, 1.0]))
     with pytest.raises(InvalidInput):
         reaction_step(st, spec, 0.0)
@@ -510,7 +501,7 @@ def test_stage_solves_a_species_whose_sigma_powers_underflow(alpha, beta, tiny):
     also where it is the only species that reacts."""
     from rdsplit.reaction import _scalar_stage, _solve_stage
 
-    spec = ReactionSpec.law_of_mass_action(alpha, np.array(beta) * tiny, 0.7, 1.3)
+    spec = ReactionSpec(alpha, np.array(beta) * tiny, 0.7, 1.3)
     vals = np.array([[0.5, 1.0, 2.0]] * spec.n_species)
     g = Grid(dim=1, n0=3)
     staged = reaction_stage([Field(g, v) for v in vals], spec, 0.1)
@@ -526,7 +517,7 @@ def test_stage_solves_a_species_whose_sigma_powers_underflow(alpha, beta, tiny):
 def test_stage_conserves_orthogonal_invariants():
     rng = np.random.default_rng(8)
     g = Grid(dim=2, n0=6)
-    spec = ReactionSpec.law_of_mass_action((1.0, 2.0), (0.0, 3.0), 1.0, 0.1)
+    spec = ReactionSpec((1.0, 2.0), (0.0, 3.0), 1.0, 0.1)
     fields = [Field(g, rng.uniform(0.2, 2.0, g.shape)) for _ in range(2)]
     out = reaction_stage(fields, spec, 0.05)
     # sigma = (-1, 1): u + v is pointwise invariant
@@ -536,7 +527,7 @@ def test_stage_conserves_orthogonal_invariants():
 
 def test_stage_counts_and_validation():
     g = Grid(dim=1, n0=4)
-    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
+    spec = ReactionSpec((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)
     fields = [Field.constant(g, 1.0), Field.constant(g, 0.5)]
     out, iters = reaction_stage_counted(fields, spec, 0.1)
     assert iters > 0
@@ -552,7 +543,7 @@ def test_stage_counts_and_validation():
 def test_null_reaction_stage_returns_copies_without_iterating():
     rng = np.random.default_rng(61)
     g = Grid(dim=2, n0=3)
-    spec = ReactionSpec.law_of_mass_action((1.0, 2.0), (1.0, 2.0), 1.0, 1.0)  # sigma = 0
+    spec = ReactionSpec((1.0, 2.0), (1.0, 2.0), 1.0, 1.0)  # sigma = 0
     fields = [Field(g, rng.uniform(0.5, 2.0, g.shape)) for _ in range(2)]
     out, iters = reaction_stage_counted(fields, spec, 0.1)
     assert iters == 0.0 and isinstance(iters, float)
@@ -562,8 +553,8 @@ def test_null_reaction_stage_returns_copies_without_iterating():
 
 
 @pytest.mark.parametrize("spec", [
-    ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 1.0, 1.0),
-    ReactionSpec.law_of_mass_action((1.0, 2.0), (1.0, 2.0), 1.0, 1.0),
+    ReactionSpec((1.0, 0.0), (0.0, 1.0), 1.0, 1.0),
+    ReactionSpec((1.0, 2.0), (1.0, 2.0), 1.0, 1.0),
 ], ids=["exchange", "null reaction"])
 def test_stage_names_the_first_nonpositive_entry_cell(spec):
     g = Grid(dim=2, n0=3)
@@ -577,7 +568,7 @@ def test_stage_names_the_first_nonpositive_entry_cell(spec):
 
 def test_predictor_large_dt_lands_near_equilibrium():
     """dt -> inf drives the predictor residual to the affinity root."""
-    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 2.0, 1.0)
+    spec = ReactionSpec((1.0, 0.0), (0.0, 1.0), 2.0, 1.0)
     st = PointState(c0=np.array([1.0, 0.5]))
     Rhat = predictor_first_order(st, spec, 1e8)
     c = st.c0 + spec.sigma * Rhat
@@ -586,7 +577,7 @@ def test_predictor_large_dt_lands_near_equilibrium():
 
 
 def test_repeated_steps_relax_to_equilibrium():
-    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 1.0), 2.0, 1.0)
+    spec = ReactionSpec((1.0, 0.0), (0.0, 1.0), 2.0, 1.0)
     c = np.array([1.0, 0.5])
     for _ in range(400):
         st = PointState(c0=c)
@@ -619,8 +610,7 @@ def test_quench_limit_raises_instead_of_accepting_bad_residual(monkeypatch):
 
     slope = rx._xlnx_slope
     monkeypatch.setattr(rx, "_xlnx_slope", counting)
-    spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
-                                           0.7252, 2.4492)
+    spec = ReactionSpec((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0), 0.7252, 2.4492)
     c0 = np.array([3.114, 2.4267, 2.7336, 2.384])
     g = Grid(dim=1, n0=1)
     iterations = []
@@ -651,8 +641,8 @@ def test_stage_result_does_not_depend_on_the_block_split(monkeypatch):
         alpha, beta = rng.uniform(0.0, 3.0, (2, nsp)) * (rng.random((2, nsp)) < 0.7)
         if np.array_equal(alpha, beta):
             beta[0] += 1.0
-        spec = ReactionSpec.law_of_mass_action(alpha, beta, float(rng.uniform(0.2, 3.0)),
-                                               float(rng.uniform(0.2, 3.0)))
+        spec = ReactionSpec(alpha, beta, float(rng.uniform(0.2, 3.0)),
+                            float(rng.uniform(0.2, 3.0)))
         g = Grid(dim=1, n0=int(rng.integers(33, 401)))
         vals = 10.0 ** rng.uniform(-8.0, math.log10(3.0), (spec.n_species, g.n0))
         fields = [Field(g, v) for v in vals]
@@ -687,8 +677,7 @@ def test_stage_failure_names_the_global_cell(monkeypatch):
     import rdsplit.reaction as rx
 
     monkeypatch.setattr(rx, "_BLOCK", 3)
-    spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
-                                           0.7252, 2.4492)
+    spec = ReactionSpec((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0), 0.7252, 2.4492)
     vals = np.ones((4, 10))
     vals[:, 7] = [3.114, 2.4267, 2.7336, 2.384]
     g = Grid(dim=1, n0=10)
@@ -884,7 +873,7 @@ def _oracle_case(rng, i):
     if np.array_equal(alpha, beta):
         beta[(j + 1) % nsp if nsp > 1 and i % 3 == 0 else 0] += 1.0
     k_plus, k_minus = (1.0, 1.0) if i % 4 == 1 else 10.0 ** rng.uniform(-2.0, 2.0, 2)
-    spec = ReactionSpec.law_of_mass_action(alpha, beta, k_plus, k_minus)
+    spec = ReactionSpec(alpha, beta, k_plus, k_minus)
     m = int(rng.integers(40, 200))
     c0 = 10.0 ** rng.uniform(-6.0, 0.5, (nsp, m))
     c0[:, :4] = 1.0
@@ -906,7 +895,7 @@ def _recipe_case(rng):
     dt = float(10.0 ** rng.uniform(-9.0, -1.0))
     if np.array_equal(alpha, beta):
         return None
-    return ReactionSpec.law_of_mass_action(alpha, beta, k_plus, k_minus), c0, dt
+    return ReactionSpec(alpha, beta, k_plus, k_minus), c0, dt
 
 
 def test_in_place_stage_matches_the_reference_bitwise(monkeypatch):
@@ -1022,8 +1011,7 @@ def test_in_place_stage_fails_like_the_reference(monkeypatch, case):
                             "iteration cap": (2, 5.112318179521676),
                             "overflow": (0, None)}[case]
     if case == "collapse":  # the quench input at cell 7, in blocks of 3 cells
-        spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
-                                               0.7252, 2.4492)
+        spec = ReactionSpec((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0), 0.7252, 2.4492)
         c0 = np.ones((4, 10))
         c0[:, 7] = [3.114, 2.4267, 2.7336, 2.384]
         dt, block = 0.02, 3
@@ -1032,7 +1020,7 @@ def test_in_place_stage_fails_like_the_reference(monkeypatch, case):
         monkeypatch.setattr(rx, "_MAX_ITER", 2)
         monkeypatch.setitem(globals(), "_MAX_ITER", 2)
     else:  # eta dt overflows in the predictor at cell 0, in the corrector at cell 1
-        spec = ReactionSpec.law_of_mass_action((1.0,), (2.0,), 1e300, 1.0)
+        spec = ReactionSpec((1.0,), (2.0,), 1e300, 1.0)
         c0, dt, block = np.array([[1e200, 1.0]]), 1e10, 1
     monkeypatch.setattr(rx, "_BLOCK", block)
     got = _stage_outcome(lambda: rx._solve_stage(c0, spec, dt))
@@ -1153,7 +1141,7 @@ def _solve_three_ways(spec, c0, dt):
 
 def test_underflowing_eta_dt_gives_a_zero_root():
     """eta*dt = k- prod c^beta dt underflows and so does the root: R = 0 on every path."""
-    spec = ReactionSpec.law_of_mass_action((2.0, 2.0, 3.0), (3.0, 2.0, 3.0), 1.0, 1e-6)
+    spec = ReactionSpec((2.0, 2.0, 3.0), (3.0, 2.0, 3.0), 1.0, 1e-6)
     c0 = (6e-54, 3e-61, 4e-160)
     R, Rhat, staged = _solve_three_ways(spec, c0, 1e-4)
     assert R == 0.0 and Rhat == 0.0
@@ -1162,7 +1150,7 @@ def test_underflowing_eta_dt_gives_a_zero_root():
 
 def test_underflowing_eta_dt_with_an_ordinary_root():
     """eta*dt underflows, but the root is an ordinary number; the log-gap solve finds it."""
-    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 2.0), 1.0, 1e-6)
+    spec = ReactionSpec((1.0, 0.0), (0.0, 2.0), 1.0, 1e-6)
     c0 = (1.0, 1e-200)
     assert reaction_mobility(c0, spec) * 1e-3 == 0.0
     R, Rhat, staged = _solve_three_ways(spec, c0, 1e-3)
@@ -1175,9 +1163,9 @@ def test_underflowing_eta_dt_with_an_ordinary_root():
 
 @pytest.mark.parametrize("spec, c0, dt, R_ref", [
     # R + eta0 dt is about 6.7e-6 eta0 dt, far below the ulp of eta0 dt in R
-    (ReactionSpec.law_of_mass_action((1.0, 2.0), (2.0, 0.0), 2.621, 0.3665),
+    (ReactionSpec((1.0, 2.0), (2.0, 0.0), 2.621, 0.3665),
      (5.635e-8, 2.303e-7), 8.143e-6, -9.476398847e-21),
-    (ReactionSpec.law_of_mass_action((2.0, 1.0), (2.0, 0.0), 0.9555, 2.617),
+    (ReactionSpec((2.0, 1.0), (2.0, 0.0), 0.9555, 2.617),
      (0.09912, 2.356e-6), 5.68e-7, -1.460408225e-8),
 ], ids=["A+2B", "2A+B"])
 def test_roots_next_to_minus_eta_dt(spec, c0, dt, R_ref):
@@ -1193,7 +1181,7 @@ def test_roots_next_to_minus_eta_dt(spec, c0, dt, R_ref):
 
 def test_trace_species_stage_raises_no_floating_point_warning():
     """The series of the x ln x slope runs only where it applies; elsewhere t ~ 4e52."""
-    spec = ReactionSpec.law_of_mass_action((2.0, 0.5), (0.0, 1.0), 1.0, 0.25)
+    spec = ReactionSpec((2.0, 0.5), (0.0, 1.0), 1.0, 0.25)
     c0 = (4e-48, 1e-293)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1209,7 +1197,7 @@ def test_trace_species_stage_raises_no_floating_point_warning():
 def test_overflowing_eta_dt_raises_nonconvergence(c0, label):
     """log(eta dt) above the log of the largest double raises the stage's typed error
     before any residual is evaluated, and without a floating-point warning."""
-    spec = ReactionSpec.law_of_mass_action((1.0,), (2.0,), 1e300, 1.0)
+    spec = ReactionSpec((1.0,), (2.0,), 1e300, 1.0)
     st = PointState(np.array(c0))
     solves = [lambda: reaction_step(st, spec, 1e10),
               lambda: reaction_stage([Field.constant(Grid(dim=1, n0=1), c0[0])], spec, 1e10)]
@@ -1226,7 +1214,7 @@ def test_overflowing_eta_dt_raises_nonconvergence(c0, label):
 def test_overflowing_gap_variable_counts_as_an_infinite_residual():
     """Iterates where P = eta dt e^y overflows give g = +inf on the scalar path, as on
     the vector path; the scalar solve used to raise a bare OverflowError there."""
-    spec = ReactionSpec.law_of_mass_action((1.0, 0.0), (0.0, 2.0), 1e133, 1e101)
+    spec = ReactionSpec((1.0, 0.0), (0.0, 2.0), 1e133, 1e101)
     c0 = (1e268, 1e-106)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1284,14 +1272,13 @@ _COEF = hst.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0))
 def test_steps_stay_inside_the_affinity_bound(species, log_k, log_dt):
     alpha, beta, log_c0 = (np.array(v) for v in zip(*species))
     assume(not np.array_equal(alpha, beta))
-    spec = ReactionSpec.law_of_mass_action(alpha, beta, 10.0 ** log_k[0], 10.0 ** log_k[1])
+    spec = ReactionSpec(alpha, beta, 10.0 ** log_k[0], 10.0 ** log_k[1])
     _check_affinity_bound(spec, 10.0 ** log_c0, 10.0 ** log_dt)
 
 
 def test_affinity_bound_margin_reproducer():
     """The root sits within rounding of the R-space bound eta dt expm1(-A0)."""
-    spec = ReactionSpec.law_of_mass_action((0.0, 1.0, 0.0, 2.0), (2.0, 2.0, 0.5, 0.5),
-                                           0.5866, 2.953)
+    spec = ReactionSpec((0.0, 1.0, 0.0, 2.0), (2.0, 2.0, 0.5, 0.5), 0.5866, 2.953)
     c0 = (3.657e-4, 3.429e-4, 3.129e-4, 3.507e-11)
     assert _check_affinity_bound(spec, c0, 3.16e-4) == 2
     R = reaction_step(PointState(np.array(c0)), spec, 3.16e-4)
@@ -1304,7 +1291,7 @@ def test_affinity_bound_margin_reproducer():
 
 def test_affinity_bound_brackets_one_sided_production():
     """A <-> 2A consumes nothing, so -A0 alone bounds the root from above."""
-    spec = ReactionSpec.law_of_mass_action((1.0,), (2.0,), 3.0, 0.5)
+    spec = ReactionSpec((1.0,), (2.0,), 3.0, 0.5)
     st = PointState(np.array([0.1]))
     assert _check_affinity_bound(spec, st.c0, 10.0) == 2
     R = reaction_step(st, spec, 10.0)
@@ -1416,7 +1403,7 @@ def test_point_api_returns_finite_values_or_raises_typed_errors(species, rates, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            spec = ReactionSpec.law_of_mass_action(alpha, beta, *rates)
+            spec = ReactionSpec(alpha, beta, *rates)
         except InvalidInput:
             reject()  # alpha == beta with unequal rates
         if not inside:

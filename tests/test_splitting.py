@@ -23,7 +23,7 @@ from rdsplit.splitting import strang_step_counted
 
 
 def _two_species_system(rng, grid, u_law=None, v_law=None):
-    spec = ReactionSpec.law_of_mass_action([1.0, 0.0], [0.0, 1.0], 1.0, 1.0)
+    spec = ReactionSpec([1.0, 0.0], [0.0, 1.0], 1.0, 1.0)
     u0 = Field(grid, rng.uniform(0.5, 2.0, grid.shape))
     v0 = Field(grid, rng.uniform(0.5, 2.0, grid.shape))
     return SystemSpec(grid=grid, species=[
@@ -37,7 +37,7 @@ def _two_species_system(rng, grid, u_law=None, v_law=None):
 
 def test_system_spec_validation():
     g = Grid(dim=1, n0=8)
-    spec = ReactionSpec.law_of_mass_action([1.0, 0.0], [0.0, 1.0], 1.0, 1.0)
+    spec = ReactionSpec([1.0, 0.0], [0.0, 1.0], 1.0, 1.0)
     u0 = Field.constant(g, 1.0)
     with pytest.raises(InvalidInput):
         SystemSpec(grid=g, species=[Species("u", DiffusionLaw.none(), u0)], reaction=spec)
@@ -57,13 +57,13 @@ def test_system_spec_validation():
 
 
 def test_conserved_basis_exchange():
-    spec = ReactionSpec.law_of_mass_action([1.0, 0.0], [0.0, 1.0], 1.0, 1.0)
+    spec = ReactionSpec([1.0, 0.0], [0.0, 1.0], 1.0, 1.0)
     (e,) = conserved_basis(spec)
     np.testing.assert_array_equal(e, [1.0, 1.0])
 
 
 def test_conserved_basis_cubic():
-    spec = ReactionSpec.law_of_mass_action([1.0, 2.0], [0.0, 3.0], 1.0, 0.1)
+    spec = ReactionSpec([1.0, 2.0], [0.0, 3.0], 1.0, 0.1)
     (e,) = conserved_basis(spec)  # sigma = (-1, 1)
     np.testing.assert_array_equal(e, [1.0, 1.0])
     assert float(e @ spec.sigma) == 0.0
@@ -71,7 +71,7 @@ def test_conserved_basis_cubic():
 
 def test_conserved_basis_with_spectator_and_ratios():
     # sigma = (-2, 3, 0): basis {(3, 2, 0), (0, 0, 1)}
-    spec = ReactionSpec.law_of_mass_action([2.0, 0.0, 1.0], [0.0, 3.0, 1.0], 1.0, 1.0)
+    spec = ReactionSpec([2.0, 0.0, 1.0], [0.0, 3.0, 1.0], 1.0, 1.0)
     basis = conserved_basis(spec)
     assert len(basis) == 2
     for e in basis:
@@ -83,13 +83,13 @@ def test_conserved_basis_with_spectator_and_ratios():
 
 
 def test_conserved_basis_null_reaction_is_identity():
-    spec = ReactionSpec.law_of_mass_action([1.0, 1.0], [1.0, 1.0], 1.0, 1.0)
+    spec = ReactionSpec([1.0, 1.0], [1.0, 1.0], 1.0, 1.0)
     basis = conserved_basis(spec)
     np.testing.assert_array_equal(np.stack(basis), np.eye(2))
 
 
 def test_conserved_basis_single_species_autocatalysis():
-    spec = ReactionSpec.law_of_mass_action([1.0], [2.0], 1.0, 1.0)
+    spec = ReactionSpec([1.0], [2.0], 1.0, 1.0)
     assert conserved_basis(spec) == []
 
 
@@ -185,8 +185,7 @@ def test_strang_step_tags_failing_stage():
 
     # the quench-limit chemistry of test_reaction: its half step dt/2 = 0.02
     # has no representable root
-    spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
-                                           0.7252, 2.4492)
+    spec = ReactionSpec((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0), 0.7252, 2.4492)
     g = Grid(dim=1, n0=1)
     c0 = (3.114, 2.4267, 2.7336, 2.384)
     sysspec = SystemSpec(grid=g, species=[

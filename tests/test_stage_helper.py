@@ -124,8 +124,7 @@ def test_both_halves_of_a_stage_return_one_count_type(sent, monkeypatch):
 
 def _quench_stage(failing):
     """The quench input of tests/test_reaction.py at the failing cells of a 10-cell grid."""
-    spec = ReactionSpec.law_of_mass_action((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0),
-                                           0.7252, 2.4492)
+    spec = ReactionSpec((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 2.0, 2.0), 0.7252, 2.4492)
     vals = np.ones((4, 10))
     vals[:, failing] = np.array([3.114, 2.4267, 2.7336, 2.384])[:, None]
     g = Grid(dim=1, n0=10)
