@@ -286,8 +286,7 @@ def read_field_csv(path) -> Field:
                 grid = Grid(dim=dim, n0=n0, lower=lower, upper=upper)
             except InvalidInput as e:
                 raise InvalidInput(f"{path}: {e}") from e
-            values = np.empty(grid.shape)
-            seen = np.zeros(grid.shape, dtype=bool)
+            cells = {}  # cell index -> value; grows with the rows, not with the header
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
@@ -296,18 +295,24 @@ def read_field_csv(path) -> Field:
                     if len(parts) != 2 * dim + 1:
                         raise ValueError(f"expected {2 * dim + 1} columns, got {len(parts)}")
                     idx = tuple(int(i) for i in parts[:dim])
-                    if not all(0 <= i < n0 for i in idx) or seen[idx]:
+                    if not all(0 <= i < n0 for i in idx) or idx in cells:
                         raise ValueError(f"cell {idx} is outside the grid or repeated")
                     value = float(parts[-1])
                     if not np.isfinite(value):
                         raise ValueError(f"value {parts[-1].strip()!r} is not finite")
-                    values[idx] = value
                 except ValueError as e:
                     raise InvalidInput(f"{path}:{lineno}: {e}") from e
-                seen[idx] = True
+                cells[idx] = value
     except UnicodeDecodeError as e:
         raise InvalidInput(f"{path}: not UTF-8 text ({e.reason})") from e
-    if not seen.all():
-        missing = tuple(int(i) for i in np.argwhere(~seen)[0])
-        raise InvalidInput(f"{path}: {int((~seen).sum())} cells have no row, first {missing}")
+    if len(cells) < grid.n_cells:  # before any array of the header's size exists
+        for k in range(grid.n_cells):  # at most len(cells) + 1 turns
+            missing = tuple(int(i) for i in np.unravel_index(k, grid.shape))
+            if missing not in cells:
+                break
+        raise InvalidInput(f"{path}: {grid.n_cells - len(cells)} cells have no row, "
+                           f"first {missing}")
+    values = np.empty(grid.shape)
+    for idx, value in cells.items():
+        values[idx] = value
     return Field(grid, values)

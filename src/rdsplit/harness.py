@@ -315,16 +315,25 @@ def write_resolved_config(cfg: ExperimentConfig, path) -> None:
 def exact_ode_solution(t: float, alpha: float, c0) -> np.ndarray:
     """Exact solution of the linear exchange c1' = c2 - alpha c1, c2' = -c1'.
 
-    Relaxes to ``c1_inf = (c1 + c2)/(alpha + 1)`` at rate ``alpha + 1``.
+    Relaxes to ``c1_inf = (c1 + c2)/(alpha + 1)`` at rate ``alpha + 1``. Needs
+    a finite t >= 0 and finite positive alpha and concentrations; a solution
+    that leaves the doubles, such as a ``c1_inf`` that underflows to 0 or a
+    total that overflows, raises InvalidInput too.
     """
     if np.shape(c0) != (2,):
         raise InvalidInput(f"c0 must hold two concentrations, got shape {np.shape(c0)}")
-    c1_0, c2_0 = float(c0[0]), float(c0[1])
-    if not (alpha > 0 and c1_0 > 0 and c2_0 > 0):
-        raise InvalidInput("alpha and initial concentrations must be positive")
+    t, alpha, c1_0, c2_0 = float(t), float(alpha), float(c0[0]), float(c0[1])
+    if not (0 <= t < math.inf and all(0 < x < math.inf for x in (alpha, c1_0, c2_0))):
+        raise InvalidInput("t must be finite and nonnegative, alpha and initial "
+                           "concentrations finite and positive")
     total = c1_0 + c2_0
     c1_inf = total / (alpha + 1.0)
-    c1 = (1.0 + (c1_0 / c1_inf - 1.0) * math.exp(-(alpha + 1.0) * t)) * c1_inf
+    c1 = math.nan
+    if 0 < c1_inf < math.inf:
+        c1 = (1.0 + (c1_0 / c1_inf - 1.0) * math.exp(-(alpha + 1.0) * t)) * c1_inf
+    if not math.isfinite(c1):  # then c1_inf, total and total - c1 are finite too
+        raise InvalidInput(f"the exact solution at t = {t!r} for alpha = {alpha!r}, "
+                           f"c0 = ({c1_0!r}, {c2_0!r}) leaves the doubles")
     return np.array([c1, total - c1])
 
 
@@ -338,12 +347,20 @@ def weighted_order(e_coarse: float, e_fine: float,
     ``A* = (1 - h^2/h_prev^2)/(1 - h_next^2/h^2)`` at p = 2; dividing it out
     and taking logs recovers p exactly for exactly-second-order data.
     """
-    if not (h_prev > h > h_next > 0):
-        raise InvalidInput("spacings must be strictly decreasing and positive")
-    if not (e_coarse > 0 and e_fine > 0):
-        raise InvalidInput("differences must be positive")
-    a_star = (1.0 - h ** 2 / h_prev ** 2) / (1.0 - h_next ** 2 / h ** 2)
-    return math.log((e_coarse / e_fine) / a_star) / math.log(h_prev / h)
+    e_coarse, e_fine, h_prev, h, h_next = map(float, (e_coarse, e_fine, h_prev, h, h_next))
+    if not (math.inf > h_prev > h > h_next > 0):
+        raise InvalidInput("spacings must be finite, strictly decreasing and positive")
+    if not (0 < e_coarse < math.inf and 0 < e_fine < math.inf):
+        raise InvalidInput("differences must be finite and positive")
+    try:
+        a_star = (1.0 - h ** 2 / h_prev ** 2) / (1.0 - h_next ** 2 / h ** 2)
+        order = math.log((e_coarse / e_fine) / a_star) / math.log(h_prev / h)
+    except (ArithmeticError, ValueError):  # an overflow, a zero divisor, a log of 0
+        order = math.nan
+    if not math.isfinite(order):
+        raise InvalidInput(f"differences {e_coarse!r}, {e_fine!r} on spacings {h_prev!r}, "
+                           f"{h!r}, {h_next!r} give no finite order")
+    return order
 
 
 def _trig_eval_matrix(n_src: int, n_dst: int, lower: float, span: float) -> np.ndarray:
@@ -420,27 +437,27 @@ def cubic_autocatalysis_system(grid: Grid, alpha_exp: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners: each runs straight through, checking the config's kind,
+# then making every other check and building every value the run needs, and
+# only then creating the output directory, running and writing; so a config
+# that fails a check leaves the output directory as it was
 
 
-def _prepare(cfg: ExperimentConfig, kind: str, out_dir, setup=lambda out: None):
-    """Check the config's kind, run ``setup(out)``, then create ``out``; return both.
-
-    ``out`` is ``Path(out_dir)`` or None. ``setup`` makes the runner's own
-    checks, so no directory is created for a config that fails one. An
-    ``out`` that cannot be made a directory, such as one that is a file or
-    lies under one, raises InvalidInput.
-    """
+def _check_kind(cfg: ExperimentConfig, kind: str) -> None:
     if cfg.kind != kind:
         raise InvalidInput(f"kind = {cfg.kind!r} does not match {kind!r}")
-    out = None if out_dir is None else Path(out_dir)
-    prepared = setup(out)
-    if out is not None:
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise InvalidInput(f"{out}: cannot create output directory ({e.strerror})") from e
-    return prepared, out
+
+
+def _make_dir(out_dir) -> Path | None:
+    """``Path(out_dir)``, created, or None without one; InvalidInput where it cannot be."""
+    if out_dir is None:
+        return None
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InvalidInput(f"{out}: cannot create output directory ({e.strerror})") from e
+    return out
 
 
 def run_ode_convergence(cfg: ExperimentConfig, out_dir=None) -> list[ConvergenceRow]:
@@ -450,39 +467,34 @@ def run_ode_convergence(cfg: ExperimentConfig, out_dir=None) -> list[Convergence
     sub-steps per step, exactly what the full splitting does when no species
     diffuses; errors are measured against the exact solution in max norm.
     """
-    def setup(out):
-        return [(dt, steps_for(cfg["ode.t_end"], dt)) for dt in cfg["ode.dt"]]
-
-    ladder, out_dir = _prepare(cfg, "ode_convergence", out_dir, setup)
-    alpha, t_end = cfg["ode.alpha"], cfg["ode.t_end"]
+    _check_kind(cfg, "ode_convergence")
+    alpha, t_end, dts = cfg["ode.alpha"], cfg["ode.t_end"], cfg["ode.dt"]
+    steps = [steps_for(t_end, dt) for dt in dts]
     c_init = np.array(cfg["ode.c0"], dtype=float)
     spec = ReactionSpec([1.0, 0.0], [0.0, 1.0], alpha, 1.0)
     exact = exact_ode_solution(t_end, alpha, c_init)
+    out_dir = _make_dir(out_dir)
 
-    errors = []
-    for dt, n_steps in ladder:
+    rows = []
+    for k, (dt, n_steps) in enumerate(zip(dts, steps)):
         c = c_init.copy()
         for _ in range(n_steps):
             for _ in range(2):
                 R = reaction_step(PointState(c), spec, dt / 2)
                 c = c + spec.sigma * R
-        errors.append(float(np.max(np.abs(c - exact))))
-
-    rows = []
-    dts = cfg["ode.dt"]
-    for k, dt in enumerate(dts):
+        error = float(np.max(np.abs(c - exact)))
         order = None
-        if k > 0 and errors[k - 1] > 0 and errors[k] > 0:
-            order = math.log(errors[k - 1] / errors[k]) / math.log(dts[k - 1] / dts[k])
-        rows.append(ConvergenceRow(label=f"dt={dt:.6g}", error=errors[k], order=order))
+        if k > 0 and rows[-1].error > 0 and error > 0:
+            order = math.log(rows[-1].error / error) / math.log(dts[k - 1] / dt)
+        rows.append(ConvergenceRow(label=f"dt={dt:.6g}", error=error, order=order))
     if out_dir is not None:
         write_convergence_csv(rows, out_dir / "ode_convergence.csv")
     return rows
 
 
-def _autocatalysis_systems(cfg: ExperimentConfig, section: str, h: float, alpha_exps
-                           ) -> list[SystemSpec]:
-    """One autocatalysis system per exponent on the grid of mesh size h, rates from section.
+def _autocatalysis_system(cfg: ExperimentConfig, section: str, h: float, alpha_exp: int
+                          ) -> SystemSpec:
+    """The autocatalysis system on the grid of mesh size h, with the rates of section.
 
     The keys of _SYSTEM_KEYS are the keyword arguments of cubic_autocatalysis_system.
     """
@@ -491,7 +503,7 @@ def _autocatalysis_systems(cfg: ExperimentConfig, section: str, h: float, alpha_
         raise InvalidConfig(f"h = {h} does not tile the domain (-1, 1)", key=f"{section}.h")
     grid = Grid(dim=2, n0=n0, lower=-1.0, upper=1.0)
     rates = {key: cfg[f"{section}.{key}"] for key in _SYSTEM_KEYS}
-    return [cubic_autocatalysis_system(grid, a, **rates) for a in alpha_exps]
+    return cubic_autocatalysis_system(grid, alpha_exp, **rates)
 
 
 def _cauchy_fields(system: SystemSpec, t_end: float) -> list[Field]:
@@ -510,38 +522,28 @@ def run_cauchy_convergence(cfg: ExperimentConfig, out_dir=None, threads: int = 1
     pollute a second-order difference); orders use the weighted formula that
     accounts for non-halved spacings.
     """
-    def setup(out):
-        if threads < 1:
-            raise InvalidInput(f"threads must be at least 1, got {threads}")
-        alpha_exp = [cfg["cauchy.alpha_exp"]]
-        systems = [_autocatalysis_systems(cfg, "cauchy", h, alpha_exp)[0] for h in cfg["cauchy.h"]]
-        for system in systems:  # the step counts of _cauchy_fields, before any level runs
-            steps_for(cfg["cauchy.t_end"], system.grid.h)
-        return systems
-
-    systems, out_dir = _prepare(cfg, "cauchy_convergence", out_dir, setup)
+    _check_kind(cfg, "cauchy_convergence")
+    if threads < 1:
+        raise InvalidInput(f"threads must be at least 1, got {threads}")
     hs, t_end = cfg["cauchy.h"], cfg["cauchy.t_end"]
+    systems = [_autocatalysis_system(cfg, "cauchy", h, cfg["cauchy.alpha_exp"]) for h in hs]
+    for system in systems:  # the step counts of _cauchy_fields, before any level runs
+        steps_for(t_end, system.grid.h)
+    out_dir = _make_dir(out_dir)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         solutions = list(pool.map(lambda system: _cauchy_fields(system, t_end), systems))
 
-    names = ["u", "v"]
-    diffs = {name: [] for name in names}
-    for j in range(len(hs) - 1):
-        coarse, fine = solutions[j], solutions[j + 1]
-        for i, name in enumerate(names):
-            restricted = resample_spectral(fine[i], systems[j].grid)
-            diffs[name].append(float(np.max(np.abs(restricted.values - coarse[i].values))))
-
     tables = {}
-    for name in names:
+    for i, name in enumerate(["u", "v"]):
         rows = []
         for j in range(len(hs) - 1):
+            restricted = resample_spectral(solutions[j + 1][i], systems[j].grid)
+            error = float(np.max(np.abs(restricted.values - solutions[j][i].values)))
             order = None
             if j > 0:
-                order = weighted_order(diffs[name][j - 1], diffs[name][j],
-                                       hs[j - 1], hs[j], hs[j + 1])
-            rows.append(ConvergenceRow(
-                label=f"{hs[j]:.6g}:{hs[j + 1]:.6g}", error=diffs[name][j], order=order))
+                order = weighted_order(rows[-1].error, error, hs[j - 1], hs[j], hs[j + 1])
+            rows.append(ConvergenceRow(label=f"{hs[j]:.6g}:{hs[j + 1]:.6g}", error=error,
+                                       order=order))
         tables[name] = rows
         if out_dir is not None:
             write_convergence_csv(rows, out_dir / f"cauchy_{name}.csv")
@@ -552,7 +554,7 @@ def _snapshot_observers(cfg: ExperimentConfig, section: str, system: SystemSpec,
                         tag: str = "") -> dict:
     """Observers writing each species to ``out/<name><tag>_t<t>.csv`` at ``<section>.snapshots``.
 
-    None without an output directory. Raises InvalidInput unless dt divides t_end, with or
+    Empty without an output directory. Raises InvalidInput unless dt divides t_end, with or
     without one, and InvalidConfig for a time after ``<section>.t_end`` or two times whose
     ``<t>`` is the same (``f"{t:g}"``), where the later file would replace the earlier.
     """
@@ -560,6 +562,7 @@ def _snapshot_observers(cfg: ExperimentConfig, section: str, system: SystemSpec,
     n_steps = steps_for(t_end, dt)
     if out is None:
         return {}
+    out = Path(out)
     observers, named = {}, {}
     for t_snap in cfg[key]:
         k = steps_for(t_snap, dt)
@@ -586,17 +589,15 @@ def run_energy_trace(cfg: ExperimentConfig, out_dir=None) -> dict[int, RunReport
     Runs once per requested power-law exponent, records the full per-step
     report (energy included) and writes snapshot CSVs at the configured times.
     """
-    def setup(out):
-        alphas = cfg["trace.alpha_exp"]
-        systems = _autocatalysis_systems(cfg, "trace", cfg["trace.h"], alphas)
-        return [(a, system, _snapshot_observers(cfg, "trace", system, out, f"_alpha{a}"))
-                for a, system in zip(alphas, systems)]
-
-    runs, out_dir = _prepare(cfg, "energy_trace", out_dir, setup)
+    _check_kind(cfg, "energy_trace")
+    runs = []
+    for a in cfg["trace.alpha_exp"]:
+        system = _autocatalysis_system(cfg, "trace", cfg["trace.h"], a)
+        runs.append((a, system, _snapshot_observers(cfg, "trace", system, out_dir, f"_alpha{a}")))
+    out_dir = _make_dir(out_dir)
     reports = {}
     for a, system, observers in runs:
-        report = run(system, cfg["trace.dt"], cfg["trace.t_end"], observers=observers)
-        reports[a] = report
+        reports[a] = report = run(system, cfg["trace.dt"], cfg["trace.t_end"], observers=observers)
         if out_dir is not None:
             report.to_csv(out_dir / f"energy_alpha{a}.csv")
     return reports
@@ -620,11 +621,10 @@ def _single_run_system(cfg: ExperimentConfig) -> SystemSpec:
 
 def run_single(cfg: ExperimentConfig, out_dir=None) -> RunReport:
     """One plain run of a configured system; writes report.csv and snapshots."""
-    def setup(out):
-        system = _single_run_system(cfg)
-        return system, _snapshot_observers(cfg, "run", system, out)
-
-    (system, observers), out_dir = _prepare(cfg, "single_run", out_dir, setup)
+    _check_kind(cfg, "single_run")
+    system = _single_run_system(cfg)
+    observers = _snapshot_observers(cfg, "run", system, out_dir)
+    out_dir = _make_dir(out_dir)
     report = run(system, cfg["run.dt"], cfg["run.t_end"], observers=observers)
     if out_dir is not None:
         report.to_csv(out_dir / "report.csv")

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from rdsplit.cli import main
 
@@ -119,6 +124,36 @@ def test_runner_rejection_leaves_out_untouched(tmp_path, capsys, command, text, 
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert why in capsys.readouterr().err
     assert list(out.iterdir()) == [] if existing else not out.exists()
+
+
+_LOG_UNIFORM = hst.floats(math.log10(1e-310), 308.0).map(lambda e: 10.0 ** e)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(alpha=_LOG_UNIFORM, c0=hst.tuples(_LOG_UNIFORM, _LOG_UNIFORM))
+@example(alpha=8.7e120, c0=(3.4e-307, 1.4e-286))  # c1_inf underflows to 0
+@example(alpha=2.0, c0=(1e308, 1e308))  # c1 + c2 overflows
+def test_ode_convergence_exits_0_2_or_3_and_keeps_its_contract(tmp_path_factory, alpha, c0):
+    """Any positive rate and concentrations on a three-level dt ladder: exit 0 with
+    finite numbers only, or one stderr line, with --out untouched on exit 2. The
+    exact reference used to be formed after --out existed, and the two examples
+    ended in a ZeroDivisionError traceback and in a CSV of nan."""
+    work = tmp_path_factory.mktemp("ode")
+    cfg = _write(work, f"{ODE_CFG}ode.alpha = {alpha!r}\node.c0 = {c0[0]!r}, {c0[1]!r}\n")
+    out = work / "out"
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["ode-convergence", "--config", cfg, "--out", str(out)])
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        csv = (out / "ode_convergence.csv").read_text().lower()
+        assert "nan" not in csv and "inf" not in csv, csv
+    else:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    if code == 2:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -312,14 +312,19 @@ def _header(lines, **tokens):
      "field.csv:4: value '1e400' is not finite"),
     (lambda lines: lines[:3] + ["0,2,0.5,0.5,-inf"] + lines[4:],
      "field.csv:4: value '-inf' is not finite"),
+    (lambda lines: _header(lines, n0=2 ** 30 - 1),
+     "field.csv: 1152921502459363313 cells have no row, first (0, 4)"),
 ], ids=["cut short", "index past n0", "negative index", "repeated cell", "missing column",
         "bad value", "bad index", "header without lower", "header n0 not a number",
         "header token without =", "header with two boxes", "header with one bound",
         "header with three bounds", "header dim 3", "header n0 0", "header empty box",
-        "header too many cells", "nan value", "overflowing value", "infinite value"])
+        "header too many cells", "nan value", "overflowing value", "infinite value",
+        "header of more cells than rows"])
 def test_read_field_csv_rejects_all_but_one_row_per_cell(tmp_path, mangle, message):
     """A file cut short used to read back whatever np.empty held for the missing cells.
-    Every refusal names the file: the grid's own and a non-finite value's included."""
+    Every refusal names the file: the grid's own and a non-finite value's included.
+    A header of (2^30 - 1)^2 cells over 16 rows used to make numpy allocate 8 EiB
+    (MemoryError); the reader now holds only the rows it has read."""
     p = _mangled_field_csv(tmp_path, mangle)
     with pytest.raises(InvalidInput, match=re.escape(message)) as info:
         read_field_csv(p)

@@ -1,14 +1,18 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from rdsplit import (
     Field,
     Grid,
     InvalidConfig,
     InvalidInput,
+    RdsplitError,
     cubic_autocatalysis_system,
     exact_ode_solution,
     parse_config,
@@ -283,6 +287,47 @@ def test_weighted_order_validation():
         weighted_order(1e-3, 1e-4, 1 / 30, 1 / 20, 1 / 40)
     with pytest.raises(InvalidInput):
         weighted_order(0.0, 1e-4, 1 / 20, 1 / 30, 1 / 40)
+
+
+# any double, or a positive one of any size, subnormal and past 1e308 included
+_DOUBLE = hst.one_of(hst.floats(), hst.floats(-325.0, 308.25).map(lambda x: 10.0 ** x))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(t=_DOUBLE, alpha=_DOUBLE, c0=hst.tuples(_DOUBLE, _DOUBLE),
+       e=hst.tuples(_DOUBLE, _DOUBLE),
+       hs=hst.lists(_DOUBLE, min_size=3, max_size=3).map(lambda v: sorted(v, reverse=True)),
+       scalar=hst.sampled_from([float, np.float64]))
+# ZeroDivisionError (c1_inf underflows to 0), ValueError (log of 0)
+@example(t=1.0, alpha=8.7e120, c0=(3.4e-307, 1.4e-286), e=(1e-320, 1e300), hs=[3, 2, 1],
+         scalar=float)
+# ZeroDivisionError (alpha + 1 is inf), OverflowError (h_prev ** 2)
+@example(t=1.0, alpha=math.inf, c0=(1.0, 0.5), e=(1.0, 0.5), hs=[1e308, 1e-300, 1e-308],
+         scalar=float)
+# [inf, nan] (c1 + c2 overflows), inf (an infinite difference)
+@example(t=1.0, alpha=2.0, c0=(1e308, 1e308), e=(math.inf, 1.0), hs=[3, 2, 1], scalar=float)
+# [nan, nan] (t is nan), -0.0 (an infinite spacing)
+@example(t=math.nan, alpha=2.0, c0=(1.0, 0.5), e=(1.0, 1.0), hs=[math.inf, 2, 1],
+         scalar=float)
+# a RuntimeWarning (h_prev ** 2 overflows in numpy)
+@example(t=1.0, alpha=2.0, c0=(1.0, 0.5), e=(1.0, 0.5), hs=[1e308, 1e-300, 1e-308],
+         scalar=np.float64)
+def test_reference_and_order_return_finite_values_or_raise_typed_errors(
+        t, alpha, c0, e, hs, scalar):
+    """exact_ode_solution and weighted_order return finite values or raise an
+    RdsplitError, never a Python exception or a warning, for Python and numpy
+    scalars alike; each example used to raise the exception or return the value
+    its comment names, and numpy scalars made weighted_order warn on overflow."""
+    t, alpha = scalar(t), scalar(alpha)
+    c0, e, hs = ([scalar(x) for x in v] for v in (c0, e, hs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: exact_ode_solution(t, alpha, c0), lambda: weighted_order(*e, *hs)):
+            try:
+                value = call()
+            except RdsplitError:
+                continue
+            assert np.isfinite(value).all(), value
 
 
 def test_resample_spectral_exact_on_resolved_modes():
