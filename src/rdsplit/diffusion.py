@@ -268,7 +268,8 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
     x = rho_hat.values
     rho_ref = max(1.0, float(np.abs(rn).max()))
     tol, cap = _NEWTON_TOL * rho_ref, np.sqrt(_EPS) * rho_ref
-    reach = dt / grid.h ** 2 * _face_sum(faces)
+    with np.errstate(over="ignore"):  # a roundoff estimate only: past the doubles it is cap
+        reach = dt / grid.h ** 2 * _face_sum(faces)
 
     def residual(x):
         g1, g2, L = _xlnx_slope(rn, x - rn, log_rn)
@@ -276,9 +277,10 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
         with np.errstate(over="ignore"):  # a subnormal x: mu' = inf holds that cell still
             mu_prime = g2 + dt / x
         size = np.abs(g1) + dt * np.abs(L)
-        floor = 2.0 * _EPS * float(np.max(reach * size))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or inf * 0: cap, below
+            floor = 2.0 * _EPS * float(np.max(reach * size))
         r = x - rn - dt * _divgrad(faces, mu, grid.h)
-        return r, mu_prime, max(tol, min(floor, cap))
+        return r, mu_prime, max(tol, floor if floor < cap else cap)
 
     n_iter, newton = 0, True
     r, mu_prime, stop = residual(x)
@@ -307,7 +309,11 @@ def nonlinear_cn_step_counted(rho_n: Field, law: DiffusionLaw, dt: float
 
 
 def diffusion_energy(rho: Field) -> float:
-    """Entropy-type energy ``<rho ln rho, 1>`` of a positive field."""
+    """Entropy-type energy ``<rho ln rho, 1>`` of a positive field; InvalidInput if not finite."""
     _check_positive(rho.values, rho.grid, "energy needs a strictly positive field")
     v = rho.values
-    return float(rho.grid.cell_volume * np.sum(v * np.log(v)))
+    with np.errstate(over="ignore"):  # an overflow shows as an inf in the energy, checked below
+        energy = float(rho.grid.cell_volume * np.sum(v * np.log(v)))
+    if not math.isfinite(energy):
+        raise InvalidInput(f"diffusion energy overflows to {energy}")
+    return energy

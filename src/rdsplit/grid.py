@@ -11,6 +11,7 @@ standard 3-point (1D) or 5-point (2D) periodic Laplacian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -165,9 +166,13 @@ def _check_point(c, what: str) -> np.ndarray:
 
 
 def inner_product(f: Field, g: Field) -> float:
-    """Discrete L2 pairing ``h^dim * sum(f * g)`` over cells."""
+    """Discrete L2 pairing ``h^dim * sum(f * g)`` over cells; InvalidInput if not finite."""
     _check_same_grid(f, g)
-    return f.grid.cell_volume * float(np.sum(f.values * g.values))
+    with np.errstate(over="ignore"):  # an overflow shows as an inf in the pairing, checked below
+        pairing = f.grid.cell_volume * float(np.sum(f.values * g.values))
+    if not math.isfinite(pairing):
+        raise InvalidInput(f"L2 pairing overflows to {pairing}")
+    return pairing
 
 
 def face_inner_product(p: FaceField, q: FaceField) -> float:
@@ -238,24 +243,33 @@ def _face_sum(faces: list[tuple[int, np.ndarray]]) -> np.ndarray:
     return sum(w + np.roll(w, 1, axis=ax) for ax, w in faces)
 
 
+def _csv_line(cells) -> str:
+    """One CSV line: a float with 17 significant digits, so it reads back bitwise;
+    None as an empty cell; anything else (an int, a str) as ``str`` prints it."""
+    return ",".join([f"{c:.17g}" if isinstance(c, float) else "" if c is None else str(c)
+                     for c in cells])
+
+
+def _write_lines(path, lines) -> None:
+    """Write each line with a ``\\n`` ending, as UTF-8 text."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def write_field_csv(f: Field, path) -> None:
     """Write a field snapshot as CSV.
 
     First line is a comment carrying the grid:
     ``# grid dim=<d> n0=<n> lower=<..> upper=<..>`` with comma-joined bounds,
-    then one row per cell, ``i[,j],x[,y],value`` in row-major order, with 17
-    significant digits so float64 values round-trip exactly.
+    then one row per cell, ``i[,j],x[,y],value`` in row-major order, with
+    17 significant digits (:func:`_csv_line`) so float64 values round-trip exactly.
     """
     g = f.grid
-    lo = ",".join(f"{x:.17g}" for x in g.lower)
-    hi = ",".join(f"{x:.17g}" for x in g.upper)
-    lines = [f"# grid dim={g.dim} n0={g.n0} lower={lo} upper={hi}"]
     coords = g.centers()
-    for idx in np.ndindex(g.shape):
-        lines.append(",".join([*map(str, idx), *(f"{x[idx]:.17g}" for x in coords),
-                               f"{f.values[idx]:.17g}"]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, [f"# grid dim={g.dim} n0={g.n0} lower={_csv_line(g.lower)} "
+                        f"upper={_csv_line(g.upper)}",
+                        *(_csv_line([*idx, *(x[idx] for x in coords), f.values[idx]])
+                          for idx in np.ndindex(g.shape))])
 
 
 def read_field_csv(path) -> Field:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffusion import DiffusionLaw
 from .errors import InvalidConfig, InvalidInput
-from .grid import Field, Grid, write_field_csv
+from .grid import Field, Grid, _csv_line, _write_lines, write_field_csv
 from .reaction import PointState, ReactionSpec, reaction_step
 from .splitting import RunReport, Species, SystemSpec, run, steps_for
 
@@ -299,13 +299,9 @@ def write_resolved_config(cfg: ExperimentConfig, path) -> None:
 
     A key at an empty default (no ``reaction.U``, no ``run.snapshots``) is left out.
     """
-    lines = [f"kind = {cfg.kind}"]
-    for key in sorted(cfg.params):
-        v = cfg.params[key]
-        if v is None or v == []:
-            continue
-        lines.append(f"{key} = {_format_value(v)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, [f"kind = {cfg.kind}", *(
+        f"{key} = {_format_value(v)}" for key, v in sorted(cfg.params.items())
+        if v is not None and v != [])])
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +399,8 @@ def resample_spectral(f: Field, target: Grid) -> Field:
 
 
 def write_convergence_csv(rows: list[ConvergenceRow], path) -> None:
-    lines = ["label,error,order"]
-    for r in rows:
-        order = "" if r.order is None else f"{r.order:.17g}"
-        lines.append(f"{r.label},{r.error:.17g},{order}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, ["label,error,order",
+                        *(_csv_line([r.label, r.error, r.order]) for r in rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +491,9 @@ def _autocatalysis_system(cfg: ExperimentConfig, section: str, h: float, alpha_e
 
     The keys of _SYSTEM_KEYS are the keyword arguments of cubic_autocatalysis_system.
     """
+    if not 2.0 / h < math.inf:
+        raise InvalidConfig(f"h = {h} is too small to tile the domain (-1, 1)",
+                            key=f"{section}.h")
     n0 = round(2.0 / h)
     if abs(2.0 / h - n0) > 1e-9 * n0:
         raise InvalidConfig(f"h = {h} does not tile the domain (-1, 1)", key=f"{section}.h")

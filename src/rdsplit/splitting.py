@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffusion import DiffusionLaw, etd_step, nonlinear_cn_step_counted
 from .errors import InvalidInput, RdsplitError
-from .grid import Field, Grid, _check_positive, inner_product
+from .grid import Field, Grid, _check_positive, _csv_line, _write_lines, inner_product
 from .reaction import ReactionSpec, _check_dt, reaction_stage_counted
 
 __all__ = [
@@ -130,7 +130,7 @@ class RunReport:
 
     Arrays have one row per accepted state (the initial state included).
     ``conserved`` has one column per conserved basis vector, ``min_values``
-    one per species.
+    one per species. :func:`run` makes them column views of one float64 table.
     """
 
     species_names: list[str]
@@ -143,20 +143,14 @@ class RunReport:
     diffusion_iters: np.ndarray
 
     def to_csv(self, path) -> None:
-        """Write ``step,t,energy,<conserved..>,<min..>,iters`` rows, 17 digits."""
-        cols = ["step", "t", "energy"]
-        cols += [f"conserved_{k}" for k in range(len(self.basis))]
-        cols += [f"min_{name}" for name in self.species_names]
-        cols += ["reaction_iters_avg", "diffusion_iters"]
-        lines = [",".join(cols)]
-        for k in range(self.times.size):
-            row = [str(k), f"{self.times[k]:.17g}", f"{self.energy[k]:.17g}"]
-            row += [f"{v:.17g}" for v in self.conserved[k]]
-            row += [f"{v:.17g}" for v in self.min_values[k]]
-            row += [f"{self.reaction_iters_avg[k]:.17g}", f"{self.diffusion_iters[k]:.17g}"]
-            lines.append(",".join(row))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Write ``step,t,energy,<conserved..>,<min..>,iters`` rows by :func:`_csv_line`."""
+        cols = ["step", "t", "energy", *(f"conserved_{k}" for k in range(len(self.basis))),
+                *(f"min_{name}" for name in self.species_names),
+                "reaction_iters_avg", "diffusion_iters"]
+        table = np.column_stack([self.times, self.energy, self.conserved, self.min_values,
+                                 self.reaction_iters_avg, self.diffusion_iters])
+        _write_lines(path, [",".join(cols),
+                            *(_csv_line([k, *row]) for k, row in enumerate(table))])
 
 
 def strang_step(state: SimState, spec: SystemSpec, dt: float) -> SimState:
@@ -227,38 +221,25 @@ def run(spec: SystemSpec, dt: float, t_end: float,
         raise InvalidInput(f"observer step {outside[0]!r} is outside the run's steps "
                            f"0..{n_steps} (t_end = {t_end:g}, dt = {dt:g})")
     basis = conserved_basis(spec.reaction)
-    state = SimState(t=0.0, step_index=0,
-                     c=[s.initial.copy() for s in spec.species])
-
-    nsp = len(spec.species)
-    times = np.zeros(n_steps + 1)
-    energy = np.zeros(n_steps + 1)
-    conserved = np.zeros((n_steps + 1, len(basis)))
-    min_values = np.zeros((n_steps + 1, nsp))
-    it_reaction = np.zeros(n_steps + 1)
-    it_diffusion = np.zeros(n_steps + 1)
-
+    nb, nsp = len(basis), len(spec.species)
+    # one row per accepted state: t, energy, conserved.., minima.., reaction and diffusion iters
+    table = np.zeros((n_steps + 1, 4 + nb + nsp))
     ones = Field(spec.grid, np.broadcast_to(1.0, spec.grid.shape))  # a view: no n-cell array
-
-    def record(k: int, st: SimState, itr: float, itd: float):
-        times[k] = st.t
-        energy[k] = system_energy(st, spec)
-        masses = [inner_product(f, ones) for f in st.c]
-        for j, e in enumerate(basis):
-            conserved[k, j] = float(np.dot(e, masses))
-        min_values[k] = [f.min() for f in st.c]
-        it_reaction[k] = itr
-        it_diffusion[k] = itd
-
-    record(0, state, 0.0, 0.0)
-    if 0 in observers:
-        observers[0](state)
-    for k in range(1, n_steps + 1):
-        state, itr, itd = strang_step_counted(state, spec, dt)
-        record(k, state, itr, itd)
+    state = SimState(t=0.0, step_index=0, c=[s.initial.copy() for s in spec.species])
+    itr = itd = 0.0
+    for k in range(n_steps + 1):
+        if k > 0:
+            state, itr, itd = strang_step_counted(state, spec, dt)
+        energy = system_energy(state, spec)
+        masses = [inner_product(f, ones) for f in state.c]
+        with np.errstate(over="ignore"):  # an overflow shows as an inf, checked below
+            conserved = [np.dot(e, masses) for e in basis]
+        if not np.isfinite(conserved).all():
+            raise InvalidInput("a conserved integral leaves the doubles")
+        table[k] = [state.t, energy, *conserved, *(f.min() for f in state.c), itr, itd]
         if k in observers:
             observers[k](state)
     return RunReport(
-        species_names=spec.names, basis=basis, times=times, energy=energy,
-        conserved=conserved, min_values=min_values,
-        reaction_iters_avg=it_reaction, diffusion_iters=it_diffusion)
+        species_names=spec.names, basis=basis, times=table[:, 0], energy=table[:, 1],
+        conserved=table[:, 2:2 + nb], min_values=table[:, 2 + nb:2 + nb + nsp],
+        reaction_iters_avg=table[:, -2], diffusion_iters=table[:, -1])

@@ -112,7 +112,12 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     # the same trace solved and written three times, one report
     ("energy-trace", "kind = energy_trace\ntrace.alpha_exp = 1, 1, 1\n",
      "key 'trace.alpha_exp': must not repeat"),
-], ids=["trace h", "cauchy h", "ode dt", "run dt", "trace dt", "run dt tiny", "trace alpha_exp"])
+    # 2/h past the largest double: round(2/h) used to raise an OverflowError traceback
+    ("energy-trace", "kind = energy_trace\ntrace.h = 1e-320\n", "too small to tile"),
+    ("cauchy", "kind = cauchy_convergence\ncauchy.h = 1e-320, 1e-321, 1e-322\n",
+     "too small to tile"),
+], ids=["trace h", "cauchy h", "ode dt", "run dt", "trace dt", "run dt tiny", "trace alpha_exp",
+        "trace h subnormal", "cauchy h subnormal"])
 @pytest.mark.parametrize("existing", [False, True], ids=["new out", "empty out"])
 def test_runner_rejection_leaves_out_untouched(tmp_path, capsys, command, text, why, existing):
     """The config's checks, the runner's own among them, run before --out is
@@ -382,17 +387,44 @@ def test_solver_failure_whose_resolved_config_cannot_be_written_exits_3(tmp_path
 
 def test_free_energy_that_overflows_exits_2(tmp_path, capsys):
     """F = u (ln u - 1 + U) h^2 with u = 1e300, U = 1e10 is past the largest double:
-    system_energy used to print numpy's overflow warning, then the reaction failed (exit 3)."""
-    cfg = _write(tmp_path, "kind = single_run\nspecies = u, v\ngrid.n0 = 2\n"
-                           "reaction.alpha = 1, 0\nreaction.beta = 0, 1\n"
-                           "reaction.k_plus = 1\nreaction.k_minus = 1\n"
-                           "reaction.U = 1e10, 1e10\nrun.dt = 0.1\nrun.t_end = 0.1\n"
-                           "species.u.value = 1e300\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "rdsplit: invalid config: free energy overflows to inf"]
+    system_energy used to print numpy's overflow warning, then the reaction failed (exit 3).
+    At 1e308 with U = -708.2, F is finite but the mass is not: the run used to print
+    numpy's 'overflow encountered in reduce', exit 0 and write inf in conserved_0."""
+    cases = [
+        ("grid.n0 = 2\nreaction.k_plus = 1\nreaction.k_minus = 1\n"
+         "reaction.U = 1e10, 1e10\nspecies.u.value = 1e300\n",
+         "free energy overflows to inf"),
+        ("grid.dim = 1\ngrid.n0 = 4\nreaction.k_plus = 1e-300\nreaction.k_minus = 1e-300\n"
+         "reaction.U = -708.2, -708.2\nspecies.u.value = 1e308\nspecies.v.value = 1e308\n",
+         "L2 pairing overflows to inf"),
+    ]
+    for i, (keys, message) in enumerate(cases):
+        cfg = _write(tmp_path, "kind = single_run\nspecies = u, v\nreaction.alpha = 1, 0\n"
+                               "reaction.beta = 0, 1\nrun.dt = 0.1\nrun.t_end = 0.1\n" + keys,
+                     name=f"exp{i}.cfg")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / f"out{i}")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"rdsplit: invalid config: {message}"]
+
+
+def test_report_and_snapshot_bytes(tmp_path):
+    """The CSV rule, pinned on data whose bits do not depend on the machine: floats
+    with 17 significant digits, ints as str prints them, UTF-8 and \\n endings."""
+    cfg = _write(tmp_path, "kind = single_run\nspecies = u, v\ngrid.dim = 1\ngrid.n0 = 4\n"
+                           "grid.lower = 0\ngrid.upper = 1\nreaction.alpha = 1, 0\n"
+                           "reaction.beta = 0, 1\nreaction.k_plus = 1\nreaction.k_minus = 1\n"
+                           "run.dt = 0.1\nrun.t_end = 0.2\nrun.snapshots = 0.1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "report.csv").read_bytes() == (
+        b"step,t,energy,conserved_0,min_u,min_v,reaction_iters_avg,diffusion_iters\n"
+        b"0,0,-2,2,1,1,0,0\n"
+        b"1,0.10000000000000001,-2,2,1,1,0,0\n"
+        b"2,0.20000000000000001,-2,2,1,1,0,0\n")
+    assert (out / "u_t0.1.csv").read_bytes() == (
+        b"# grid dim=1 n0=4 lower=0 upper=1\n"
+        b"0,0.125,1\n1,0.375,1\n2,0.625,1\n3,0.875,1\n")
 
 
 def test_subnormal_concentration_runs_without_overflow(tmp_path, capsys):

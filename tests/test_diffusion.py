@@ -330,6 +330,18 @@ def test_cn_newton_stops_at_its_own_roundoff():
                     <= diffusion_energy(rho) + 1e-12 * abs(diffusion_energy(rho)))
 
 
+def test_cn_roundoff_floor_past_the_doubles_counts_as_cap():
+    """On a box 1e-140 wide the stencil weight dt/h^2 sum(M) overflows: the floor,
+    a roundoff estimate only, is then the cap, with no numpy warning (inf * 0
+    included). It used to warn 'overflow encountered in multiply'."""
+    rho = Field(Grid(dim=1, n0=2, lower=0.0, upper=1e-140), [1e121, 1e121])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, n_iter = nonlinear_cn_step_counted(rho, DiffusionLaw.power(1e-9, 1.5), 1e-5)
+    assert out.values.tolist() == [1e121, 1e121]
+    assert n_iter == 0
+
+
 def test_cn_linear_case_close_to_etd():
     """alpha_exp=1 CN and the exact propagator agree to the scheme's local order."""
     rng = np.random.default_rng(20)
@@ -451,6 +463,16 @@ def test_diffusion_energy_value():
     rho = Field(g, [1.0, np.e])
     # 0.5 * (1*0 + e*1)
     assert diffusion_energy(rho) == pytest.approx(0.5 * np.e, rel=1e-15)
+
+
+def test_diffusion_energy_that_overflows_raises_invalid_input():
+    """rho ln rho at 1e308 is past the largest double: it used to warn 'overflow
+    encountered in multiply' and return inf."""
+    rho = Field(Grid(dim=1, n0=4, lower=-1.0, upper=1.0), np.full(4, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="diffusion energy overflows to inf"):
+            diffusion_energy(rho)
 
 
 def test_import_leaves_scipy_out():

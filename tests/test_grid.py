@@ -435,6 +435,20 @@ def test_inner_product_requires_same_grid():
         inner_product(f, g)
 
 
+def test_inner_product_that_overflows_raises_invalid_input():
+    """A pairing past the largest double used to warn 'overflow encountered in
+    multiply' and return inf; the face pairing shares the check."""
+    g = Grid(dim=1, n0=4, lower=-1.0, upper=1.0)
+    f = Field.constant(g, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="L2 pairing overflows to inf"):
+            inner_product(f, f)
+        with pytest.raises(InvalidInput, match="L2 pairing overflows to inf"):
+            face_inner_product(FaceField(g, 0, f.values), FaceField(g, 0, f.values))
+        assert inner_product(f, Field.constant(g, 1e-308)) == pytest.approx(2.0, rel=1e-15)
+
+
 # ------------------------------------------- the gates at every stage boundary
 
 _EXCHANGE = ReactionSpec((1.0, 0.0), (0.0, 1.0), 1.0, 1.0)

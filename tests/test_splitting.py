@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,29 @@ def test_run_report_csv(tmp_path):
     assert first[0] == "0"
     assert float(first[1]) == 0.0
     assert float(first[2]) == pytest.approx(report.energy[0], rel=1e-16)
+
+
+def test_run_records_every_state_in_one_float64_table():
+    """The report's arrays are views of one table, one float64 per recorded value."""
+    report = run(_two_species_system(np.random.default_rng(36), Grid(dim=1, n0=8)), 0.1, 0.3)
+    arrays = [report.times, report.energy, report.conserved, report.min_values,
+              report.reaction_iters_avg, report.diffusion_iters]
+    assert [a.shape for a in arrays] == [(4,), (4,), (4, 1), (4, 2), (4,), (4,)]
+    assert all(a.dtype == np.float64 and a.base is arrays[0].base for a in arrays)
+    assert arrays[0].base.shape == (4, 7)
+
+
+def test_run_refuses_a_conserved_integral_past_the_doubles():
+    """Each mass is 1e308 on one cell of [0, 1], finite, and F too (U = -708.2 keeps
+    ln c - 1 + U near 0), but u + v is not: the record used to warn and keep an inf."""
+    g = Grid(dim=1, n0=1)
+    sysspec = SystemSpec(grid=g, species=[
+        Species(name, DiffusionLaw.none(), Field.constant(g, 1e308)) for name in ("u", "v")
+    ], reaction=ReactionSpec([1.0, 0.0], [0.0, 1.0], 1.0, 1.0, U=[-708.2, -708.2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="a conserved integral leaves the doubles"):
+            run(sysspec, dt=0.1, t_end=0.1)
 
 
 def test_run_second_order_self_convergence():
